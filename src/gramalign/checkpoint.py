@@ -8,6 +8,7 @@ stored as (1, n).
 """
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +21,14 @@ VERSION = 1
 
 
 def save_checkpoint(path, tensors: dict, config: dict) -> None:
-    """Write named float32 tensors plus a config echo.
+    """Write named float32 tensors plus a config echo, atomically.
 
     Insertion order of ``tensors`` defines the directory and payload order,
-    so identical inputs produce byte-identical files.
+    so identical inputs produce byte-identical files. The bytes go to a
+    temporary file in the target directory that then replaces ``path``, so a
+    failure or a killed process mid-write leaves either the old file or the
+    new one, never a torn one. (The data is not fsynced: durability across a
+    power loss is left to the filesystem.)
     """
     directory = {}
     payloads = []
@@ -40,7 +45,17 @@ def save_checkpoint(path, tensors: dict, config: dict) -> None:
         offset += len(raw)
     header = {"version": VERSION, "config": config, "tensors": directory}
     blob = MAGIC + json.dumps(header, separators=(",", ":")).encode("utf-8") + TERMINATOR
-    Path(path).write_bytes(blob + b"".join(payloads))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            for raw in payloads:
+                fh.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):

@@ -1,14 +1,14 @@
 """Command-line surface: synth, pretrain, gradcheck, retrieve, dti, export.
 
-Exit codes: 0 success, 2 bad flags, 3 I/O failure, 4 non-finite training
-loss, 5 gradient-check failure, 6 checkpoint/data dimension mismatch.
+Exit codes: 0 success, 2 bad flags or config values, 3 I/O failure, 4
+non-finite training loss, 5 gradient-check failure, 6 checkpoint/data
+dimension mismatch.
 Every run echoes its fully-resolved configuration (paths excluded, so
 identical flags give byte-identical outputs) into the output directory.
 """
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -27,29 +27,12 @@ from .data import (
 from .errors import DimensionMismatch, GramAlignError, NonFiniteLoss
 from .evaluation import run_retrieval
 from .gradcheck import run_gradcheck
-from .kernels import active_backend
 from .modality import MODALITY_ORDER, Modality
 from .trainer import TrainConfig, load_model, train, train_dti
 
 TABLE_FILES = {m: f"{m.short}.gemb" for m in MODALITY_ORDER}
 MANIFEST_FILE = "manifest.tsv"
 DEFAULT_DIMS = "768,768,768,1280"
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("GRAMALIGN_THREADS", "").strip()
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        return
-    try:
-        import numba
-
-        numba.set_num_threads(min(n, numba.config.NUMBA_NUM_THREADS))
-    except Exception:
-        pass
 
 
 def _write_json(path, obj):
@@ -144,14 +127,17 @@ def _resolve_train_config(args) -> TrainConfig:
 
 
 def cmd_pretrain(args) -> int:
-    cfg = _resolve_train_config(args)
+    try:
+        cfg = _resolve_train_config(args)
+    except (TypeError, ValueError) as e:  # out-of-range or mistyped values, unknown keys, bad JSON
+        print(f"bad config: {e}", file=sys.stderr)
+        return 2
     tables, quads = _load_dataset(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     echo = {
         "command": "pretrain",
         "version": __version__,
-        "kernel_backend": active_backend(),
         "config": cfg.to_dict(),
     }
     _write_json(out / "resolved-config.json", echo)
@@ -363,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

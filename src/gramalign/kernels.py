@@ -1,309 +1,104 @@
-"""Batched pair-volume kernels behind the volume contrastive loss.
+"""Batched tuple volumes from a QR factorisation of the raw vectors.
 
-For a batch of B samples and an active tuple of k modalities (anchor first),
-the loss needs the volume of every (anchor from sample j, non-anchors from
-sample i) tuple: B*B determinants of k x k Gram matrices, plus the matching
-adjugates on the backward pass. That inner loop dominates training time, so
-it has a numba @njit implementation with a pure-numpy fallback.
+The volume contrastive loss needs, for a batch of B samples and an active
+tuple of k modalities (anchor first), the volume of every
+(anchor of sample j, non-anchors of sample i) tuple -- B*B Gram
+determinants -- and the gradient of a weighted sum of those volumes.
 
-Backend selection: set GRAMALIGN_BACKEND=numpy to force the fallback,
-GRAMALIGN_BACKEND=numba to require the jit path. Unset, numba is used when
-importable. Both backends consume identical precomputed dot products, so
-they agree to ~1e-15; see benchmarks/bench_volume_kernels.py for timings.
+Let the columns of F_i (d x m, m = k - 1) be sample i's non-anchor vectors,
+F_i = Q_i R_i its thin QR, a_j sample j's anchor and t_ij = Q_i^T a_j. Then
 
-Input layout (k = 1 + cross.shape[0]):
-  anchor_sq[j]          <f_j^a, f_j^a>
-  cross[u-1, i, j]      <f_i^{m_u}, f_j^a>          u in 1..k-1
-  self_gram[i, u-1, v-1] <f_i^{m_u}, f_i^{m_v}>
-so G_ij[0, 0] = anchor_sq[j], G_ij[0, u] = cross[u-1, i, j],
-G_ij[u, v] = self_gram[i, u-1, v-1].
+    det G_ij = det S_i * rho_ij^2,   det S_i = prod(diag R_i)^2,
+    rho_ij^2 = |a_j|^2 - |t_ij|^2   (squared distance of a_j from span F_i)
+
+and, with r_ij = a_j - Q_i t_ij, y_ij = R_i^-1 t_ij and e_i^u the u-th row
+of R_i^-1 Q_i^T,
+
+    d det G_ij / d a_j   = 2 det S_i r_ij
+    d det G_ij / d f_i^u = 2 det S_i (rho_ij^2 e_i^u - y_ij^u r_ij).
+
+Summed over pairs against weights, the backward is B x B elementwise work,
+per-sample m x m algebra and three GEMMs against the stacked Q factors; no
+per-pair matrix is ever formed. Working from the vectors rather than from
+their Gram matrix keeps near-collapsed tuples accurate: forming G squares
+the condition number, the QR does not.
 """
 
-import os
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch
 
-_BACKEND_ENV = "GRAMALIGN_BACKEND"
 
-try:
-    from numba import njit
+class PairVolumes(NamedTuple):
+    """V_ij = sqrt(max(det G_ij, 0) + eps), plus the factors the backward reuses."""
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
+    vol: np.ndarray  # (B, B), row i = non-anchors of sample i, column j = anchor of sample j
+    anchor: np.ndarray  # (B, d)
+    q: np.ndarray  # (B, d, m), orthonormal basis of each sample's non-anchors
+    r: np.ndarray  # (B, m, m), upper triangular
+    det_s: np.ndarray  # (B,), Gram determinant of each sample's non-anchors
+    t: np.ndarray  # (B, m, B), t[i, :, j] = Q_i^T a_j
+    rho2: np.ndarray  # (B, B), squared distance of a_j from span F_i
 
 
-# ---------------------------------------------------------------------------
-# numpy fallback
-# ---------------------------------------------------------------------------
+def pair_volumes(anchor, others, eps) -> PairVolumes:
+    """Volumes of all (anchor_j, others_i) tuples.
 
-
-def _assemble_grams(anchor_sq, cross, self_gram):
-    km1, b, b2 = cross.shape
-    if b != b2 or anchor_sq.shape != (b,) or self_gram.shape != (b, km1, km1):
-        raise DimensionMismatch(
-            f"inconsistent kernel inputs: anchor_sq {anchor_sq.shape}, "
-            f"cross {cross.shape}, self_gram {self_gram.shape}"
-        )
-    k = km1 + 1
-    g = np.empty((b, b, k, k), dtype=np.float64)
-    g[:, :, 0, 0] = anchor_sq[None, :]
-    for u in range(km1):
-        g[:, :, 0, u + 1] = cross[u]
-        g[:, :, u + 1, 0] = cross[u]
-        for v in range(km1):
-            g[:, :, u + 1, v + 1] = self_gram[:, u, v][:, None]
-    return g
-
-
-def _adjugate_batch(g):
-    k = g.shape[-1]
-    adj = np.empty_like(g)
-    if k == 1:
-        adj[...] = 1.0
-        return adj
-    for r in range(k):
-        rows = [x for x in range(k) if x != r]
-        for c in range(k):
-            cols = [x for x in range(k) if x != c]
-            minor = g[..., rows, :][..., :, cols]
-            adj[..., c, r] = ((-1.0) ** (r + c)) * np.linalg.det(minor)
-    return adj
-
-
-def pair_volumes_numpy(anchor_sq, cross, self_gram, eps):
-    g = _assemble_grams(anchor_sq, cross, self_gram)
-    det = np.linalg.det(g)
-    return np.sqrt(np.clip(det, 0.0, None) + eps)
-
-
-def pair_volume_coeffs_numpy(anchor_sq, cross, self_gram, eps, weights):
-    g = _assemble_grams(anchor_sq, cross, self_gram)
-    det = np.linalg.det(g)
-    vol = np.sqrt(np.clip(det, 0.0, None) + eps)
-    adj = _adjugate_batch(g)
-    scaled = adj * (weights / vol)[..., None, None]
-    return np.ascontiguousarray(scaled.transpose(2, 3, 0, 1))
-
-
-# ---------------------------------------------------------------------------
-# numba jit path
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _det_small(g):
-    k = g.shape[0]
-    if k == 1:
-        return g[0, 0]
-    if k == 2:
-        return g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if k == 3:
-        return (
-            g[0, 0] * (g[1, 1] * g[2, 2] - g[1, 2] * g[2, 1])
-            - g[0, 1] * (g[1, 0] * g[2, 2] - g[1, 2] * g[2, 0])
-            + g[0, 2] * (g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0])
-        )
-    # k == 4: Laplace expansion along row 0
-    det = 0.0
-    sign = 1.0
-    for c in range(4):
-        m00 = m01 = m02 = m10 = m11 = m12 = m20 = m21 = m22 = 0.0
-        cc = 0
-        for col in range(4):
-            if col == c:
-                continue
-            if cc == 0:
-                m00, m10, m20 = g[1, col], g[2, col], g[3, col]
-            elif cc == 1:
-                m01, m11, m21 = g[1, col], g[2, col], g[3, col]
-            else:
-                m02, m12, m22 = g[1, col], g[2, col], g[3, col]
-            cc += 1
-        d3 = (
-            m00 * (m11 * m22 - m12 * m21)
-            - m01 * (m10 * m22 - m12 * m20)
-            + m02 * (m10 * m21 - m11 * m20)
-        )
-        det += sign * g[0, c] * d3
-        sign = -sign
-    return det
-
-
-@njit(cache=True)
-def _adj_and_det(g, adj):
-    k = g.shape[0]
-    if k == 2:
-        adj[0, 0] = g[1, 1]
-        adj[0, 1] = -g[0, 1]
-        adj[1, 0] = -g[1, 0]
-        adj[1, 1] = g[0, 0]
-        return g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if k == 3:
-        adj[0, 0] = g[1, 1] * g[2, 2] - g[1, 2] * g[2, 1]
-        adj[0, 1] = g[0, 2] * g[2, 1] - g[0, 1] * g[2, 2]
-        adj[0, 2] = g[0, 1] * g[1, 2] - g[0, 2] * g[1, 1]
-        adj[1, 0] = g[1, 2] * g[2, 0] - g[1, 0] * g[2, 2]
-        adj[1, 1] = g[0, 0] * g[2, 2] - g[0, 2] * g[2, 0]
-        adj[1, 2] = g[0, 2] * g[1, 0] - g[0, 0] * g[1, 2]
-        adj[2, 0] = g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0]
-        adj[2, 1] = g[0, 1] * g[2, 0] - g[0, 0] * g[2, 1]
-        adj[2, 2] = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        return g[0, 0] * adj[0, 0] + g[0, 1] * adj[1, 0] + g[0, 2] * adj[2, 0]
-    # k == 4: adj[c, r] = (-1)^(r+c) * det of the minor removing row r, col c
-    for r in range(4):
-        for c in range(4):
-            m = np.empty((3, 3))
-            rr = 0
-            for x in range(4):
-                if x == r:
-                    continue
-                cc = 0
-                for y in range(4):
-                    if y == c:
-                        continue
-                    m[rr, cc] = g[x, y]
-                    cc += 1
-                rr += 1
-            d3 = (
-                m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-                - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-                + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-            )
-            if (r + c) % 2 == 0:
-                adj[c, r] = d3
-            else:
-                adj[c, r] = -d3
-    return g[0, 0] * adj[0, 0] + g[0, 1] * adj[1, 0] + g[0, 2] * adj[2, 0] + g[0, 3] * adj[3, 0]
-
-
-@njit(cache=True)
-def _pair_volumes_jit(anchor_sq, cross, self_gram, eps):
-    km1 = cross.shape[0]
-    b = cross.shape[1]
-    k = km1 + 1
-    vol = np.empty((b, b))
-    g = np.empty((k, k))
-    for i in range(b):
-        for u in range(km1):
-            for v in range(km1):
-                g[u + 1, v + 1] = self_gram[i, u, v]
-        for j in range(b):
-            g[0, 0] = anchor_sq[j]
-            for u in range(km1):
-                g[0, u + 1] = cross[u, i, j]
-                g[u + 1, 0] = cross[u, i, j]
-            d = _det_small(g)
-            if d < 0.0:
-                d = 0.0
-            vol[i, j] = np.sqrt(d + eps)
-    return vol
-
-
-@njit(cache=True)
-def _pair_volume_coeffs_jit(anchor_sq, cross, self_gram, eps, weights):
-    km1 = cross.shape[0]
-    b = cross.shape[1]
-    k = km1 + 1
-    coeff = np.empty((k, k, b, b))
-    g = np.empty((k, k))
-    adj = np.empty((k, k))
-    for i in range(b):
-        for u in range(km1):
-            for v in range(km1):
-                g[u + 1, v + 1] = self_gram[i, u, v]
-        for j in range(b):
-            g[0, 0] = anchor_sq[j]
-            for u in range(km1):
-                g[0, u + 1] = cross[u, i, j]
-                g[u + 1, 0] = cross[u, i, j]
-            d = _adj_and_det(g, adj)
-            if d < 0.0:
-                d = 0.0
-            scale = weights[i, j] / np.sqrt(d + eps)
-            for u in range(k):
-                for v in range(k):
-                    coeff[u, v, i, j] = scale * adj[u, v]
-    return coeff
-
-
-def pair_volumes_numba(anchor_sq, cross, self_gram, eps):
-    _assemble_grams(anchor_sq, cross, self_gram)  # shape validation only
-    return _pair_volumes_jit(
-        np.ascontiguousarray(anchor_sq, dtype=np.float64),
-        np.ascontiguousarray(cross, dtype=np.float64),
-        np.ascontiguousarray(self_gram, dtype=np.float64),
-        float(eps),
-    )
-
-
-def pair_volume_coeffs_numba(anchor_sq, cross, self_gram, eps, weights):
-    _assemble_grams(anchor_sq, cross, self_gram)
-    return _pair_volume_coeffs_jit(
-        np.ascontiguousarray(anchor_sq, dtype=np.float64),
-        np.ascontiguousarray(cross, dtype=np.float64),
-        np.ascontiguousarray(self_gram, dtype=np.float64),
-        float(eps),
-        np.ascontiguousarray(weights, dtype=np.float64),
-    )
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
-def _env_backend() -> str:
-    choice = os.environ.get(_BACKEND_ENV, "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError(f"{_BACKEND_ENV}=numba but numba is not importable")
-        return "numba"
-    if choice:
-        raise RuntimeError(f"unknown {_BACKEND_ENV} value {choice!r} (use numpy or numba)")
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-_backend = _env_backend()
-
-
-def active_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    global _backend
-    if name not in ("numpy", "numba"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _backend = name
-
-
-def pair_volumes(anchor_sq, cross, self_gram, eps=0.0):
-    """(B, B) matrix of sqrt(max(det G_ij, 0) + eps)."""
-    if _backend == "numba":
-        return pair_volumes_numba(anchor_sq, cross, self_gram, eps)
-    return pair_volumes_numpy(anchor_sq, cross, self_gram, eps)
-
-
-def pair_volume_coeffs(anchor_sq, cross, self_gram, eps, weights):
-    """(k, k, B, B) stack with entry [u, v, i, j] = w_ij adj(G_ij)[u, v] / V_ij.
-
-    These are the only per-pair quantities the loss backward pass needs: the
-    gradient of sum_ij w_ij V_ij with respect to the input embeddings is a
-    handful of matrix products against this stack (see losses module).
+    ``anchor`` is (B, d); ``others`` stacks the m = k - 1 non-anchor
+    modalities as (m, B, d), with 1 <= m <= d.
     """
-    if _backend == "numba":
-        return pair_volume_coeffs_numba(anchor_sq, cross, self_gram, eps, weights)
-    return pair_volume_coeffs_numpy(anchor_sq, cross, self_gram, eps, weights)
+    anchor = np.asarray(anchor, dtype=np.float64)
+    others = np.asarray(others, dtype=np.float64)
+    if anchor.ndim != 2 or others.ndim != 3 or others.shape[1:] != anchor.shape:
+        raise DimensionMismatch(
+            f"expected anchor (B, d) and others (m, B, d), got {anchor.shape} and {others.shape}"
+        )
+    m, b, d = others.shape
+    if not 1 <= m <= d:
+        raise DimensionMismatch(f"need 1 <= {m} non-anchor modalities <= dimension {d}")
+    q, r = np.linalg.qr(others.transpose(1, 2, 0))
+    det_s = np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1) ** 2
+    t = (q.transpose(0, 2, 1).reshape(b * m, d) @ anchor.T).reshape(b, m, b)
+    rho2 = np.einsum("jd,jd->j", anchor, anchor)[None, :] - np.einsum("iuj,iuj->ij", t, t)
+    rho2 = np.maximum(rho2, 0.0)
+    vol = np.sqrt(det_s[:, None] * rho2 + eps)
+    return PairVolumes(vol, anchor, q, r, det_s, t, rho2)
+
+
+def pair_volume_coeffs(pv: PairVolumes, weights) -> np.ndarray:
+    """(k, B, d) gradient of sum_ij w_ij V_ij: the anchor first, then each non-anchor.
+
+    dV_ij = d(det G_ij) / (2 V_ij), so every pair contributes through the
+    single coefficient c_ij = w_ij det S_i / V_ij.
+    """
+    b, d, m = pv.q.shape
+    c = np.asarray(weights, dtype=np.float64) * pv.det_s[:, None] / pv.vol
+    qt = pv.q.transpose(0, 2, 1)  # (B, m, d), row u of sample i = Q_i[:, u]
+    # samples whose non-anchors are exactly dependent have det S_i = 0, hence c_i. = 0
+    singular = pv.det_s == 0.0
+    rinv = np.linalg.inv(np.where(singular[:, None, None], np.eye(m), pv.r))
+    rinv[singular] = 0.0
+
+    grads = np.empty((m + 1, b, d))
+    ct = (c[:, None, :] * pv.t).reshape(b * m, b)
+    grads[0] = c.sum(axis=0)[:, None] * pv.anchor - ct.T @ qt.reshape(b * m, d)
+
+    cy = c[:, None, :] * (rinv @ pv.t)  # (B, m, B): c_ij y_ij^u
+    e = rinv @ qt  # (B, m, d)
+    g = (c * pv.rho2).sum(axis=1)[:, None, None] * e
+    g -= (cy.reshape(b * m, b) @ pv.anchor).reshape(b, m, d)
+    g += (cy @ pv.t.transpose(0, 2, 1)) @ qt
+    grads[1:] = g.transpose(1, 0, 2)
+    return grads
+
+
+def tuple_volumes(vectors) -> np.ndarray:
+    """(n,) volumes sqrt(det(F_i F_i^T)) of n tuples given as k arrays of shape (n, d)."""
+    f = np.stack([np.asarray(v, dtype=np.float64) for v in vectors], axis=2)
+    n, d, k = f.shape
+    if d < k:  # k vectors in fewer than k dimensions span no volume
+        return np.zeros(n)
+    r = np.linalg.qr(f, mode="r")
+    return np.abs(np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1))

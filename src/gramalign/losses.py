@@ -71,14 +71,10 @@ def _validate_active(batch, anchor, active):
 
 
 def _pair_inputs(batch, anchor, active):
-    """Dot products the per-pair kernels consume; BLAS does the heavy part."""
+    """Non-anchor modalities in canonical order, the anchor rows and the stacked others."""
     others = [m for m in MODALITY_ORDER if m in active and m != anchor]
-    f_a = batch.embeddings[anchor]
-    anchor_sq = np.einsum("bd,bd->b", f_a, f_a)
-    cross = np.stack([batch.embeddings[m] @ f_a.T for m in others])
     stack = np.stack([batch.embeddings[m] for m in others])
-    self_gram = np.einsum("ubd,vbd->buv", stack, stack)
-    return f_a, others, anchor_sq, cross, self_gram
+    return others, batch.embeddings[anchor], stack
 
 
 def _info_nce(s):
@@ -110,9 +106,8 @@ def volume_similarity_forward(batch: Batch, anchor: Modality, active, tau: float
     active = _validate_active(batch, anchor, active)
     if tau <= 0:
         raise ValueError("tau must be positive")
-    _, _, anchor_sq, cross, self_gram = _pair_inputs(batch, anchor, active)
-    vol = pair_volumes(anchor_sq, cross, self_gram, EPS_VOL)
-    return -vol / tau
+    _, f_a, stack = _pair_inputs(batch, anchor, active)
+    return -pair_volumes(f_a, stack, EPS_VOL).vol / tau
 
 
 def volume_contrastive(batch: Batch, anchor: Modality, active, tau: float = DEFAULT_TAU):
@@ -127,23 +122,14 @@ def volume_contrastive(batch: Batch, anchor: Modality, active, tau: float = DEFA
     active = _validate_active(batch, anchor, active)
     if tau <= 0:
         raise ValueError("tau must be positive")
-    f_a, others, anchor_sq, cross, self_gram = _pair_inputs(batch, anchor, active)
-    vol = pair_volumes(anchor_sq, cross, self_gram, EPS_VOL)
-    s = -vol / tau
-    value, l_fwd, l_rev, ds = _info_nce(s)
-    dvol = -ds / tau
+    others, f_a, stack = _pair_inputs(batch, anchor, active)
+    pv = pair_volumes(f_a, stack, EPS_VOL)
+    value, l_fwd, l_rev, ds = _info_nce(-pv.vol / tau)
 
-    coeff = pair_volume_coeffs(anchor_sq, cross, self_gram, EPS_VOL, dvol)
+    g = pair_volume_coeffs(pv, -ds / tau)
     grads = _zero_grads(batch)
-    g_a = coeff[0, 0].sum(axis=0)[:, None] * f_a
-    for u, m in enumerate(others, start=1):
-        g_a += coeff[0, u].T @ batch.embeddings[m]
-    grads[anchor] = g_a
-    for u, m in enumerate(others, start=1):
-        g_u = coeff[u, 0] @ f_a
-        for v, mv in enumerate(others, start=1):
-            g_u += coeff[u, v].sum(axis=1)[:, None] * batch.embeddings[mv]
-        grads[m] = g_u
+    for u, m in enumerate([anchor, *others]):
+        grads[m] = g[u]
 
     return LossOut(
         value=value,
@@ -151,7 +137,7 @@ def volume_contrastive(batch: Batch, anchor: Modality, active, tau: float = DEFA
         diagnostics={
             "volume_forward": l_fwd,
             "volume_reverse": l_rev,
-            "mean_positive_volume": float(np.mean(np.diag(vol))),
+            "mean_positive_volume": float(np.mean(np.diag(pv.vol))),
         },
     )
 

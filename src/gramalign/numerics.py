@@ -2,9 +2,11 @@
 
 Reference implementations for tuples of up to four vectors. All math runs in
 float64 regardless of input dtype so finite-difference checks have headroom.
-The batched per-pair kernels used by the contrastive loss live in
-``gramalign.kernels``; the functions here are the single-tuple ground truth
-they are tested against.
+They work on the Gram matrix (partial-pivot LU determinants, cofactor
+adjugates), one tuple at a time: the plain ground truth that the batched QR
+routines in ``gramalign.kernels`` are tested against on well-conditioned
+tuples. Near collapse, forming the Gram matrix squares the condition number,
+so there the kernels are checked against a high-precision oracle instead.
 """
 
 from dataclasses import dataclass

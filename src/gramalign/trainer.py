@@ -34,9 +34,9 @@ from .heads import (
     named_tensors,
     project,
 )
+from .kernels import tuple_volumes
 from .losses import Batch, LossOut, clip_bimodal, ic50_loss, total_loss, volume_contrastive
 from .modality import MODALITY_ORDER, Modality
-from .numerics import volume_unclamped
 from .scheduler import SchedulerConfig, decide, make_history, record, smoothed
 from .seeding import substream
 
@@ -72,6 +72,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0, lr and tau positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.shared_dim < 3:  # the pair volumes need one dimension per non-anchor
+            raise ValueError("shared_dim must be >= 3")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -254,20 +256,12 @@ def alignment_volumes(model, tables, quads, cap=ALIGNMENT_EVAL_CAP):
     evaluated tuple mixes four distinct samples.
     """
     quads = quads[: min(len(quads), cap)]
-    n = len(quads)
     feats = {}
     for m in MODALITY_ORDER:
         idx = [q.row_for(m) for q in quads]
         feats[m], _ = project(model.projectors[m], tables[m].rows[idx].astype(np.float64), "eval")
-    pos = [
-        volume_unclamped(np.stack([feats[m][i] for m in MODALITY_ORDER])) for i in range(n)
-    ]
-    mis = [
-        volume_unclamped(
-            np.stack([feats[m][(i + k) % n] for k, m in enumerate(MODALITY_ORDER)])
-        )
-        for i in range(n)
-    ]
+    pos = tuple_volumes([feats[m] for m in MODALITY_ORDER])
+    mis = tuple_volumes([np.roll(feats[m], -k, axis=0) for k, m in enumerate(MODALITY_ORDER)])
     return float(np.mean(pos)), float(np.mean(mis))
 
 

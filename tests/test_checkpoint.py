@@ -74,3 +74,40 @@ def test_deterministic_bytes(tmp_path):
     save_checkpoint(p1, tensors, {"seed": 1})
     save_checkpoint(p2, tensors, {"seed": 1})
     assert p1.read_bytes() == p2.read_bytes()
+
+
+class _DiskFullFile:
+    """A binary file whose second write fails half-way, as on a full disk."""
+
+    def __init__(self, path, mode):
+        self._fh = open(path, mode)
+        self._writes = 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes == 2:
+            self._fh.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def test_failed_write_leaves_old_file_intact(tmp_path, monkeypatch):
+    from gramalign import checkpoint
+
+    path = tmp_path / "epoch-0000.ckpt"
+    save_checkpoint(path, {"x": np.ones((4, 4), dtype=np.float32)}, {"epochs_done": 1})
+    before = path.read_bytes()
+    monkeypatch.setattr(checkpoint, "open", _DiskFullFile, raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(path, {"x": np.zeros((64, 64), dtype=np.float32)}, {"epochs_done": 2})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary file left
+    tensors, config = load_checkpoint(path)
+    assert config == {"epochs_done": 1}

@@ -1,11 +1,15 @@
 """End-to-end CLI tests: flags, exit codes, determinism, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gramalign
 from gramalign.cli import main
 from gramalign.data import load_embedding_table
 from gramalign.modality import MODALITY_ORDER, Modality
@@ -133,6 +137,47 @@ class TestPretrain:
         monkeypatch.setattr(cli, "train", explode)
         assert run("pretrain", "--data", str(synth_dir), "--out", str(tmp_path / "x"),
                    "--epochs", "1", "--batch-size", "16") == 4
+
+
+BAD_CONFIGS = [
+    (["--batch-size", "1"], "batch_size"),
+    (["--lr", "0"], "lr"),
+    (["--epochs", "-1"], "epochs"),
+    (["--tau", "0"], "tau"),
+    (["--p-drop", "2"], "p_drop"),
+    (["--seed", "-1"], "seed"),
+    (["--shared-dim", "2"], "shared_dim"),
+    ({"nonsense": 1}, "unknown config keys"),
+    ({"lr": "fast"}, "bad config"),
+    ({"scheduler": {"decay": 1.5}}, "decay"),
+    ("{not json", "bad config"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    BAD_CONFIGS,
+    ids=["batch-size", "lr", "epochs", "tau", "p-drop", "seed", "shared-dim", "unknown-key",
+         "mistyped-value", "scheduler-decay", "malformed-json"],
+)
+def test_bad_config_exits_2_with_one_line(tmp_path, flags, message):
+    """Out-of-range values are flag errors: exit 2, one stderr line, no traceback."""
+    if not isinstance(flags, list):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(flags if isinstance(flags, str) else json.dumps(flags))
+        flags = ["--config", str(cfg)]
+    src = str(Path(gramalign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gramalign.cli", "pretrain", "--data", str(tmp_path / "none"),
+         "--out", str(tmp_path / "out"), *flags],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert message in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 class TestGradcheckCommand:
