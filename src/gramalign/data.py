@@ -237,7 +237,10 @@ def load_manifest(path, tables: dict):
                 rows.append(tables[m].index_of(cell))
             except KeyError:
                 raise UnknownId(f"line {ln_no}: id {cell!r} not in {m.name} table")
-        ic50 = None if cells[4] == "" else float(cells[4])
+        try:
+            ic50 = None if cells[4] == "" else float(cells[4])
+        except ValueError:
+            raise FormatError(f"line {ln_no}: ic50_um {cells[4]!r} is not a number")
         quads.append(
             Quadruplet(
                 *rows,
@@ -300,14 +303,32 @@ def _chunks(items, folds):
     return out
 
 
-def _sample_negatives(grid, positives, count, rng):
-    pool = sorted(set(grid) - set(positives))
-    if len(pool) < count:
+def _draw_negatives(rows, cols, pos_set, count, rng):
+    """``count`` pairs drawn without replacement from ``rows`` x ``cols`` minus ``pos_set``.
+
+    ``rows`` and ``cols`` are sorted id lists, so their row-major product is
+    the lexicographic pair grid. The pool (grid minus positives) stays
+    implicit: pool index i is grid index i plus the number of positives at
+    or before it, found by one ``searchsorted`` over the positives' grid
+    indices.
+    """
+    r_index = {r: i for i, r in enumerate(rows)}
+    c_index = {c: j for j, c in enumerate(cols)}
+    n_cols = len(cols)
+    taken = np.array(
+        sorted(
+            r_index[d] * n_cols + c_index[p] for d, p in pos_set if d in r_index and p in c_index
+        ),
+        dtype=np.int64,
+    )
+    n_pool = len(rows) * n_cols - len(taken)
+    if n_pool < count:
         raise InsufficientEntities(
-            f"need {count} negative pairs but only {len(pool)} non-positive pairs exist"
+            f"need {count} negative pairs but only {n_pool} non-positive pairs exist"
         )
-    idx = rng.choice(len(pool), size=count, replace=False)
-    return [pool[i] for i in sorted(idx.tolist())]
+    idx = np.sort(rng.choice(n_pool, size=count, replace=False))
+    grid = idx + np.searchsorted(taken - np.arange(len(taken)), idx, side="right")
+    return [(rows[g // n_cols], cols[g % n_cols]) for g in grid.tolist()]
 
 
 def make_split(positives, kind: SplitKind, folds: int, seed: int, drugs=None, proteins=None):
@@ -346,9 +367,8 @@ def make_split(positives, kind: SplitKind, folds: int, seed: int, drugs=None, pr
             if not test_pos:
                 raise InsufficientEntities(f"fold {f} has no test positives")
             neg_rng = substream(seed, "negatives", kind.value, f)
-            grid = [(d, p) for d in drugs for p in proteins]
-            negs = _sample_negatives(
-                grid, pos_set, NEGATIVE_RATIO * (len(train_pos) + len(test_pos)), neg_rng
+            negs = _draw_negatives(
+                drugs, proteins, pos_set, NEGATIVE_RATIO * (len(train_pos) + len(test_pos)), neg_rng
             )
             train_negs = negs[: NEGATIVE_RATIO * len(train_pos)]
             test_negs = negs[NEGATIVE_RATIO * len(train_pos) :]
@@ -372,16 +392,15 @@ def make_split(positives, kind: SplitKind, folds: int, seed: int, drugs=None, pr
         if not test_pos:
             raise InsufficientEntities(f"fold {f} has no test positives")
         neg_rng = substream(seed, "negatives", kind.value, f)
+        held = sorted(test_entities)
         if kind is SplitKind.DRUG_COLD:
-            test_grid = [(d, p) for d in sorted(test_entities) for p in proteins]
-            train_grid = [(d, p) for d in drugs if d not in test_entities for p in proteins]
+            kept = [d for d in drugs if d not in test_entities]
+            test_grid, train_grid = (held, proteins), (kept, proteins)
         else:
-            test_grid = [(d, p) for d in drugs for p in sorted(test_entities)]
-            train_grid = [(d, p) for d in drugs for p in proteins if p not in test_entities]
-        test_negs = _sample_negatives(test_grid, pos_set, NEGATIVE_RATIO * len(test_pos), neg_rng)
-        train_negs = _sample_negatives(
-            train_grid, pos_set, NEGATIVE_RATIO * len(train_pos), neg_rng
-        )
+            kept = [p for p in proteins if p not in test_entities]
+            test_grid, train_grid = (drugs, held), (drugs, kept)
+        test_negs = _draw_negatives(*test_grid, pos_set, NEGATIVE_RATIO * len(test_pos), neg_rng)
+        train_negs = _draw_negatives(*train_grid, pos_set, NEGATIVE_RATIO * len(train_pos), neg_rng)
         out.append(_fold(f, kind, folds, train_pos, train_negs, test_pos, test_negs))
     return out
 

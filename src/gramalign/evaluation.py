@@ -5,6 +5,7 @@ are rank-based for speed but must agree with exhaustive enumeration exactly
 (AUROC/AUPRC within 1e-12).
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -53,7 +54,8 @@ def recall_at_k(scores, relevant, ks=RECALL_KS) -> dict:
     """Fraction of queries with any relevant candidate in the top min(k, C).
 
     Candidates are ranked by descending score; ties break toward the lower
-    candidate index. ``relevant`` is one candidate-index set per query.
+    candidate index. ``relevant`` is one non-empty set of candidate indices
+    in [0, C) per query.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n_q, n_c = scores.shape
@@ -63,30 +65,18 @@ def recall_at_k(scores, relevant, ks=RECALL_KS) -> dict:
     for qi, r in enumerate(rel_sets):
         if not r:
             raise NoRelevant(f"query {qi} has no relevant candidates")
+    rel_q = np.repeat(np.arange(n_q), [len(r) for r in rel_sets])
+    rel_c = np.fromiter(itertools.chain.from_iterable(rel_sets), dtype=np.int64, count=len(rel_q))
+    outside = np.flatnonzero((rel_c < 0) | (rel_c >= n_c))
+    if outside.size:
+        i = outside[0]
+        raise NoRelevant(f"query {rel_q[i]}: relevant index {rel_c[i]} outside [0, {n_c})")
+    relevance = np.zeros((n_q, n_c), dtype=bool)
+    relevance[rel_q, rel_c] = True
     order = np.argsort(-scores, axis=1, kind="stable")
-    out = {}
-    for k in ks:
-        kk = min(int(k), n_c)
-        hits = 0
-        for qi in range(n_q):
-            if any(int(c) in rel_sets[qi] for c in order[qi, :kk]):
-                hits += 1
-        out[int(k)] = hits / n_q
-    return out
-
-
-def _ranks_with_ties(scores):
-    """1-based ranks, ties replaced by the mean rank of the tied block."""
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    hit = np.take_along_axis(relevance, order, axis=1)
+    first = hit.argmax(axis=1)  # rank of each query's best relevant candidate
+    return {int(k): int(np.count_nonzero(first < min(int(k), n_c))) / n_q for k in ks}
 
 
 def auroc(scores, labels) -> float:
@@ -97,7 +87,9 @@ def auroc(scores, labels) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise SingleClass(f"need both classes, got {n_pos} positives / {n_neg} negatives")
-    ranks = _ranks_with_ties(scores)
+    from scipy.stats import rankdata  # imported here: scipy.stats adds ~45 MB to every process
+
+    ranks = rankdata(scores)  # 1-based, tied scores share the mean rank of their block
     pos_rank_sum = float(ranks[labels == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -115,24 +107,12 @@ def auprc(scores, labels) -> float:
         raise NoPositives("AUPRC needs at least one positive")
     order = np.argsort(-scores, kind="stable")
     s_sorted = scores[order]
-    y_sorted = labels[order]
-    area = 0.0
-    tp = fp = 0
-    prev_recall = 0.0
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j + 1 < n and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        tp += int(y_sorted[i : j + 1].sum())
-        fp += int((j - i + 1) - y_sorted[i : j + 1].sum())
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return area
+    ends = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))  # last of each block
+    tp = np.cumsum(labels[order])[ends]
+    recall = tp / n_pos
+    precision = tp / (ends + 1)
+    # cumsum adds left to right, the order of the step-rule sum
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def classification_metrics(scores, labels, threshold: float = DEFAULT_THRESHOLD) -> dict:

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.special import softmax
 
 from . import checkpoint as ckpt
 from .data import class_weights
@@ -482,9 +483,7 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
                 rows = order[start : start + bs]
                 logits, tape = dti_forward(head, f_s[xs[rows]], f_p[xp[rows]], "train", rng)
                 yb = y[rows]
-                shift = logits.max(axis=1, keepdims=True)
-                lse = shift + np.log(np.exp(logits - shift).sum(axis=1, keepdims=True))
-                dlogits = np.exp(logits - lse)
+                dlogits = softmax(logits, axis=1)
                 dlogits[np.arange(len(rows)), yb] -= 1.0
                 dlogits /= len(rows)
                 grads, _ = backward(tape, dlogits)
@@ -495,10 +494,7 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
         tp = np.array([p_index[p] for _, p, _ in test_pairs])
         ty = np.array([lab for _, _, lab in test_pairs], dtype=int)
         logits, _ = dti_forward(head, f_s[ts], f_p[tp], "eval")
-        shift = logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits - shift)
-        probs /= probs.sum(axis=1, keepdims=True)
-        scores = probs[:, 1]
+        scores = softmax(logits, axis=1)[:, 1]
         cls = classification_metrics(scores, ty)
         metrics = {
             "fold": fold.index,

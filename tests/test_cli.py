@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -166,18 +167,53 @@ def test_bad_config_exits_2_with_one_line(tmp_path, flags, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(flags if isinstance(flags, str) else json.dumps(flags))
         flags = ["--config", str(cfg)]
-    src = str(Path(gramalign.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gramalign.cli", "pretrain", "--data", str(tmp_path / "none"),
-         "--out", str(tmp_path / "out"), *flags],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _pretrain_in_subprocess(tmp_path / "none", tmp_path / "out", flags)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert message in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def _pretrain_in_subprocess(data, out, flags=()):
+    src = str(Path(gramalign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "gramalign.cli", "pretrain", "--data", str(data),
+         "--out", str(out), *flags],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def _replace_cell(line_no, column, value):
+    def edit(lines):
+        cells = lines[line_no - 1].split("\t")
+        cells[column] = value
+        lines[line_no - 1] = "\t".join(cells)
+    return edit
+
+
+BAD_MANIFESTS = [
+    (_replace_cell(3, 4, "abc"), 1, "line 3: ic50_um 'abc' is not a number"),
+    (_replace_cell(2, 0, "smiles-999999"), 1, "line 2: id 'smiles-999999' not in SMILES table"),
+    (_replace_cell(1, 4, "ic50"), 1, "manifest header mismatch"),
+]
+
+
+@pytest.mark.parametrize("edit, code, message", BAD_MANIFESTS,
+                         ids=["non-numeric-ic50", "unknown-id", "bad-header"])
+def test_bad_manifest_exits_with_one_line(tmp_path, synth_dir, edit, code, message):
+    """A malformed manifest is a data error: its exit code, one stderr line naming it."""
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    lines = (data / "manifest.tsv").read_text().splitlines()
+    edit(lines)
+    (data / "manifest.tsv").write_text("\n".join(lines) + "\n")
+    proc = _pretrain_in_subprocess(data, tmp_path / "out")
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
 
 
 class TestGradcheckCommand:

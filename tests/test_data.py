@@ -1,12 +1,14 @@
 """Tests for GEMB1 I/O, manifests, IC50 discretization, splits, and synth data."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gramalign import data
 from gramalign.data import (
     EmbeddingTable,
     PairDataset,
@@ -121,6 +123,16 @@ class TestManifest:
         with pytest.raises(UnknownId):
             load_manifest(path, tables)
 
+    def test_non_numeric_ic50_names_line(self, tmp_path):
+        tables, quads = synth_quadruplets(6, (4, 4, 4, 6), 0.1, seed=7)
+        path = tmp_path / "manifest.tsv"
+        write_manifest(quads, tables, path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit("\t", 1)[0] + "\tabc"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="line 3: ic50_um 'abc'"):
+            load_manifest(path, tables)
+
 
 class TestDiscretizeIc50:
     @pytest.mark.parametrize(
@@ -167,6 +179,17 @@ class TestClassWeights:
     def test_empty_class_named(self):
         with pytest.raises(EmptyClass, match="class 2"):
             class_weights([0, 1, 0, 1])
+
+
+def brute_force_negatives(rows, cols, pos_set, count, rng):
+    """The negative sampler written out: materialised grid, sorted set difference, same draw."""
+    pool = sorted({(r, c) for r in rows for c in cols} - set(pos_set))
+    if len(pool) < count:
+        raise InsufficientEntities(
+            f"need {count} negative pairs but only {len(pool)} non-positive pairs exist"
+        )
+    idx = rng.choice(len(pool), size=count, replace=False)
+    return [pool[i] for i in sorted(idx.tolist())]
 
 
 def _check_fold_invariants(folds, kind):
@@ -236,6 +259,56 @@ class TestMakeSplit:
     def test_folds_minimum(self):
         with pytest.raises(InsufficientEntities):
             make_split(self._positives(), SplitKind.WARM, 1, seed=0)
+
+    @pytest.mark.parametrize("universe", [False, True], ids=["positive-entities", "universe"])
+    @pytest.mark.parametrize("kind", list(SplitKind), ids=lambda k: k.value)
+    def test_matches_brute_force_sampler(self, monkeypatch, kind, universe):
+        """Folds equal those drawn from the materialised pool, on random sparse grids."""
+        rng = np.random.default_rng([11, list(SplitKind).index(kind), int(universe)])
+        drawn = 0
+        for _ in range(25):
+            n_d, n_p = (int(n) for n in rng.integers(12, 40, size=2))
+            # every entity in some positive, plus a few random pairs; unpadded
+            # ids, so lexicographic order differs from numeric order
+            m = max(n_d, n_p)
+            rows = np.concatenate([np.arange(m) % n_d, rng.integers(0, n_d, size=5)])
+            cols = np.concatenate([rng.permutation(m) % n_p, rng.integers(0, n_p, size=5)])
+            pos = [(f"d{i}", f"p{j}") for i, j in zip(rows, cols)]
+            kwargs = {}
+            if universe:
+                kwargs = {"drugs": [f"d{i}" for i in range(n_d + 4)],
+                          "proteins": [f"p{j}" for j in range(n_p + 3)]}
+            folds, seed = int(rng.integers(2, 5)), int(rng.integers(1000))
+
+            def split():
+                try:
+                    out = make_split(pos, kind, folds, seed, **kwargs)
+                except InsufficientEntities as e:
+                    return str(e)
+                return [(f.train.pairs, f.test.pairs) for f in out]
+
+            fast = split()
+            with monkeypatch.context() as mp:
+                mp.setattr(data, "_draw_negatives", brute_force_negatives)
+                assert split() == fast
+            drawn += not isinstance(fast, str)
+        assert drawn >= 15  # most cases draw folds rather than raise
+
+    @pytest.mark.parametrize("kind", list(SplitKind), ids=lambda k: k.value)
+    def test_large_universe_never_builds_the_grid(self, kind):
+        """A 1500 x 1500 universe (2.25M pairs) splits within a 32 MB allocation peak."""
+        n = 1500
+        drugs = [f"d{i}" for i in range(n)]
+        proteins = [f"p{i}" for i in range(n)]
+        pos = [(drugs[i], proteins[(7 * i) % n]) for i in range(n)]
+        tracemalloc.start()
+        try:
+            folds = make_split(pos, kind, 5, seed=1, drugs=drugs, proteins=proteins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        _check_fold_invariants(folds, kind)
 
 
 class TestSynthQuadruplets:

@@ -113,6 +113,24 @@ class TestRecallAtK:
         with pytest.raises(NoRelevant):
             recall_at_k(np.ones((2, 3)), [{0}, set()])
 
+    @pytest.mark.parametrize(
+        "relevant, expected",
+        [
+            ([{0}], {1: 1.0, 2: 1.0, 5: 1.0}),  # all tied: the lowest index ranks first
+            ([{4}], {1: 0.0, 2: 0.0, 5: 1.0}),  # ...and the highest ranks last
+            ([{1}, {2}], {1: 0.0, 2: 0.5, 5: 1.0}),
+            ([{1, 3}], {1: 0.0, 2: 1.0, 5: 1.0}),
+        ],
+    )
+    def test_ties_break_toward_lower_index(self, relevant, expected):
+        scores = np.full((len(relevant), 5), 0.25)
+        assert recall_at_k(scores, relevant, ks=(1, 2, 5)) == expected
+
+    @pytest.mark.parametrize("bad", [-1, 3, 99])
+    def test_relevant_index_outside_candidates_rejected(self, bad):
+        with pytest.raises(NoRelevant, match="outside"):
+            recall_at_k(np.ones((2, 3)), [{0}, {1, bad}])
+
 
 class TestAuroc:
     def test_perfect_separation(self):
@@ -130,15 +148,16 @@ class TestAuroc:
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(3)
-        for _ in range(100):
-            n = int(rng.integers(4, 33))
-            scores = rng.choice(np.linspace(0, 1, 7), size=n)
-            labels = rng.integers(0, 2, size=n)
-            if labels.min() == labels.max():
-                labels[0] = 1 - labels[0]
-            assert auroc(scores, labels) == pytest.approx(
-                auroc_oracle(scores.tolist(), labels.tolist()), abs=1e-12
-            )
+        for levels in (7, 2, 1):  # 2 and 1 distinct scores: tie-heavy and all tied
+            for _ in range(100):
+                n = int(rng.integers(4, 33))
+                scores = rng.choice(np.linspace(0, 1, levels), size=n)
+                labels = rng.integers(0, 2, size=n)
+                if labels.min() == labels.max():
+                    labels[0] = 1 - labels[0]
+                assert auroc(scores, labels) == pytest.approx(
+                    auroc_oracle(scores.tolist(), labels.tolist()), abs=1e-12
+                )
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000))
@@ -172,15 +191,16 @@ class TestAuprc:
 
     def test_matches_threshold_enumeration_oracle(self):
         rng = np.random.default_rng(6)
-        for _ in range(100):
-            n = int(rng.integers(3, 17))
-            scores = rng.choice(np.linspace(0, 1, 5), size=n)
-            labels = rng.integers(0, 2, size=n)
-            if labels.sum() == 0:
-                labels[0] = 1
-            assert auprc(scores, labels) == pytest.approx(
-                auprc_oracle(scores.tolist(), labels.tolist()), abs=1e-12
-            )
+        for levels in (5, 2, 1):  # 2 and 1 distinct scores: tie-heavy and all tied
+            for _ in range(100):
+                n = int(rng.integers(3, 17))
+                scores = rng.choice(np.linspace(0, 1, levels), size=n)
+                labels = rng.integers(0, 2, size=n)
+                if labels.sum() == 0:
+                    labels[0] = 1
+                assert auprc(scores, labels) == pytest.approx(
+                    auprc_oracle(scores.tolist(), labels.tolist()), abs=1e-12
+                )
 
 
 class TestClassificationMetrics:
