@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, MissingTensor, TruncatedFile
+from .errors import BadMagic, TruncatedFile
 
 MAGIC = b"GCKPT1\n"
 TERMINATOR = b"\n\x00"
@@ -80,9 +80,3 @@ def load_checkpoint(path):
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start).reshape(rows, cols)
         tensors[name] = arr.copy()
     return tensors, header["config"]
-
-
-def require(tensors: dict, name: str) -> np.ndarray:
-    if name not in tensors:
-        raise MissingTensor(f"checkpoint is missing tensor {name!r}")
-    return tensors[name]

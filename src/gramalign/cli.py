@@ -1,13 +1,15 @@
 """Command-line surface: synth, pretrain, gradcheck, retrieve, dti, export.
 
-Exit codes: 0 success, 2 bad flags or config values, 3 I/O failure, 4
-non-finite training loss, 5 gradient-check failure, 6 checkpoint/data
-dimension mismatch.
+Exit codes: 0 success, 2 bad flags or config values (also a --resume
+checkpoint trained with another config or with no epochs left), 3 I/O
+failure, 4 non-finite training loss, 5 gradient-check failure, 6
+checkpoint/data dimension mismatch, 1 any other package error.
 Every run echoes its fully-resolved configuration (paths excluded, so
 identical flags give byte-identical outputs) into the output directory.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -24,7 +26,7 @@ from .data import (
     write_embedding_table,
     write_manifest,
 )
-from .errors import DimensionMismatch, GramAlignError, NonFiniteLoss
+from .errors import ConfigMismatch, DimensionMismatch, GramAlignError, NonFiniteLoss
 from .evaluation import run_retrieval
 from .gradcheck import run_gradcheck
 from .modality import MODALITY_ORDER, Modality
@@ -134,14 +136,13 @@ def cmd_pretrain(args) -> int:
         return 2
     tables, quads = _load_dataset(args.data)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    result = train(tables, quads, cfg, out_dir=out, resume=args.resume)
     echo = {
         "command": "pretrain",
         "version": __version__,
         "config": cfg.to_dict(),
     }
     _write_json(out / "resolved-config.json", echo)
-    result = train(tables, quads, cfg, out_dir=out, resume=args.resume)
     last = [r for r in result.records if r["kind"] == "alignment"][-1]
     print(
         f"trained {cfg.epochs} epochs; final mean positive volume "
@@ -199,12 +200,14 @@ def cmd_retrieve(args) -> int:
 
 def cmd_dti(args) -> int:
     model, cfg, _ = load_model(args.checkpoint)
+    overrides = {"seed": args.seed, "dti_epochs": args.epochs}
+    try:
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    except ValueError as e:
+        print(f"bad config: {e}", file=sys.stderr)
+        return 2
     tables, quads = _load_dataset(args.data)
     _check_dims(model, tables)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.epochs is not None:
-        cfg.dti_epochs = args.epochs
     pairs = _manifest_pairs(tables, quads)
     kind = SplitKind(args.split)
     folds = make_split(
@@ -353,6 +356,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ConfigMismatch as e:
+        print(f"bad config: {e}", file=sys.stderr)
+        return 2
     except NonFiniteLoss as e:
         print(f"non-finite loss: {e}", file=sys.stderr)
         return 4

@@ -241,13 +241,11 @@ def load_manifest(path, tables: dict):
             ic50 = None if cells[4] == "" else float(cells[4])
         except ValueError:
             raise FormatError(f"line {ln_no}: ic50_um {cells[4]!r} is not a number")
-        quads.append(
-            Quadruplet(
-                *rows,
-                ic50_um=ic50,
-                ic50_class=None if ic50 is None else discretize_ic50(ic50),
-            )
-        )
+        try:
+            ic50_class = None if ic50 is None else discretize_ic50(ic50)
+        except NonPositiveIc50 as e:
+            raise NonPositiveIc50(f"line {ln_no}: {e}") from None
+        quads.append(Quadruplet(*rows, ic50_um=ic50, ic50_class=ic50_class))
     return quads
 
 

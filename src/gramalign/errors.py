@@ -51,6 +51,10 @@ class MissingTensor(GramAlignError):
     pass
 
 
+class ConfigMismatch(GramAlignError, ValueError):
+    """A resume checkpoint does not fit the requested training config."""
+
+
 # data
 class NonPositiveIc50(GramAlignError):
     pass

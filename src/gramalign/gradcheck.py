@@ -26,7 +26,6 @@ from .heads import (
     dti_forward,
     ic50_forward,
     init_params,
-    mlp_grad_items,
     mlp_tensor_items,
     project,
 )
@@ -103,9 +102,9 @@ def _probe_params(params, forward, probe):
     """Worst error over every parameter tensor and the input, eval mode."""
     _, tape = forward()
     grads, gin = backward(tape, probe)
-    grad_named = dict(mlp_grad_items("t", params, grads))
+    grad_named = dict(mlp_tensor_items("t", params.specs, grads))
     worst = 0.0
-    for name, arr in mlp_tensor_items("t", params):
+    for name, arr in mlp_tensor_items("t", params.specs, params.layers):
         fd = _fd_on_array(lambda: float(np.sum(forward()[0] * probe)), arr)
         worst = max(worst, _rel_err(grad_named[name], fd))
     return worst, gin

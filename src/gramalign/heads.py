@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from .errors import DimensionMismatch, ShapeMismatch, TapeMismatch, ZeroVector
+from .errors import DimensionMismatch, MissingTensor, ShapeMismatch, TapeMismatch, ZeroVector
 from .modality import MODALITY_ORDER, Modality
 
 LN_EPS = 1e-5
@@ -63,7 +63,6 @@ class LayerParams:
 class MlpParams:
     specs: tuple
     layers: list
-    ln_eps: float = LN_EPS
 
 
 @dataclass
@@ -185,7 +184,7 @@ def mlp_forward(params: MlpParams, x, mode="eval", rng=None):
             h = gelu(h) if spec.activation == "gelu" else np.maximum(h, 0.0)
         if spec.layer_norm:
             mu = h.mean(axis=1, keepdims=True)
-            inv = 1.0 / np.sqrt(h.var(axis=1, keepdims=True) + params.ln_eps)
+            inv = 1.0 / np.sqrt(h.var(axis=1, keepdims=True) + LN_EPS)
             xhat = (h - mu) * inv
             cache["xhat"], cache["inv"] = xhat, inv
             h = xhat * np.asarray(layer.gamma, dtype=np.float64) + np.asarray(
@@ -309,10 +308,15 @@ def build_dti_head(shared_dim, seed: int) -> DtiHead:
     return DtiHead(params=init_params(dti_specs(shared_dim), seed))
 
 
-def mlp_tensor_items(prefix: str, params: MlpParams):
-    """Checkpoint-ordered (name, array) pairs referencing the live arrays."""
+def mlp_tensor_items(prefix: str, specs, layers):
+    """Checkpoint-ordered (name, array) pairs for one MLP's layers.
+
+    ``layers`` holds LayerParams: the live parameters (the arrays are
+    referenced, not copied) or the gradients backward() returns for them, so
+    parameters and gradients carry the same names in the same order.
+    """
     items = []
-    for i, (spec, layer) in enumerate(zip(params.specs, params.layers)):
+    for i, (spec, layer) in enumerate(zip(specs, layers)):
         items.append((f"{prefix}.L{i}.w", layer.w))
         items.append((f"{prefix}.L{i}.b", layer.b))
         if spec.layer_norm:
@@ -321,27 +325,14 @@ def mlp_tensor_items(prefix: str, params: MlpParams):
     return items
 
 
-def mlp_grad_items(prefix: str, params: MlpParams, grads):
-    items = []
-    for i, (spec, g) in enumerate(zip(params.specs, grads)):
-        items.append((f"{prefix}.L{i}.w", g.w))
-        items.append((f"{prefix}.L{i}.b", g.b))
-        if spec.layer_norm:
-            items.append((f"{prefix}.ln{i}.g", g.gamma))
-            items.append((f"{prefix}.ln{i}.b", g.beta))
-    return items
-
-
 def named_tensors(model: AlignmentModel):
     items = []
     for m in MODALITY_ORDER:
-        items.extend(mlp_tensor_items(f"proj.{m.short}", model.projectors[m].params))
-    items.extend(mlp_tensor_items("ic50", model.ic50_head.params))
+        params = model.projectors[m].params
+        items.extend(mlp_tensor_items(f"proj.{m.short}", params.specs, params.layers))
+    params = model.ic50_head.params
+    items.extend(mlp_tensor_items("ic50", params.specs, params.layers))
     return items
-
-
-def named_dti_tensors(head: DtiHead):
-    return mlp_tensor_items("dti", head.params)
 
 
 def cast_params(params: MlpParams, dtype) -> None:
@@ -355,9 +346,7 @@ def cast_params(params: MlpParams, dtype) -> None:
 
 
 def assign_named(model_items, tensors: dict) -> None:
-    """Copy checkpoint tensors into live arrays, shape-checked."""
-    from .errors import MissingTensor
-
+    """Copy checkpoint tensors into live arrays, each name present and size-checked."""
     for name, arr in model_items:
         src = tensors.get(name)
         if src is None:

@@ -195,22 +195,14 @@ def ic50_loss(batch: Batch, logits, weights, smoothing: float = DEFAULT_SMOOTHIN
 
 def total_loss(vol: LossOut, bi: LossOut, ic50: LossOut, lambda_vol, lambda_bi, lambda_ic50):
     """Weighted sum of the three objectives, values and gradients alike."""
-    parts = [(lambda_vol, vol), (lambda_bi, bi), (lambda_ic50, ic50)]
     value = 0.0
     grads = {}
-    for lam, part in parts:
-        if part is None:
-            continue
+    for lam, part in ((lambda_vol, vol), (lambda_bi, bi), (lambda_ic50, ic50)):
         value += lam * part.value
         for m, g in part.grads.items():
             if m in grads:
                 grads[m] = grads[m] + lam * g
             else:
                 grads[m] = lam * g
-    diagnostics = {
-        "volume": 0.0 if vol is None else vol.value,
-        "bimodal": 0.0 if bi is None else bi.value,
-        "ic50": 0.0 if ic50 is None else ic50.value,
-        "total": value,
-    }
+    diagnostics = {"volume": vol.value, "bimodal": bi.value, "ic50": ic50.value, "total": value}
     return LossOut(value=value, grads=grads, diagnostics=diagnostics)

@@ -15,16 +15,3 @@ class Modality(IntEnum):
 
 
 MODALITY_ORDER = (Modality.SMILES, Modality.TEXT, Modality.HTA, Modality.PROTEIN)
-
-# Output dims of the frozen backbone encoders each table is expected to carry
-# when ingesting real data.
-ENCODER_DIMS = {
-    Modality.SMILES: 768,
-    Modality.TEXT: 768,
-    Modality.HTA: 768,
-    Modality.PROTEIN: 1280,
-}
-
-
-def modality_from_name(name: str) -> Modality:
-    return Modality[name.strip().upper()]

@@ -20,18 +20,17 @@ from scipy.special import softmax
 
 from . import checkpoint as ckpt
 from .data import class_weights
-from .errors import EmptyClass, EmptyDataset, NonFiniteLoss, ShapeMismatch
+from .errors import ConfigMismatch, EmptyClass, EmptyDataset, NonFiniteLoss, ShapeMismatch
 from .heads import (
     AlignmentModel,
-    LayerParams,
+    assign_named,
     backward,
     build_dti_head,
     build_model,
     cast_params,
     dti_forward,
     ic50_forward,
-    mlp_grad_items,
-    named_dti_tensors,
+    mlp_tensor_items,
     named_tensors,
     project,
 )
@@ -69,12 +68,21 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
-        if self.epochs < 0 or self.lr <= 0 or self.tau <= 0:
+        if self.epochs < 0 or not (self.lr > 0 and self.tau > 0):
             raise ValueError("epochs must be >= 0, lr and tau positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.shared_dim < 3:  # the pair volumes need one dimension per non-anchor
             raise ValueError("shared_dim must be >= 3")
+        if self.proj_hidden < 1 or self.ic50_hidden < 1:
+            raise ValueError("proj_hidden and ic50_hidden must be >= 1")
+        if not 0 <= self.label_smoothing < 1:
+            raise ValueError("label_smoothing must lie in [0, 1)")
+        for name in ("lambda_vol", "lambda_bi", "lambda_ic50"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.dti_epochs < 0 or not self.dti_lr > 0:
+            raise ValueError("dti_epochs must be >= 0 and dti_lr positive")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -100,9 +108,6 @@ class AdamState:
     m: dict
     v: dict
     t: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
 
 def init_adam(params: dict) -> AdamState:
@@ -123,16 +128,16 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
             f"param/grad name sets differ: {sorted(set(params) ^ set(grads))}"
         )
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     for name, theta in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
         if g.size != theta.size:
             raise ShapeMismatch(f"tensor {name!r}: grad {g.shape} vs param {theta.shape}")
         g = g.reshape(theta.shape)
-        m = state.beta1 * state.m[name].astype(np.float64) + (1 - state.beta1) * g
-        v = state.beta2 * state.v[name].astype(np.float64) + (1 - state.beta2) * g * g
-        step = lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m = ADAM_BETA1 * state.m[name].astype(np.float64) + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * state.v[name].astype(np.float64) + (1 - ADAM_BETA2) * g * g
+        step = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         theta[...] = theta.astype(np.float64) - step
         state.m[name][...] = m
         state.v[name][...] = v
@@ -229,9 +234,10 @@ def train_step(model, raw, labels, mask, history, weights, cfg: TrainConfig, rng
     grads = {}
     for m in MODALITY_ORDER:
         proj_grads, _ = backward(tapes[m], total.grads[m])
-        grads.update(mlp_grad_items(f"proj.{m.short}", model.projectors[m].params, proj_grads))
-    scaled_head = [_scale_layer_grads(g, cfg.lambda_ic50) for g in head_grads]
-    grads.update(mlp_grad_items("ic50", model.ic50_head.params, scaled_head))
+        specs = model.projectors[m].params.specs
+        grads.update(mlp_tensor_items(f"proj.{m.short}", specs, proj_grads))
+    for name, g in mlp_tensor_items("ic50", model.ic50_head.params.specs, head_grads):
+        grads[name] = cfg.lambda_ic50 * g
 
     return total, decision, gbar, norms, grads
 
@@ -239,15 +245,6 @@ def train_step(model, raw, labels, mask, history, weights, cfg: TrainConfig, rng
 def _require_finite(component: str, value: float) -> None:
     if not np.isfinite(value):
         raise NonFiniteLoss(f"{component} loss is {value}")
-
-
-def _scale_layer_grads(g: LayerParams, scale: float) -> LayerParams:
-    return LayerParams(
-        w=scale * g.w,
-        b=scale * g.b,
-        gamma=None if g.gamma is None else scale * g.gamma,
-        beta=None if g.beta is None else scale * g.beta,
-    )
 
 
 def alignment_volumes(model, tables, quads, cap=ALIGNMENT_EVAL_CAP):
@@ -277,13 +274,31 @@ def _model_config(cfg: TrainConfig, in_dims, epochs_done, adam_t, history):
     }
 
 
+def _state_items(model, adam):
+    """The whole trainable state as checkpoint-ordered (name, array) pairs.
+
+    Every parameter first, then ``adam.m.<name>`` and ``adam.v.<name>`` for
+    each parameter in turn. Saving writes this list and resuming restores it.
+    """
+    params = named_tensors(model)
+    moments = [(f"adam.{k}.{name}", getattr(adam, k)[name]) for name, _ in params for k in "mv"]
+    return params + moments
+
+
+def _new_model(in_dims, cfg: TrainConfig) -> AlignmentModel:
+    """The seeded initial model with float32 masters."""
+    model = build_model(in_dims, cfg.shared_dim, cfg.proj_hidden, cfg.ic50_hidden, cfg.seed)
+    for m in MODALITY_ORDER:
+        cast_params(model.projectors[m].params, np.float32)
+    cast_params(model.ic50_head.params, np.float32)
+    return model
+
+
 def save_model_checkpoint(path, model, cfg, in_dims, epochs_done, adam, history):
-    tensors = dict(named_tensors(model))
-    for name, arr in list(tensors.items()):
-        tensors[f"adam.m.{name}"] = adam.m[name]
-        tensors[f"adam.v.{name}"] = adam.v[name]
     ckpt.save_checkpoint(
-        path, tensors, _model_config(cfg, in_dims, epochs_done, adam.t, history)
+        path,
+        dict(_state_items(model, adam)),
+        _model_config(cfg, in_dims, epochs_done, adam.t, history),
     )
 
 
@@ -292,12 +307,7 @@ def load_model(path):
     tensors, config = ckpt.load_checkpoint(path)
     cfg = TrainConfig.from_dict(config["train_config"])
     in_dims = {Modality[k.upper()]: v for k, v in config["in_dims"].items()}
-    model = build_model(in_dims, cfg.shared_dim, cfg.proj_hidden, cfg.ic50_hidden, cfg.seed)
-    for m in MODALITY_ORDER:
-        cast_params(model.projectors[m].params, np.float32)
-    cast_params(model.ic50_head.params, np.float32)
-    from .heads import assign_named
-
+    model = _new_model(in_dims, cfg)
     assign_named(named_tensors(model), tensors)
     return model, cfg, config
 
@@ -312,46 +322,40 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
     """
     if not quads:
         raise EmptyDataset("no quadruplets to train on")
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    in_dims = {m: tables[m].dim for m in MODALITY_ORDER}
     if cfg.epochs > 0 and len(quads) < cfg.batch_size:
         raise EmptyDataset(
             f"dataset has {len(quads)} quadruplets but batch_size={cfg.batch_size}; "
             "no complete batch (incomplete batches are dropped)"
         )
 
+    in_dims = {m: tables[m].dim for m in MODALITY_ORDER}
     history = make_history(cfg.scheduler)
     start_epoch = 0
-    model = build_model(in_dims, cfg.shared_dim, cfg.proj_hidden, cfg.ic50_hidden, cfg.seed)
-    for m in MODALITY_ORDER:
-        cast_params(model.projectors[m].params, np.float32)
-    cast_params(model.ic50_head.params, np.float32)
+    model = _new_model(in_dims, cfg)
     params = dict(named_tensors(model))
     adam = init_adam(params)
 
     if resume is not None:
         tensors, config = ckpt.load_checkpoint(resume)
-        saved = TrainConfig.from_dict(config["train_config"])
-        a, b = saved.to_dict(), cfg.to_dict()
-        a.pop("epochs"), b.pop("epochs")
-        if a != b:
-            raise ValueError("resume checkpoint was produced with a different config")
-        from .heads import assign_named
-
-        assign_named(named_tensors(model), tensors)
-        for name in params:
-            adam.m[name][...] = ckpt.require(tensors, f"adam.m.{name}").reshape(
-                adam.m[name].shape
+        saved, now = TrainConfig.from_dict(config["train_config"]).to_dict(), cfg.to_dict()
+        differing = sorted(k for k in now if k != "epochs" and saved[k] != now[k])
+        if differing:
+            raise ConfigMismatch(
+                f"resume checkpoint was produced with a different config: {', '.join(differing)}"
             )
-            adam.v[name][...] = ckpt.require(tensors, f"adam.v.{name}").reshape(
-                adam.v[name].shape
-            )
+        assign_named(_state_items(model, adam), tensors)
         adam.t = int(config["adam_t"])
         start_epoch = int(config["epochs_done"])
+        if cfg.epochs <= start_epoch:
+            raise ConfigMismatch(
+                f"resume checkpoint has epochs_done={start_epoch}; epochs={cfg.epochs} "
+                "leaves nothing to train"
+            )
         for m in MODALITY_ORDER:
             history.buffers[m][:] = [float(x) for x in config["sched_history"][m.short]]
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     weights = _dataset_weights(quads)
     records, timings = [], []
@@ -467,7 +471,8 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
             model.shared_dim, int(substream(cfg.seed, "dti-init", fold.index).integers(2**63))
         )
         cast_params(head.params, np.float32)
-        params = dict(named_dti_tensors(head))
+        specs = head.params.specs
+        params = dict(mlp_tensor_items("dti", specs, head.params.layers))
         adam = init_adam(params)
 
         train_pairs = fold.train.pairs
@@ -487,7 +492,7 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
                 dlogits[np.arange(len(rows)), yb] -= 1.0
                 dlogits /= len(rows)
                 grads, _ = backward(tape, dlogits)
-                adam_step(params, dict(mlp_grad_items("dti", head.params, grads)), adam, cfg.dti_lr)
+                adam_step(params, dict(mlp_tensor_items("dti", specs, grads)), adam, cfg.dti_lr)
 
         test_pairs = fold.test.pairs
         ts = np.array([s_index[d] for d, _, _ in test_pairs])

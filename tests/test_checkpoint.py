@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gramalign.checkpoint import load_checkpoint, require, save_checkpoint
-from gramalign.errors import BadMagic, MissingTensor, TruncatedFile
+from gramalign.checkpoint import load_checkpoint, save_checkpoint
+from gramalign.errors import BadMagic, TruncatedFile
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -61,11 +61,6 @@ def test_missing_terminator(tmp_path):
     path.write_bytes(b"GCKPT1\n" + b'{"version":1}')
     with pytest.raises(TruncatedFile):
         load_checkpoint(path)
-
-
-def test_require_missing_tensor():
-    with pytest.raises(MissingTensor, match="proj.text.L0.w"):
-        require({}, "proj.text.L0.w")
 
 
 def test_deterministic_bytes(tmp_path):

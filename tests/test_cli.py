@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gramalign
+from gramalign.checkpoint import load_checkpoint, save_checkpoint
 from gramalign.cli import main
 from gramalign.data import load_embedding_table
 from gramalign.modality import MODALITY_ORDER, Modality
@@ -33,15 +34,14 @@ def synth_dir(tmp_path_factory):
     return out
 
 
+PRETRAINED_FLAGS = ["--epochs", "2", "--batch-size", "16", "--shared-dim", "8",
+                    "--proj-hidden", "12", "--seed", "7", "--lr", "1e-3"]
+
+
 @pytest.fixture(scope="module")
 def pretrained(tmp_path_factory, synth_dir):
     out = tmp_path_factory.mktemp("runs") / "pre"
-    code = run(
-        "pretrain", "--data", str(synth_dir), "--out", str(out),
-        "--epochs", "2", "--batch-size", "16", "--shared-dim", "8",
-        "--proj-hidden", "12", "--seed", "7", "--lr", "1e-3",
-    )
-    assert code == 0
+    assert run("pretrain", "--data", str(synth_dir), "--out", str(out), *PRETRAINED_FLAGS) == 0
     return out
 
 
@@ -152,6 +152,22 @@ BAD_CONFIGS = [
     ({"lr": "fast"}, "bad config"),
     ({"scheduler": {"decay": 1.5}}, "decay"),
     ("{not json", "bad config"),
+    (["--proj-hidden", "0"], "proj_hidden"),
+    ({"ic50_hidden": 0}, "ic50_hidden"),
+    (["--label-smoothing", "1"], "label_smoothing"),
+    (["--lambda-vol", "-1"], "lambda_vol"),
+    (["--lambda-bi", "-1"], "lambda_bi"),
+    (["--lambda-ic50", "nan"], "lambda_ic50"),
+    ({"dti_epochs": -1}, "dti_epochs"),
+    ({"dti_lr": 0}, "dti_lr"),
+    # the pretrained run's own flags except --lr
+    (["--resume", "CHECKPOINT", *PRETRAINED_FLAGS[:-2], "--lr", "5e-4"],
+     "resume checkpoint was produced with a different config: lr"),
+    (["dti", "--epochs", "-1"], "dti_epochs"),
+    (["dti", "--seed", "-1"], "seed"),
+    (["--tau", "nan"], "tau"),
+    (["--resume", "CHECKPOINT", *PRETRAINED_FLAGS, "--epochs", "1"],
+     "resume checkpoint has epochs_done=1; epochs=1 leaves nothing to train"),
 ]
 
 
@@ -159,30 +175,57 @@ BAD_CONFIGS = [
     "flags, message",
     BAD_CONFIGS,
     ids=["batch-size", "lr", "epochs", "tau", "p-drop", "seed", "shared-dim", "unknown-key",
-         "mistyped-value", "scheduler-decay", "malformed-json"],
+         "mistyped-value", "scheduler-decay", "malformed-json", "proj-hidden", "ic50-hidden",
+         "label-smoothing", "lambda-vol", "lambda-bi", "lambda-ic50", "dti-epochs", "dti-lr",
+         "resume-config-mismatch", "dti-epochs-flag", "dti-seed-flag", "tau-nan",
+         "resume-nothing-to-train"],
 )
-def test_bad_config_exits_2_with_one_line(tmp_path, flags, message):
-    """Out-of-range values are flag errors: exit 2, one stderr line, no traceback."""
+def test_bad_config_exits_2_with_one_line(tmp_path, synth_dir, pretrained, flags, message):
+    """Out-of-range values are flag errors: exit 2, one stderr line, no traceback.
+
+    Rows starting with "dti" run that command on the pretrained checkpoint;
+    the others run pretrain, with "CHECKPOINT" standing for its first epoch.
+    """
     if not isinstance(flags, list):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(flags if isinstance(flags, str) else json.dumps(flags))
         flags = ["--config", str(cfg)]
-    proc = _pretrain_in_subprocess(tmp_path / "none", tmp_path / "out", flags)
+    flags = [pretrained / "epoch-0000.ckpt" if f == "CHECKPOINT" else f for f in flags]
+    out = tmp_path / "out"
+    if flags[0] == "dti":
+        proc = _cli_in_subprocess("dti", "--checkpoint", pretrained / "final.ckpt",
+                                  "--data", synth_dir, "--out", out, *flags[1:])
+    else:
+        proc = _cli_in_subprocess("pretrain", "--data", synth_dir, "--out", out, *flags)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert message in proc.stderr
-    assert not (tmp_path / "out").exists()
+    assert not out.exists()
 
 
-def _pretrain_in_subprocess(data, out, flags=()):
+def _cli_in_subprocess(*argv):
     src = str(Path(gramalign.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, "-m", "gramalign.cli", "pretrain", "--data", str(data),
-         "--out", str(out), *flags],
+        [sys.executable, "-m", "gramalign.cli", *map(str, argv)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_resume_with_wrong_size_moment_exits_1_with_one_line(tmp_path, synth_dir, pretrained):
+    """A restored Adam moment is size-checked like a parameter: a data error, not a crash."""
+    tensors, config = load_checkpoint(pretrained / "epoch-0000.ckpt")
+    name = "adam.m.proj.text.L0.w"
+    tensors[name] = tensors[name][:3]
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, tensors, config)
+    proc = _cli_in_subprocess("pretrain", "--data", synth_dir, "--out", tmp_path / "out",
+                              "--resume", bad, *PRETRAINED_FLAGS)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: tensor '{name}': checkpoint (3, 12)")
 
 
 def _replace_cell(line_no, column, value):
@@ -197,11 +240,15 @@ BAD_MANIFESTS = [
     (_replace_cell(3, 4, "abc"), 1, "line 3: ic50_um 'abc' is not a number"),
     (_replace_cell(2, 0, "smiles-999999"), 1, "line 2: id 'smiles-999999' not in SMILES table"),
     (_replace_cell(1, 4, "ic50"), 1, "manifest header mismatch"),
+    (_replace_cell(3, 4, "-1"), 1, "line 3: IC50 must be positive and finite, got -1.0"),
+    (_replace_cell(4, 4, "0"), 1, "line 4: IC50 must be positive and finite, got 0.0"),
+    (_replace_cell(5, 4, "nan"), 1, "line 5: IC50 must be positive and finite, got nan"),
 ]
 
 
 @pytest.mark.parametrize("edit, code, message", BAD_MANIFESTS,
-                         ids=["non-numeric-ic50", "unknown-id", "bad-header"])
+                         ids=["non-numeric-ic50", "unknown-id", "bad-header", "negative-ic50",
+                              "zero-ic50", "nan-ic50"])
 def test_bad_manifest_exits_with_one_line(tmp_path, synth_dir, edit, code, message):
     """A malformed manifest is a data error: its exit code, one stderr line naming it."""
     data = tmp_path / "data"
@@ -209,7 +256,7 @@ def test_bad_manifest_exits_with_one_line(tmp_path, synth_dir, edit, code, messa
     lines = (data / "manifest.tsv").read_text().splitlines()
     edit(lines)
     (data / "manifest.tsv").write_text("\n".join(lines) + "\n")
-    proc = _pretrain_in_subprocess(data, tmp_path / "out")
+    proc = _cli_in_subprocess("pretrain", "--data", data, "--out", tmp_path / "out")
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()

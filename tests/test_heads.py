@@ -34,7 +34,8 @@ class TestInitParams:
     def test_deterministic_in_seed(self):
         a = init_params(projector_specs(12, 8, 6), seed=4)
         b = init_params(projector_specs(12, 8, 6), seed=4)
-        for (_, x), (_, y) in zip(mlp_tensor_items("t", a), mlp_tensor_items("t", b)):
+        items_a = mlp_tensor_items("t", a.specs, a.layers)
+        for (_, x), (_, y) in zip(items_a, mlp_tensor_items("t", b.specs, b.layers)):
             np.testing.assert_array_equal(x, y)
 
     def test_biases_zero_gamma_one(self):

@@ -5,8 +5,9 @@ import copy
 import numpy as np
 import pytest
 
+from gramalign.checkpoint import load_checkpoint, save_checkpoint
 from gramalign.data import EmbeddingTable, SplitKind, make_split, synth_quadruplets
-from gramalign.errors import EmptyDataset, NonFiniteLoss, ShapeMismatch
+from gramalign.errors import EmptyDataset, MissingTensor, NonFiniteLoss, ShapeMismatch
 from gramalign.heads import build_model, cast_params, named_tensors, project, ic50_forward
 from gramalign.losses import Batch, clip_bimodal, ic50_loss, volume_contrastive
 from gramalign.modality import MODALITY_ORDER, Modality
@@ -189,6 +190,26 @@ class TestTrain:
         other = TrainConfig(**{**cfg.to_dict(), "scheduler": cfg.scheduler, "lr": 5e-4})
         with pytest.raises(ValueError):
             train(tables, quads, other, resume=tmp_path / "epoch-0000.ckpt")
+
+    @pytest.mark.parametrize(
+        "name, error",
+        [("adam.v.proj.hta.ln1.b", MissingTensor), ("adam.m.proj.text.L0.w", ShapeMismatch)],
+        ids=["missing-adam-v", "wrong-size-adam-m"],
+    )
+    def test_resume_checks_every_restored_tensor(self, tmp_path, name, error):
+        """Adam moments get the same missing-name and size checks as parameters."""
+        tables, quads, cfg = small_setup(epochs=2)
+        train(tables, quads, cfg, out_dir=tmp_path / "run")
+        tensors, config = load_checkpoint(tmp_path / "run" / "epoch-0000.ckpt")
+        if error is MissingTensor:
+            del tensors[name]
+        else:
+            tensors[name] = tensors[name][:-1]
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, tensors, config)
+        with pytest.raises(error, match=name):
+            train(tables, quads, cfg, out_dir=tmp_path / "resumed", resume=bad)
+        assert not (tmp_path / "resumed").exists()
 
     def test_alignment_records_present(self):
         tables, quads, cfg = small_setup(epochs=2)
