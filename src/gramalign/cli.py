@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    EmbeddingTable,
     SplitKind,
     load_embedding_table,
     load_manifest,
@@ -29,6 +30,7 @@ from .data import (
 from .errors import ConfigMismatch, DimensionMismatch, GramAlignError, NonFiniteLoss
 from .evaluation import run_retrieval
 from .gradcheck import run_gradcheck
+from .heads import project
 from .modality import MODALITY_ORDER, Modality
 from .trainer import TrainConfig, load_model, train, train_dti
 
@@ -39,6 +41,26 @@ DEFAULT_DIMS = "768,768,768,1280"
 
 def _write_json(path, obj):
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _echo_config(out, command, **fields):
+    """Write the command's resolved configuration to ``resolved-config.json``."""
+    _write_json(out / "resolved-config.json", {"command": command, "version": __version__, **fields})
+
+
+def _write_report(out, stem, rows, csv):
+    """Write ``<stem>.json`` and, with ``csv``, ``<stem>.csv``: keys as header, numbers as repr."""
+    _write_json(out / f"{stem}.json", rows)
+    if csv:
+        lines = [",".join(rows[0])]
+        lines += [",".join(v if isinstance(v, str) else repr(v) for v in r.values()) for r in rows]
+        (out / f"{stem}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _flag_error(message) -> int:
+    """A bad flag or config value: one stderr line, exit 2."""
+    print(message, file=sys.stderr)
+    return 2
 
 
 def _load_dataset(data_dir):
@@ -57,15 +79,17 @@ def _check_dims(model, tables):
             )
 
 
+def _load_model_and_data(args):
+    """The checkpoint's model, then the dataset, whose tables must fit its projectors."""
+    model, _, _ = load_model(args.checkpoint)
+    tables, quads = _load_dataset(args.data)
+    _check_dims(model, tables)
+    return model, tables, quads
+
+
 def _manifest_pairs(tables, quads):
-    pairs = []
-    seen = set()
-    for q in quads:
-        key = (tables[Modality.SMILES].ids[q.smiles_row], tables[Modality.PROTEIN].ids[q.protein_row])
-        if key not in seen:
-            seen.add(key)
-            pairs.append(key)
-    return pairs
+    smiles, proteins = tables[Modality.SMILES].ids, tables[Modality.PROTEIN].ids
+    return list(dict.fromkeys((smiles[q.smiles_row], proteins[q.protein_row]) for q in quads))
 
 
 # ---------------------------------------------------------------------------
@@ -74,31 +98,21 @@ def _manifest_pairs(tables, quads):
 
 
 def cmd_synth(args) -> int:
-    dims = tuple(int(x) for x in args.dims.split(","))
-    if len(dims) != 4:
-        print(f"--dims needs 4 comma-separated values, got {args.dims!r}", file=sys.stderr)
-        return 2
+    try:
+        dims = tuple(int(x) for x in args.dims.split(","))
+    except ValueError:
+        dims = ()
+    if len(dims) != 4 or min(dims) < 2:
+        return _flag_error(f"--dims needs 4 comma-separated integers >= 2, got {args.dims!r}")
     if args.n < 4 or args.noise < 0:
-        print(f"--n must be >= 4 and --noise >= 0 (got n={args.n}, noise={args.noise})",
-              file=sys.stderr)
-        return 2
+        return _flag_error(f"--n must be >= 4 and --noise >= 0 (got n={args.n}, noise={args.noise})")
     tables, quads = synth_quadruplets(args.n, dims, args.noise, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for m in MODALITY_ORDER:
         write_embedding_table(tables[m], out / TABLE_FILES[m])
     write_manifest(quads, tables, out / MANIFEST_FILE)
-    _write_json(
-        out / "resolved-config.json",
-        {
-            "command": "synth",
-            "version": __version__,
-            "n": args.n,
-            "dims": list(dims),
-            "noise": args.noise,
-            "seed": args.seed,
-        },
-    )
+    _echo_config(out, "synth", n=args.n, dims=list(dims), noise=args.noise, seed=args.seed)
     print(f"wrote {args.n} quadruplets across 4 tables to {out}")
     return 0
 
@@ -107,21 +121,9 @@ def _resolve_train_config(args) -> TrainConfig:
     base = {}
     if args.config:
         base = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    overrides = {
-        "seed": args.seed,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "lr": args.lr,
-        "tau": args.tau,
-        "lambda_vol": args.lambda_vol,
-        "lambda_bi": args.lambda_bi,
-        "lambda_ic50": args.lambda_ic50,
-        "shared_dim": args.shared_dim,
-        "proj_hidden": args.proj_hidden,
-        "label_smoothing": args.label_smoothing,
-    }
-    for key, value in overrides.items():
-        if value is not None:
+    # each pretrain flag's dest is the TrainConfig field it overrides
+    for key, value in vars(args).items():
+        if key in TrainConfig.__dataclass_fields__ and value is not None:
             base[key] = value
     if args.p_drop is not None:
         base.setdefault("scheduler", {})["p_drop"] = args.p_drop
@@ -132,17 +134,11 @@ def cmd_pretrain(args) -> int:
     try:
         cfg = _resolve_train_config(args)
     except (TypeError, ValueError) as e:  # out-of-range or mistyped values, unknown keys, bad JSON
-        print(f"bad config: {e}", file=sys.stderr)
-        return 2
+        return _flag_error(f"bad config: {e}")
     tables, quads = _load_dataset(args.data)
     out = Path(args.out)
     result = train(tables, quads, cfg, out_dir=out, resume=args.resume)
-    echo = {
-        "command": "pretrain",
-        "version": __version__,
-        "config": cfg.to_dict(),
-    }
-    _write_json(out / "resolved-config.json", echo)
+    _echo_config(out, "pretrain", config=cfg.to_dict())
     last = [r for r in result.records if r["kind"] == "alignment"][-1]
     print(
         f"trained {cfg.epochs} epochs; final mean positive volume "
@@ -153,6 +149,9 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.trials < 1 or args.seed < 0:  # zero trials would check nothing and pass
+        return _flag_error(f"--trials must be >= 1 and --seed >= 0 "
+                           f"(got trials={args.trials}, seed={args.seed})")
     results = run_gradcheck(seed=args.seed, trials=args.trials)
     failed = []
     for r in results:
@@ -168,9 +167,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    model, _, _ = load_model(args.checkpoint)
-    tables, quads = _load_dataset(args.data)
-    _check_dims(model, tables)
+    model, tables, quads = _load_model_and_data(args)
     pairs = _manifest_pairs(tables, quads)
     results = run_retrieval(model, tables[Modality.SMILES], tables[Modality.PROTEIN], pairs)
     rows = [
@@ -184,15 +181,8 @@ def cmd_retrieve(args) -> int:
     ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "retrieval.json", rows)
-    if args.csv:
-        lines = ["direction,r1,r10,r100"]
-        lines += [f"{d['direction']},{d['r1']!r},{d['r10']!r},{d['r100']!r}" for d in rows]
-        (out / "retrieval.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_json(
-        out / "resolved-config.json",
-        {"command": "retrieve", "version": __version__, "csv": bool(args.csv)},
-    )
+    _write_report(out, "retrieval", rows, args.csv)
+    _echo_config(out, "retrieve", csv=bool(args.csv))
     for d in rows:
         print(f"{d['direction']}: R@1={d['r1']:.4f} R@10={d['r10']:.4f} R@100={d['r100']:.4f}")
     return 0
@@ -200,12 +190,13 @@ def cmd_retrieve(args) -> int:
 
 def cmd_dti(args) -> int:
     model, cfg, _ = load_model(args.checkpoint)
-    overrides = {"seed": args.seed, "dti_epochs": args.epochs}
+    flags = {"seed": args.seed, "dti_epochs": args.epochs}  # --epochs sets dti_epochs here
     try:
-        cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     except ValueError as e:
-        print(f"bad config: {e}", file=sys.stderr)
-        return 2
+        return _flag_error(f"bad config: {e}")
+    if args.folds < 2:
+        return _flag_error(f"bad config: folds must be >= 2, got {args.folds}")
     tables, quads = _load_dataset(args.data)
     _check_dims(model, tables)
     pairs = _manifest_pairs(tables, quads)
@@ -226,27 +217,9 @@ def cmd_dti(args) -> int:
     ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "metrics.json", rows)
-    if args.csv:
-        lines = ["dataset,split,fold,auroc,auprc,sensitivity,f1,accuracy"]
-        for d in rows:
-            lines.append(
-                f"{d['dataset']},{d['split']},{d['fold']},{d['auroc']!r},{d['auprc']!r},"
-                f"{d['sensitivity']!r},{d['f1']!r},{d['accuracy']!r}"
-            )
-        (out / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_json(
-        out / "resolved-config.json",
-        {
-            "command": "dti",
-            "version": __version__,
-            "split": kind.value,
-            "folds": args.folds,
-            "seed": cfg.seed,
-            "dti_epochs": cfg.dti_epochs,
-            "dataset": dataset_name,
-        },
-    )
+    _write_report(out, "metrics", rows, args.csv)
+    _echo_config(out, "dti", split=kind.value, folds=args.folds, seed=cfg.seed,
+                 dti_epochs=cfg.dti_epochs, dataset=dataset_name)
     for d in rows:
         print(
             f"fold {d['fold']}: auroc={d['auroc']:.4f} auprc={d['auprc']:.4f} "
@@ -256,12 +229,7 @@ def cmd_dti(args) -> int:
 
 
 def cmd_export(args) -> int:
-    model, _, _ = load_model(args.checkpoint)
-    tables, _ = _load_dataset(args.data)
-    _check_dims(model, tables)
-    from .data import EmbeddingTable
-    from .heads import project
-
+    model, tables, _ = _load_model_and_data(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for m in MODALITY_ORDER:
@@ -270,10 +238,7 @@ def cmd_export(args) -> int:
             modality=m, ids=list(tables[m].ids), rows=projected.astype(np.float32)
         )
         write_embedding_table(table, out / f"projected.{m.short}.gemb")
-    _write_json(
-        out / "resolved-config.json",
-        {"command": "export", "version": __version__, "shared_dim": model.shared_dim},
-    )
+    _echo_config(out, "export", shared_dim=model.shared_dim)
     print(f"exported 4 projected tables (dim {model.shared_dim}) to {out}")
     return 0
 
@@ -357,8 +322,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigMismatch as e:
-        print(f"bad config: {e}", file=sys.stderr)
-        return 2
+        return _flag_error(f"bad config: {e}")
     except NonFiniteLoss as e:
         print(f"non-finite loss: {e}", file=sys.stderr)
         return 4

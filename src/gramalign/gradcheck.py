@@ -4,13 +4,8 @@ Each component reports the worst vector-level relative error
 max|a - f| / max(max|a|, max|f|, tiny) over the requested number of random
 seeds, using step h = 1e-5 in float64 with dropout disabled. Thresholds:
 1e-6 for the tuple-volume gradient, 1e-5 everywhere else.
-
-Setting GRAMALIGN_GRADCHECK_SABOTAGE=1 corrupts one analytic gradient on
-purpose; the suite must then fail. This is the negative control proving the
-harness can detect a wrong gradient.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +33,6 @@ FD_STEP = 1e-5
 TOL_VOLUME = 1e-6
 TOL_DEFAULT = 1e-5
 
-_SABOTAGE_ENV = "GRAMALIGN_GRADCHECK_SABOTAGE"
-
 
 @dataclass
 class ComponentResult:
@@ -56,7 +49,8 @@ def _rel_err(analytic, fd) -> float:
     analytic = np.asarray(analytic, dtype=np.float64)
     fd = np.asarray(fd, dtype=np.float64)
     scale = max(np.max(np.abs(analytic), initial=0.0), np.max(np.abs(fd), initial=0.0), 1e-12)
-    return float(np.max(np.abs(analytic - fd), initial=0.0) / scale)
+    err = float(np.max(np.abs(analytic - fd), initial=0.0) / scale)
+    return err if np.isfinite(err) else np.inf  # a NaN error would vanish in max(), so fail it
 
 
 def _fd_on_array(fn, arr, h=FD_STEP):
@@ -76,11 +70,23 @@ def _fd_on_array(fn, arr, h=FD_STEP):
     return g
 
 
-def _sabotage(g):
-    if os.environ.get(_SABOTAGE_ENV):
-        g = np.array(g, dtype=np.float64, copy=True)
-        g.flat[0] += 1.0
-    return g
+def _worst(fn, pairs):
+    """Worst error of each (array, analytic gradient) pair against central differences of fn()."""
+    return max(_rel_err(grad, _fd_on_array(fn, arr)) for arr, grad in pairs)
+
+
+def _mlp_worst(params, forward, inputs, probe):
+    """Worst error over every parameter tensor and the concatenated input gradient, eval mode."""
+    _, tape = forward()
+    grads, gin = backward(tape, probe)
+
+    def fn():
+        return float(np.sum(forward()[0] * probe))
+
+    named = zip(mlp_tensor_items("t", params.specs, params.layers),
+                mlp_tensor_items("t", params.specs, grads))
+    fd_in = np.concatenate([_fd_on_array(fn, x) for x in inputs], axis=1)
+    return max(_worst(fn, [(arr, grad) for (_, arr), (_, grad) in named]), _rel_err(gin, fd_in))
 
 
 def check_gram_volume_grad(seed: int) -> float:
@@ -93,21 +99,7 @@ def check_gram_volume_grad(seed: int) -> float:
         vg = gram_volume_grad(list(f))
     except SingularGram:
         return 0.0
-    analytic = _sabotage(np.stack(vg.per_vector))
-    fd = _fd_on_array(lambda: volume_unclamped(f), f)
-    return _rel_err(analytic, fd)
-
-
-def _probe_params(params, forward, probe):
-    """Worst error over every parameter tensor and the input, eval mode."""
-    _, tape = forward()
-    grads, gin = backward(tape, probe)
-    grad_named = dict(mlp_tensor_items("t", params.specs, grads))
-    worst = 0.0
-    for name, arr in mlp_tensor_items("t", params.specs, params.layers):
-        fd = _fd_on_array(lambda: float(np.sum(forward()[0] * probe)), arr)
-        worst = max(worst, _rel_err(grad_named[name], fd))
-    return worst, gin
+    return _worst(lambda: volume_unclamped(f), [(f, np.stack(vg.per_vector))])
 
 
 def check_projector(seed: int) -> float:
@@ -121,13 +113,7 @@ def check_projector(seed: int) -> float:
     head = ProjectionHead(Modality.SMILES, init_params(specs, seed))
     x = rng.standard_normal((2, in_dim))
     probe = rng.standard_normal((2, out))
-
-    worst, gin = _probe_params(
-        head.params, lambda: project(head, x, "eval"), probe
-    )
-    gin = _sabotage(gin)
-    fd_in = _fd_on_array(lambda: float(np.sum(project(head, x, "eval")[0] * probe)), x)
-    return max(worst, _rel_err(gin, fd_in))
+    return _mlp_worst(head.params, lambda: project(head, x, "eval"), [x], probe)
 
 
 def check_ic50_head(seed: int) -> float:
@@ -137,9 +123,7 @@ def check_ic50_head(seed: int) -> float:
     head = Ic50Head(init_params(specs, seed))
     x = rng.standard_normal((2, 4 * shared))
     probe = rng.standard_normal((2, 3))
-    worst, gin = _probe_params(head.params, lambda: ic50_forward(head, x, "eval"), probe)
-    fd_in = _fd_on_array(lambda: float(np.sum(ic50_forward(head, x, "eval")[0] * probe)), x)
-    return max(worst, _rel_err(_sabotage(gin), fd_in))
+    return _mlp_worst(head.params, lambda: ic50_forward(head, x, "eval"), [x], probe)
 
 
 def check_dti_head(seed: int) -> float:
@@ -154,16 +138,7 @@ def check_dti_head(seed: int) -> float:
     xs = rng.standard_normal((2, shared))
     xp = rng.standard_normal((2, shared))
     probe = rng.standard_normal((2, 2))
-    worst, gin = _probe_params(
-        head.params, lambda: dti_forward(head, xs, xp, "eval"), probe
-    )
-    fused_fd = []
-    for arr in (xs, xp):
-        fused_fd.append(
-            _fd_on_array(lambda: float(np.sum(dti_forward(head, xs, xp, "eval")[0] * probe)), arr)
-        )
-    fd_in = np.concatenate(fused_fd, axis=1)
-    return max(worst, _rel_err(_sabotage(gin), fd_in))
+    return _mlp_worst(head.params, lambda: dti_forward(head, xs, xp, "eval"), [xs, xp], probe)
 
 
 def _random_batch(rng, batch_size, dim, with_labels=False):
@@ -190,14 +165,8 @@ def check_volume_contrastive(seed: int) -> float:
         inactive = [m for m in MODALITY_ORDER if m is not anchor][int(rng.integers(0, 3))]
         active = tuple(m for m in MODALITY_ORDER if m is not inactive)
     out = volume_contrastive(batch, anchor, active, tau=0.5)
-    worst = 0.0
-    for m in active:
-        fd = _fd_on_array(
-            lambda: volume_contrastive(batch, anchor, active, tau=0.5).value,
-            batch.embeddings[m],
-        )
-        worst = max(worst, _rel_err(_sabotage(out.grads[m]), fd))
-    return worst
+    return _worst(lambda: volume_contrastive(batch, anchor, active, tau=0.5).value,
+                  [(batch.embeddings[m], out.grads[m]) for m in active])
 
 
 def check_clip_bimodal(seed: int) -> float:
@@ -206,11 +175,8 @@ def check_clip_bimodal(seed: int) -> float:
     dim = int(rng.integers(4, 9))
     batch = _random_batch(rng, batch_size, dim)
     out = clip_bimodal(batch, tau=0.3)
-    worst = 0.0
-    for m in (Modality.SMILES, Modality.PROTEIN):
-        fd = _fd_on_array(lambda: clip_bimodal(batch, tau=0.3).value, batch.embeddings[m])
-        worst = max(worst, _rel_err(_sabotage(out.grads[m]), fd))
-    return worst
+    return _worst(lambda: clip_bimodal(batch, tau=0.3).value,
+                  [(batch.embeddings[m], out.grads[m]) for m in (Modality.SMILES, Modality.PROTEIN)])
 
 
 def check_ic50_loss(seed: int) -> float:
@@ -222,8 +188,8 @@ def check_ic50_loss(seed: int) -> float:
     logits = rng.standard_normal((batch_size, 3))
     weights = class_weights([0, 1, 2, 0, 1, 2, 0])
     out = ic50_loss(batch, logits, weights, smoothing=0.1)
-    fd = _fd_on_array(lambda: ic50_loss(batch, logits, weights, smoothing=0.1).value, logits)
-    return _rel_err(_sabotage(out.logit_grad), fd)
+    return _worst(lambda: ic50_loss(batch, logits, weights, smoothing=0.1).value,
+                  [(logits, out.logit_grad)])
 
 
 COMPONENTS = (

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gramalign
+from gramalign import gradcheck
 from gramalign.checkpoint import load_checkpoint, save_checkpoint
 from gramalign.cli import main
 from gramalign.data import load_embedding_table
@@ -55,6 +56,15 @@ class TestSynth:
 
     def test_n_below_minimum_is_flag_error(self, tmp_path):
         assert run("synth", "--out", str(tmp_path / "x"), "--n", "3") == 2
+
+    @pytest.mark.parametrize("dims", ["4,a,4,4", "4,4,4", "1,4,4,4", "-1,4,4,4"])
+    def test_bad_dims_exits_2_with_one_line(self, tmp_path, capsys, dims):
+        out = tmp_path / "x"
+        assert run("synth", "--out", str(out), "--n", "8", f"--dims={dims}") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"--dims needs 4 comma-separated integers >= 2, got {dims!r}"
+        ]
+        assert not out.exists()
 
     def test_default_dims_match_encoders(self, tmp_path):
         out = tmp_path / "d"
@@ -168,6 +178,7 @@ BAD_CONFIGS = [
     (["--tau", "nan"], "tau"),
     (["--resume", "CHECKPOINT", *PRETRAINED_FLAGS, "--epochs", "1"],
      "resume checkpoint has epochs_done=1; epochs=1 leaves nothing to train"),
+    (["dti", "--folds", "1"], "folds"),
 ]
 
 
@@ -178,7 +189,7 @@ BAD_CONFIGS = [
          "mistyped-value", "scheduler-decay", "malformed-json", "proj-hidden", "ic50-hidden",
          "label-smoothing", "lambda-vol", "lambda-bi", "lambda-ic50", "dti-epochs", "dti-lr",
          "resume-config-mismatch", "dti-epochs-flag", "dti-seed-flag", "tau-nan",
-         "resume-nothing-to-train"],
+         "resume-nothing-to-train", "dti-folds-flag"],
 )
 def test_bad_config_exits_2_with_one_line(tmp_path, synth_dir, pretrained, flags, message):
     """Out-of-range values are flag errors: exit 2, one stderr line, no traceback.
@@ -269,9 +280,54 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "gram_volume_grad" in out and "PASS" in out
 
-    def test_sabotage_negative_control(self, monkeypatch):
-        monkeypatch.setenv("GRAMALIGN_GRADCHECK_SABOTAGE", "1")
+    # patch point in gradcheck -> (the gradient in its output, the components that must fail)
+    NEGATIVE_CONTROLS = {
+        "gram_volume_grad": (lambda out, args: out.per_vector[0], {"gram_volume_grad"}),
+        "backward": (lambda out, args: out[1], {"projector", "ic50_head", "dti_head"}),
+        # args[1] is the anchor, which is always active
+        "volume_contrastive": (lambda out, args: out.grads[args[1]], {"volume_contrastive"}),
+        "clip_bimodal": (lambda out, args: out.grads[Modality.SMILES], {"clip_bimodal"}),
+        "ic50_loss": (lambda out, args: out.logit_grad, {"ic50_loss"}),
+    }
+
+    @pytest.mark.parametrize("patch_point", list(NEGATIVE_CONTROLS))
+    def test_sabotage_negative_control(self, monkeypatch, capsys, patch_point):
+        """A gradient off by 1.0 in one entry fails the components using it, and only those."""
+        gradient_in, corrupted = self.NEGATIVE_CONTROLS[patch_point]
+        real = getattr(gradcheck, patch_point)
+
+        def sabotaged(*args, **kwargs):
+            out = real(*args, **kwargs)
+            gradient_in(out, args).flat[0] += 1.0
+            return out
+
+        monkeypatch.setattr(gradcheck, patch_point, sabotaged)
         assert run("gradcheck", "--seed", "1", "--trials", "1") == 5
+        status = {line.split(":")[0]: line.split()[-1]
+                  for line in capsys.readouterr().out.splitlines()}
+        assert status == {name: "FAIL" if name in corrupted else "PASS"
+                          for name, _, _ in gradcheck.COMPONENTS}
+
+    @pytest.mark.parametrize("flags", [["--trials", "0"], ["--seed", "-1"]],
+                             ids=["trials-0", "negative-seed"])
+    def test_bad_flags_exit_2_with_one_line(self, capsys, flags):
+        assert run("gradcheck", *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "--trials must be >= 1" in captured.err
+
+    def test_nan_gradient_fails(self, monkeypatch, capsys):
+        """A NaN in an analytic gradient is an infinite error, not one max() skips."""
+        real = gradcheck.ic50_loss
+
+        def nan_gradient(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out.logit_grad.flat[0] = np.nan
+            return out
+
+        monkeypatch.setattr(gradcheck, "ic50_loss", nan_gradient)
+        assert run("gradcheck", "--seed", "1", "--trials", "1") == 5
+        assert "ic50_loss: max_rel_err=inf tol=1e-05 FAIL" in capsys.readouterr().out.splitlines()
 
 
 class TestRetrieveDtiExport:
@@ -286,6 +342,23 @@ class TestRetrieveDtiExport:
         csv = (out / "retrieval.csv").read_text().splitlines()
         assert csv[0] == "direction,r1,r10,r100"
         assert len(csv) == 3
+
+    def test_csv_cells_match_json_rows(self, tmp_path, pretrained, synth_dir):
+        """Each CSV cell equals its JSON value: strings verbatim, numbers by value."""
+        common = ["--checkpoint", str(pretrained / "final.ckpt"), "--data", str(synth_dir), "--csv"]
+        assert run("retrieve", *common, "--out", str(tmp_path / "ret")) == 0
+        assert run("dti", *common, "--out", str(tmp_path / "dti"), "--folds", "2",
+                   "--epochs", "1") == 0
+        for stem in (tmp_path / "ret" / "retrieval", tmp_path / "dti" / "metrics"):
+            rows = json.loads(stem.with_suffix(".json").read_text())
+            header, *body = stem.with_suffix(".csv").read_text().splitlines()
+            assert len(body) == len(rows)
+            for line, row in zip(body, rows):
+                cells = dict(zip(header.split(","), line.split(","), strict=True))
+                assert cells.keys() == row.keys()
+                for key, value in row.items():
+                    cell = cells[key] if isinstance(value, str) else type(value)(cells[key])
+                    assert cell == value, key
 
     def test_dimension_mismatch_exit_code(self, tmp_path, pretrained):
         other = tmp_path / "wrongdims"
