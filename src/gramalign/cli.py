@@ -9,6 +9,7 @@ identical flags give byte-identical outputs) into the output directory.
 """
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -48,13 +49,19 @@ def _echo_config(out, command, **fields):
     _write_json(out / "resolved-config.json", {"command": command, "version": __version__, **fields})
 
 
-def _write_report(out, stem, rows, csv):
-    """Write ``<stem>.json`` and, with ``csv``, ``<stem>.csv``: keys as header, numbers as repr."""
+def _write_report(out, stem, rows, with_csv):
+    """Write ``<stem>.json`` and, with ``with_csv``, ``<stem>.csv``.
+
+    The CSV has the keys as header and numbers as repr; the ``csv`` module
+    quotes any cell holding a comma, a double quote or a line break.
+    """
     _write_json(out / f"{stem}.json", rows)
-    if csv:
-        lines = [",".join(rows[0])]
-        lines += [",".join(v if isinstance(v, str) else repr(v) for v in r.values()) for r in rows]
-        (out / f"{stem}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if with_csv:
+        with open(out / f"{stem}.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(rows[0])
+            for r in rows:
+                writer.writerow(v if isinstance(v, str) else repr(v) for v in r.values())
 
 
 def _flag_error(message) -> int:
@@ -248,8 +255,15 @@ def cmd_export(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flag errors print one line, ``<prog>: error: <message>``, and exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gramalign",
         description="Four-modality Gramian volume alignment engine",
     )

@@ -62,7 +62,8 @@ class EmbeddingTable:
             )
         if self.rows.shape[1] < 2:
             raise DimensionMismatch(f"embedding dim must be >= 2, got {self.rows.shape[1]}")
-        if len(set(self.ids)) != len(self.ids):
+        self._index = {e: i for i, e in enumerate(self.ids)}
+        if len(self._index) != len(self.ids):
             raise FormatError("duplicate entity ids in table")
         if not np.all(np.isfinite(self.rows)):
             raise NonFiniteValue("table contains NaN/Inf entries")
@@ -72,31 +73,25 @@ class EmbeddingTable:
         return int(self.rows.shape[1])
 
     def index_of(self, entity_id: str) -> int:
-        try:
-            return self._index[entity_id]
-        except AttributeError:
-            self._index = {e: i for i, e in enumerate(self.ids)}
-            return self._index[entity_id]
+        return self._index[entity_id]
 
 
 @dataclass
 class Quadruplet:
-    """Row indices into the four tables plus optional IC50 annotation."""
+    """Row indices into the four tables plus optional IC50 annotation.
+
+    ``ic50_class`` is ``discretize_ic50(ic50_um)``, or None without a value.
+    """
 
     smiles_row: int
     text_row: int
     hta_row: int
     protein_row: int
     ic50_um: float | None = None
-    ic50_class: int | None = None
+    ic50_class: int | None = field(init=False)
 
     def __post_init__(self):
-        if (self.ic50_um is None) != (self.ic50_class is None):
-            raise FormatError("ic50_class must be present iff ic50_um is present")
-        if self.ic50_um is not None and self.ic50_class != discretize_ic50(self.ic50_um):
-            raise FormatError(
-                f"ic50_class {self.ic50_class} inconsistent with value {self.ic50_um}"
-            )
+        self.ic50_class = None if self.ic50_um is None else discretize_ic50(self.ic50_um)
 
     def row_for(self, modality: Modality) -> int:
         return (self.smiles_row, self.text_row, self.hta_row, self.protein_row)[modality]
@@ -113,7 +108,6 @@ class ClassWeights:
     counts: tuple
     total: int
     weights: np.ndarray
-    num_classes: int = NUM_IC50_CLASSES
 
 
 @dataclass
@@ -121,8 +115,6 @@ class PairDataset:
     """Labeled (drug, protein) pairs at a fixed 10:1 negative:positive ratio."""
 
     pairs: list  # (drug_id, protein_id, label in {0, 1})
-    split_kind: SplitKind
-    fold_count: int
 
     def drug_ids(self):
         return {d for d, _, _ in self.pairs}
@@ -242,10 +234,9 @@ def load_manifest(path, tables: dict):
         except ValueError:
             raise FormatError(f"line {ln_no}: ic50_um {cells[4]!r} is not a number")
         try:
-            ic50_class = None if ic50 is None else discretize_ic50(ic50)
+            quads.append(Quadruplet(*rows, ic50_um=ic50))
         except NonPositiveIc50 as e:
             raise NonPositiveIc50(f"line {ln_no}: {e}") from None
-        quads.append(Quadruplet(*rows, ic50_um=ic50, ic50_class=ic50_class))
     return quads
 
 
@@ -370,7 +361,7 @@ def make_split(positives, kind: SplitKind, folds: int, seed: int, drugs=None, pr
             )
             train_negs = negs[: NEGATIVE_RATIO * len(train_pos)]
             test_negs = negs[NEGATIVE_RATIO * len(train_pos) :]
-            out.append(_fold(f, kind, folds, train_pos, train_negs, test_pos, test_negs))
+            out.append(_fold(f, train_pos, train_negs, test_pos, test_negs))
         return out
 
     # cold splits: partition the held-out entity kind; only entities with at
@@ -399,18 +390,14 @@ def make_split(positives, kind: SplitKind, folds: int, seed: int, drugs=None, pr
             test_grid, train_grid = (drugs, held), (drugs, kept)
         test_negs = _draw_negatives(*test_grid, pos_set, NEGATIVE_RATIO * len(test_pos), neg_rng)
         train_negs = _draw_negatives(*train_grid, pos_set, NEGATIVE_RATIO * len(train_pos), neg_rng)
-        out.append(_fold(f, kind, folds, train_pos, train_negs, test_pos, test_negs))
+        out.append(_fold(f, train_pos, train_negs, test_pos, test_negs))
     return out
 
 
-def _fold(f, kind, folds, train_pos, train_negs, test_pos, test_negs):
+def _fold(f, train_pos, train_negs, test_pos, test_negs):
     train = [(d, p, 1) for d, p in train_pos] + [(d, p, 0) for d, p in train_negs]
     test = [(d, p, 1) for d, p in test_pos] + [(d, p, 0) for d, p in test_negs]
-    return SplitFold(
-        index=f,
-        train=PairDataset(pairs=train, split_kind=kind, fold_count=folds),
-        test=PairDataset(pairs=test, split_kind=kind, fold_count=folds),
-    )
+    return SplitFold(index=f, train=PairDataset(pairs=train), test=PairDataset(pairs=test))
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +450,6 @@ def synth_quadruplets(n: int, dims, noise_sigma: float, seed: int):
 
     quads = []
     for i in range(n):
-        if i % IC50_LABEL_FRACTION == 0:
-            c = int(classes[i])
-            quads.append(Quadruplet(i, i, i, i, ic50_um=_CLASS_VALUES_UM[c], ic50_class=c))
-        else:
-            quads.append(Quadruplet(i, i, i, i))
+        ic50 = _CLASS_VALUES_UM[classes[i]] if i % IC50_LABEL_FRACTION == 0 else None
+        quads.append(Quadruplet(i, i, i, i, ic50_um=ic50))
     return tables, quads

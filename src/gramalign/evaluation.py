@@ -115,11 +115,11 @@ def auprc(scores, labels) -> float:
     return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
-def classification_metrics(scores, labels, threshold: float = DEFAULT_THRESHOLD) -> dict:
-    """Thresholded sensitivity/F1/accuracy; zero denominators score 0."""
+def classification_metrics(scores, labels) -> dict:
+    """Sensitivity/F1/accuracy at DEFAULT_THRESHOLD; zero denominators score 0."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(int)
-    pred = scores >= threshold
+    pred = scores >= DEFAULT_THRESHOLD
     tp = int(np.sum(pred & (labels == 1)))
     fp = int(np.sum(pred & (labels == 0)))
     fn = int(np.sum(~pred & (labels == 1)))
@@ -139,23 +139,23 @@ def classification_metrics(scores, labels, threshold: float = DEFAULT_THRESHOLD)
     }
 
 
-def run_retrieval(model, smiles_table, protein_table, interactions, ks=RECALL_KS):
+def run_retrieval(model, smiles_table, protein_table, interactions):
     """Zero-shot retrieval in both directions over the full candidate pools.
 
     ``interactions`` are known (smiles_id, protein_id) pairs; each pair is one
     query whose relevance set is the query entity's full set of known
-    partners. Embeddings are projected in eval mode and compared by cosine.
+    partners. Embeddings are projected in eval mode and compared by cosine;
+    recall is reported at each of RECALL_KS.
     """
     f_s, _ = project(model.projectors[Modality.SMILES], smiles_table.rows, "eval")
     f_p, _ = project(model.projectors[Modality.PROTEIN], protein_table.rows, "eval")
 
-    s_index = {e: i for i, e in enumerate(smiles_table.ids)}
-    p_index = {e: i for i, e in enumerate(protein_table.ids)}
+    rows = [(smiles_table.index_of(d), protein_table.index_of(p)) for d, p in interactions]
     partners_of_drug = {}
     partners_of_protein = {}
-    for d_id, p_id in interactions:
-        partners_of_drug.setdefault(s_index[d_id], set()).add(p_index[p_id])
-        partners_of_protein.setdefault(p_index[p_id], set()).add(s_index[d_id])
+    for s_row, p_row in rows:
+        partners_of_drug.setdefault(s_row, set()).add(p_row)
+        partners_of_protein.setdefault(p_row, set()).add(s_row)
 
     sim = cosine_matrix(f_s, f_p)
     results = []
@@ -163,12 +163,8 @@ def run_retrieval(model, smiles_table, protein_table, interactions, ks=RECALL_KS
         (Direction.S_TO_P, sim, partners_of_drug, 0),
         (Direction.P_TO_S, sim.T, partners_of_protein, 1),
     ):
-        query_rows = []
-        relevant = []
-        for d_id, p_id in interactions:
-            q = s_index[d_id] if side == 0 else p_index[p_id]
-            query_rows.append(q)
-            relevant.append(partner_map[q])
-        recall = recall_at_k(mat[query_rows], relevant, ks)
+        query_rows = [pair[side] for pair in rows]
+        relevant = [partner_map[q] for q in query_rows]
+        recall = recall_at_k(mat[query_rows], relevant)
         results.append(RetrievalResult(direction=direction, recall_at=recall))
     return results

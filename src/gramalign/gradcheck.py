@@ -110,7 +110,7 @@ def check_projector(seed: int) -> float:
         LayerSpec(hidden, out, "gelu", True, 0.1),
         LayerSpec(out, out),
     )
-    head = ProjectionHead(Modality.SMILES, init_params(specs, seed))
+    head = ProjectionHead(init_params(specs, seed))
     x = rng.standard_normal((2, in_dim))
     probe = rng.standard_normal((2, out))
     return _mlp_worst(head.params, lambda: project(head, x, "eval"), [x], probe)

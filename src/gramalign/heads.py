@@ -5,8 +5,8 @@ ForwardTape; gradients are exact (erf-form GELU, full LayerNorm Jacobian,
 inverted-dropout masks, L2-normalization Jacobian) and are verified against
 central finite differences in the test suite and the gradcheck command.
 
-Math runs in float64 regardless of parameter dtype; the trainer keeps
-float32 masters and upcasts per step.
+Inputs are ``(rows, dim)`` batches. Math runs in float64 regardless of
+parameter dtype; the trainer keeps float32 masters and upcasts per step.
 """
 
 from dataclasses import dataclass, field
@@ -22,9 +22,6 @@ NORM_EPS = 1e-12
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-SHARED_DIM = 512
-PROJ_HIDDEN = 768
-IC50_HIDDEN = 512
 IC50_CLASSES = 3
 PROJ_DROPOUT = 0.1
 HEAD_DROPOUT = 0.3
@@ -70,8 +67,6 @@ class ForwardTape:
     """Per-call cache consumed by backward() for exactly that call."""
 
     params: MlpParams
-    mode: str
-    squeeze: bool
     out_shape: tuple
     stages: list = field(default_factory=list)
     # set only for projection heads (final L2 normalization)
@@ -81,7 +76,6 @@ class ForwardTape:
 
 @dataclass
 class ProjectionHead:
-    modality: Modality
     params: MlpParams
 
     @property
@@ -115,7 +109,7 @@ class AlignmentModel:
         return self.projectors[Modality.SMILES].out_dim
 
 
-def projector_specs(in_dim, hidden=PROJ_HIDDEN, out_dim=SHARED_DIM, dropout=PROJ_DROPOUT):
+def projector_specs(in_dim, hidden, out_dim, dropout=PROJ_DROPOUT):
     """Three linear layers; hidden layers carry GELU + LayerNorm + Dropout."""
     return (
         LayerSpec(in_dim, hidden, "gelu", True, dropout),
@@ -124,7 +118,7 @@ def projector_specs(in_dim, hidden=PROJ_HIDDEN, out_dim=SHARED_DIM, dropout=PROJ
     )
 
 
-def ic50_specs(shared_dim=SHARED_DIM, hidden=IC50_HIDDEN, dropout=HEAD_DROPOUT):
+def ic50_specs(shared_dim, hidden, dropout=HEAD_DROPOUT):
     """Two-layer classifier over the fused [f^s; f^t; f^h; f^p] features."""
     return (
         LayerSpec(4 * shared_dim, hidden, "gelu", False, dropout),
@@ -132,7 +126,7 @@ def ic50_specs(shared_dim=SHARED_DIM, hidden=IC50_HIDDEN, dropout=HEAD_DROPOUT):
     )
 
 
-def dti_specs(shared_dim=SHARED_DIM, hidden=DTI_HIDDEN, dropout=HEAD_DROPOUT):
+def dti_specs(shared_dim, hidden=DTI_HIDDEN, dropout=HEAD_DROPOUT):
     """Binary interaction classifier over concatenated [f^s; f^p]."""
     h1, h2 = hidden
     return (
@@ -161,21 +155,14 @@ def init_params(specs, seed: int) -> MlpParams:
 # ---------------------------------------------------------------------------
 
 
-def _as_batch(x, in_dim):
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != in_dim:
-        raise DimensionMismatch(f"expected input dim {in_dim}, got shape {x.shape}")
-    return x, squeeze
-
-
 def mlp_forward(params: MlpParams, x, mode="eval", rng=None):
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    h, squeeze = _as_batch(x, params.specs[0].in_dim)
-    tape = ForwardTape(params=params, mode=mode, squeeze=squeeze, out_shape=())
+    h = np.asarray(x, dtype=np.float64)
+    in_dim = params.specs[0].in_dim
+    if h.ndim != 2 or h.shape[1] != in_dim:
+        raise DimensionMismatch(f"expected input dim {in_dim}, got shape {h.shape}")
+    tape = ForwardTape(params=params, out_shape=())
     for spec, layer in zip(params.specs, params.layers):
         cache = {"x": h}
         h = h @ np.asarray(layer.w, dtype=np.float64) + np.asarray(layer.b, dtype=np.float64)
@@ -243,13 +230,12 @@ def project(head: ProjectionHead, raw, mode="eval", rng=None):
     out = y / norms
     tape.unit_out = out
     tape.prenorm_norms = norms
-    tape.out_shape = out.shape
-    return (out[0] if tape.squeeze else out), tape
+    return out, tape
 
 
 def ic50_forward(head: Ic50Head, f_fused, mode="eval", rng=None):
     """Three activity-class logits from fused [f^s; f^t; f^h; f^p] features."""
-    return _head_logits(head.params, f_fused, mode, rng)
+    return mlp_forward(head.params, f_fused, mode, rng)
 
 
 def dti_forward(head: DtiHead, f_s, f_p, mode="eval", rng=None):
@@ -259,12 +245,7 @@ def dti_forward(head: DtiHead, f_s, f_p, mode="eval", rng=None):
     if f_s.shape != f_p.shape:
         raise DimensionMismatch(f"drug/protein feature shapes differ: {f_s.shape} vs {f_p.shape}")
     fused = np.concatenate([f_s, f_p], axis=-1)
-    return _head_logits(head.params, fused, mode, rng)
-
-
-def _head_logits(params, fused, mode, rng):
-    logits, tape = mlp_forward(params, fused, mode, rng)
-    return (logits[0] if tape.squeeze else logits), tape
+    return mlp_forward(head.params, fused, mode, rng)
 
 
 def backward(tape: ForwardTape, upstream_grad):
@@ -275,15 +256,12 @@ def backward(tape: ForwardTape, upstream_grad):
     (I/||u|| - u u^T/||u||^3) before the MLP stages.
     """
     gy = np.asarray(upstream_grad, dtype=np.float64)
-    if gy.ndim == 1:
-        gy = gy[None, :]
     if gy.shape != tape.out_shape:
         raise TapeMismatch(f"upstream grad shape {gy.shape} != forward output {tape.out_shape}")
     if tape.unit_out is not None:
         u, norms = tape.unit_out, tape.prenorm_norms
         gy = (gy - u * (u * gy).sum(axis=1, keepdims=True)) / norms
-    grads, gx = mlp_backward(tape, gy)
-    return grads, (gx[0] if tape.squeeze else gx)
+    return mlp_backward(tape, gy)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +276,7 @@ def build_model(in_dims: dict, shared_dim, proj_hidden, ic50_hidden, seed: int) 
     for m in MODALITY_ORDER:
         child = int(substream(seed, "init", m.short).integers(2**63))
         params = init_params(projector_specs(in_dims[m], proj_hidden, shared_dim), child)
-        projectors[m] = ProjectionHead(modality=m, params=params)
+        projectors[m] = ProjectionHead(params=params)
     child = int(substream(seed, "init", "ic50").integers(2**63))
     ic50 = Ic50Head(params=init_params(ic50_specs(shared_dim, ic50_hidden), child))
     return AlignmentModel(projectors=projectors, ic50_head=ic50)

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotNormalized, NotSymmetric, SingularGram, ZeroVector
+from .errors import DimensionMismatch, NotNormalized, NotSymmetric, SingularGram
 
-EPS_NORM = 1e-12
 EPS_DET = 1e-12
 UNIT_TOL = 1e-9
 SYM_TOL = 1e-9
@@ -29,21 +28,6 @@ class VolumeGrad:
 
     value: float
     per_vector: list  # one ndarray per input vector, same dim as the input
-
-
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale ``v`` to unit Euclidean norm.
-
-    Raises ZeroVector when the norm is at or below 1e-12, which signals a
-    degenerate embedding the caller must not silently keep.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] < 1:
-        raise DimensionMismatch(f"expected a 1-d vector, got shape {v.shape}")
-    n = float(np.linalg.norm(v))
-    if n <= EPS_NORM:
-        raise ZeroVector(f"vector norm {n:.3e} <= {EPS_NORM:.0e}")
-    return v / n
 
 
 def _as_stack(vectors) -> np.ndarray:

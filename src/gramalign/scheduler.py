@@ -94,11 +94,11 @@ def make_history(cfg: SchedulerConfig) -> GradHistory:
     return GradHistory(max_len=cfg.history_len, decay=cfg.decay)
 
 
-def decide(gbar, cfg: SchedulerConfig, rng, training: bool = True) -> DropDecision:
+def decide(gbar, cfg: SchedulerConfig, rng) -> DropDecision:
     """One drop decision from the smoothed per-modality gradient norms.
 
-    No drop happens outside training or with probability 1 - p_drop; the
-    anchor then stays PROTEIN. Otherwise: if some modality's smoothed norm
+    With probability 1 - p_drop no modality is dropped and the anchor stays
+    PROTEIN. Otherwise: if some modality's smoothed norm
     exceeds mean + sigma_multiplier * population-std it is dropped
     (dominance; at most one modality can exceed that threshold), else the
     smallest contributor is dropped. The anchor is drawn uniformly from the
@@ -107,7 +107,7 @@ def decide(gbar, cfg: SchedulerConfig, rng, training: bool = True) -> DropDecisi
     gbar = np.asarray(gbar, dtype=np.float64)
     if gbar.shape != (4,) or not np.all(np.isfinite(gbar)):
         raise NegativeNorm(f"need 4 finite smoothed norms, got {gbar}")
-    if not training or rng.random() > cfg.p_drop:
+    if rng.random() > cfg.p_drop:
         return DropDecision(False, None, Modality.PROTEIN, Branch.NONE)
 
     mu = float(gbar.mean())

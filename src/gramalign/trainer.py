@@ -12,7 +12,7 @@ byte-deterministic.
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -85,9 +85,7 @@ class TrainConfig:
             raise ValueError("dti_epochs must be >= 0 and dti_lr positive")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["scheduler"] = asdict(self.scheduler)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -158,16 +156,10 @@ class TrainResult:
 
 
 def _dataset_weights(quads):
-    labels = [q.ic50_class for q in quads if q.ic50_class is not None]
-    if not labels:
-        return class_weights([0, 1, 2])  # unused: no annotated sample ever enters the loss
     try:
-        return class_weights(labels)
-    except EmptyClass:
-        # degenerate annotation set; fall back to unweighted CE
-        cw = class_weights([0, 1, 2])
-        cw.weights = np.ones(3)
-        return cw
+        return class_weights([q.ic50_class for q in quads if q.ic50_class is not None])
+    except EmptyClass:  # a class without annotations: unweighted CE, every weight exactly 1.0
+        return class_weights([0, 1, 2])
 
 
 def _batch_from_rows(tables, quads, rows):
@@ -222,7 +214,7 @@ def train_step(model, raw, labels, mask, history, weights, cfg: TrainConfig, rng
     ]
     record(history, norms)
     gbar = smoothed(history)
-    decision = decide(gbar, cfg.scheduler, rngs["scheduler"], training=True)
+    decision = decide(gbar, cfg.scheduler, rngs["scheduler"])
 
     active = tuple(m for m in MODALITY_ORDER if m is not decision.dropped)
     vol = volume_contrastive(batch, decision.anchor, active, cfg.tau)
@@ -247,13 +239,13 @@ def _require_finite(component: str, value: float) -> None:
         raise NonFiniteLoss(f"{component} loss is {value}")
 
 
-def alignment_volumes(model, tables, quads, cap=ALIGNMENT_EVAL_CAP):
+def alignment_volumes(model, tables, quads):
     """Mean matched-tuple and mismatched-tuple volumes in eval mode.
 
     Mismatched tuples shift each modality by a different offset so every
     evaluated tuple mixes four distinct samples.
     """
-    quads = quads[: min(len(quads), cap)]
+    quads = quads[:ALIGNMENT_EVAL_CAP]
     feats = {}
     for m in MODALITY_ORDER:
         idx = [q.row_for(m) for q in quads]
@@ -462,8 +454,11 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
 
     f_s, _ = project(model.projectors[Modality.SMILES], smiles_table.rows, "eval")
     f_p, _ = project(model.projectors[Modality.PROTEIN], protein_table.rows, "eval")
-    s_index = {e: i for i, e in enumerate(smiles_table.ids)}
-    p_index = {e: i for i, e in enumerate(protein_table.ids)}
+
+    def rows_of(pairs):
+        drugs = np.array([smiles_table.index_of(d) for d, _, _ in pairs])
+        proteins = np.array([protein_table.index_of(p) for _, p, _ in pairs])
+        return drugs, proteins, np.array([lab for _, _, lab in pairs], dtype=int)
 
     results = []
     for fold in folds:
@@ -475,11 +470,8 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
         params = dict(mlp_tensor_items("dti", specs, head.params.layers))
         adam = init_adam(params)
 
-        train_pairs = fold.train.pairs
-        xs = np.array([s_index[d] for d, _, _ in train_pairs])
-        xp = np.array([p_index[p] for _, p, _ in train_pairs])
-        y = np.array([lab for _, _, lab in train_pairs], dtype=int)
-        n = len(train_pairs)
+        xs, xp, y = rows_of(fold.train.pairs)
+        n = len(y)
         bs = min(cfg.batch_size, n)
         for epoch in range(cfg.dti_epochs):
             order = substream(cfg.seed, "dti-shuffle", fold.index, epoch).permutation(n)
@@ -494,10 +486,7 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
                 grads, _ = backward(tape, dlogits)
                 adam_step(params, dict(mlp_tensor_items("dti", specs, grads)), adam, cfg.dti_lr)
 
-        test_pairs = fold.test.pairs
-        ts = np.array([s_index[d] for d, _, _ in test_pairs])
-        tp = np.array([p_index[p] for _, p, _ in test_pairs])
-        ty = np.array([lab for _, _, lab in test_pairs], dtype=int)
+        ts, tp, ty = rows_of(fold.test.pairs)
         logits, _ = dti_forward(head, f_s[ts], f_p[tp], "eval")
         scores = softmax(logits, axis=1)[:, 1]
         cls = classification_metrics(scores, ty)

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: flags, exit codes, determinism, file outputs."""
 
+import csv
 import json
 import os
 import shutil
@@ -179,6 +180,10 @@ BAD_CONFIGS = [
     (["--resume", "CHECKPOINT", *PRETRAINED_FLAGS, "--epochs", "1"],
      "resume checkpoint has epochs_done=1; epochs=1 leaves nothing to train"),
     (["dti", "--folds", "1"], "folds"),
+    (["synth", "--n", "abc"], "gramalign synth: error: argument --n: invalid int value: 'abc'"),
+    (["synth", "--n", "8", "--dims", "-1,4,4,4"], "argument --dims: expected one argument"),
+    (["frobnicate"], "gramalign: error: argument command: invalid choice: 'frobnicate'"),
+    (["synth"], "the following arguments are required: --n"),
 ]
 
 
@@ -189,12 +194,14 @@ BAD_CONFIGS = [
          "mistyped-value", "scheduler-decay", "malformed-json", "proj-hidden", "ic50-hidden",
          "label-smoothing", "lambda-vol", "lambda-bi", "lambda-ic50", "dti-epochs", "dti-lr",
          "resume-config-mismatch", "dti-epochs-flag", "dti-seed-flag", "tau-nan",
-         "resume-nothing-to-train", "dti-folds-flag"],
+         "resume-nothing-to-train", "dti-folds-flag", "synth-n-not-int", "synth-dims-dash",
+         "unknown-command", "synth-missing-n"],
 )
 def test_bad_config_exits_2_with_one_line(tmp_path, synth_dir, pretrained, flags, message):
     """Out-of-range values are flag errors: exit 2, one stderr line, no traceback.
 
-    Rows starting with "dti" run that command on the pretrained checkpoint;
+    Rows starting with "dti" run that command on the pretrained checkpoint,
+    rows starting with another word run that command with only ``--out``, and
     the others run pretrain, with "CHECKPOINT" standing for its first epoch.
     """
     if not isinstance(flags, list):
@@ -206,6 +213,8 @@ def test_bad_config_exits_2_with_one_line(tmp_path, synth_dir, pretrained, flags
     if flags[0] == "dti":
         proc = _cli_in_subprocess("dti", "--checkpoint", pretrained / "final.ckpt",
                                   "--data", synth_dir, "--out", out, *flags[1:])
+    elif not flags[0].startswith("--"):
+        proc = _cli_in_subprocess(flags[0], "--out", out, *flags[1:])
     else:
         proc = _cli_in_subprocess("pretrain", "--data", synth_dir, "--out", out, *flags)
     assert proc.returncode == 2
@@ -339,22 +348,30 @@ class TestRetrieveDtiExport:
         assert {r["direction"] for r in rows} == {"S_TO_P", "P_TO_S"}
         for r in rows:
             assert 0.0 <= r["r1"] <= r["r10"] <= r["r100"] <= 1.0
-        csv = (out / "retrieval.csv").read_text().splitlines()
-        assert csv[0] == "direction,r1,r10,r100"
-        assert len(csv) == 3
+        csv_lines = (out / "retrieval.csv").read_text().splitlines()
+        assert csv_lines[0] == "direction,r1,r10,r100"
+        assert len(csv_lines) == 3
 
     def test_csv_cells_match_json_rows(self, tmp_path, pretrained, synth_dir):
-        """Each CSV cell equals its JSON value: strings verbatim, numbers by value."""
+        """Each CSV cell equals its JSON value: strings verbatim, numbers by value.
+
+        The second dti run names its dataset with a comma, a double quote and
+        a line break, which the CSV must quote to keep one cell per key.
+        """
         common = ["--checkpoint", str(pretrained / "final.ckpt"), "--data", str(synth_dir), "--csv"]
         assert run("retrieve", *common, "--out", str(tmp_path / "ret")) == 0
-        assert run("dti", *common, "--out", str(tmp_path / "dti"), "--folds", "2",
-                   "--epochs", "1") == 0
-        for stem in (tmp_path / "ret" / "retrieval", tmp_path / "dti" / "metrics"):
+        stems = [tmp_path / "ret" / "retrieval"]
+        for name, extra in (("dti", []), ("quoted", ["--dataset-name", 'a,"b"\nc'])):
+            assert run("dti", *common, "--out", str(tmp_path / name), "--folds", "2",
+                       "--epochs", "1", *extra) == 0
+            stems.append(tmp_path / name / "metrics")
+        for stem in stems:
             rows = json.loads(stem.with_suffix(".json").read_text())
-            header, *body = stem.with_suffix(".csv").read_text().splitlines()
+            with open(stem.with_suffix(".csv"), encoding="utf-8", newline="") as fh:
+                header, *body = csv.reader(fh)
             assert len(body) == len(rows)
             for line, row in zip(body, rows):
-                cells = dict(zip(header.split(","), line.split(","), strict=True))
+                cells = dict(zip(header, line, strict=True))
                 assert cells.keys() == row.keys()
                 for key, value in row.items():
                     cell = cells[key] if isinstance(value, str) else type(value)(cells[key])

@@ -352,17 +352,23 @@ class TestSynthQuadruplets:
             synth_quadruplets(3, (4, 4, 4, 4), 0.1, seed=0)
 
 
-def test_quadruplet_consistency_enforced():
-    with pytest.raises(FormatError):
-        Quadruplet(0, 0, 0, 0, ic50_um=5.0, ic50_class=2)
-    with pytest.raises(FormatError):
-        Quadruplet(0, 0, 0, 0, ic50_um=None, ic50_class=1)
+@pytest.mark.parametrize(
+    "ic50_um, ic50_class",
+    [(None, None), (9.999, 0), (10.0, 1), (1000.0, 1), (1000.001, 2)],
+)
+def test_quadruplet_derives_ic50_class(ic50_um, ic50_class):
+    """The class comes from the value, boundaries 10 and 1000 in the moderate band."""
+    assert Quadruplet(0, 0, 0, 0, ic50_um=ic50_um).ic50_class == ic50_class
+
+
+@pytest.mark.parametrize("ic50_um", [0.0, -1.0, float("nan"), float("inf")])
+def test_quadruplet_rejects_non_positive_ic50(ic50_um):
+    with pytest.raises(NonPositiveIc50):
+        Quadruplet(0, 0, 0, 0, ic50_um=ic50_um)
 
 
 def test_pair_dataset_helpers():
-    ds = PairDataset(
-        pairs=[("d0", "p0", 1), ("d1", "p1", 0)], split_kind=SplitKind.WARM, fold_count=2
-    )
+    ds = PairDataset(pairs=[("d0", "p0", 1), ("d1", "p1", 0)])
     assert ds.drug_ids() == {"d0", "d1"}
     assert ds.protein_ids() == {"p0", "p1"}
     assert ds.positives() == [("d0", "p0")]

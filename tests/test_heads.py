@@ -73,18 +73,18 @@ class TestGelu:
 
 class TestProject:
     def _head(self, seed=0, in_dim=10):
-        return ProjectionHead(Modality.SMILES, init_params(projector_specs(in_dim, 8, 6), seed))
+        return ProjectionHead(init_params(projector_specs(in_dim, 8, 6), seed))
 
     def test_zero_params_raise(self):
         head = self._head()
         for layer in head.params.layers:
             layer.w[...] = 0.0
         with pytest.raises(ZeroVector):
-            project(head, np.ones(10))
+            project(head, np.ones((1, 10)))
 
     def test_eval_deterministic(self):
         head = self._head()
-        x = np.random.default_rng(1).standard_normal(10)
+        x = np.random.default_rng(1).standard_normal((1, 10))
         a, _ = project(head, x, "eval")
         b, _ = project(head, x, "eval")
         np.testing.assert_array_equal(a, b)
@@ -115,7 +115,9 @@ class TestProject:
 
     def test_input_dim_checked(self):
         with pytest.raises(DimensionMismatch):
-            project(self._head(), np.ones(11))
+            project(self._head(), np.ones((1, 11)))
+        with pytest.raises(DimensionMismatch):  # inputs are (rows, dim) batches
+            project(self._head(), np.ones(10))
 
 
 class TestHeadsForward:
@@ -123,19 +125,21 @@ class TestHeadsForward:
         head = Ic50Head(init_params(ic50_specs(shared_dim=4, hidden=8), seed=0))
         for layer in head.params.layers:
             layer.w[...] = 0.0
-        logits, _ = ic50_forward(head, np.ones(16))
+        logits, _ = ic50_forward(head, np.ones((1, 16)))
         np.testing.assert_array_equal(logits, 0.0)
 
     def test_ic50_dim_checked(self):
         head = Ic50Head(init_params(ic50_specs(shared_dim=4, hidden=8), seed=0))
         with pytest.raises(DimensionMismatch):
-            ic50_forward(head, np.ones(15))
+            ic50_forward(head, np.ones((1, 15)))
+        with pytest.raises(DimensionMismatch):
+            ic50_forward(head, np.ones(16))
 
     def test_dti_zero_params(self):
         head = DtiHead(init_params(dti_specs(shared_dim=4, hidden=(8, 6)), seed=0))
         for layer in head.params.layers:
             layer.w[...] = 0.0
-        logits, _ = dti_forward(head, np.ones(4) / 2.0, np.ones(4) / 2.0)
+        logits, _ = dti_forward(head, np.ones((1, 4)) / 2.0, np.ones((1, 4)) / 2.0)
         np.testing.assert_array_equal(logits, 0.0)
 
     def test_dti_relu_dead_path_yields_final_bias(self):
@@ -143,18 +147,23 @@ class TestHeadsForward:
         # huge negative biases kill every hidden unit; output = last-layer bias
         head.params.layers[0].b[...] = -1e6
         head.params.layers[2].b[...] = np.array([0.25, -0.5])
-        logits, _ = dti_forward(head, np.ones(4), np.ones(4))
-        np.testing.assert_allclose(logits, [0.25, -0.5])
+        logits, _ = dti_forward(head, np.ones((1, 4)), np.ones((1, 4)))
+        np.testing.assert_allclose(logits, [[0.25, -0.5]])
+
+    def test_dti_single_vectors_rejected(self):
+        head = DtiHead(init_params(dti_specs(shared_dim=4, hidden=(8, 6)), seed=0))
+        with pytest.raises(DimensionMismatch):
+            dti_forward(head, np.ones(4), np.ones(4))
 
     def test_dti_shape_mismatch(self):
         head = DtiHead(init_params(dti_specs(shared_dim=4, hidden=(8, 6)), seed=0))
         with pytest.raises(DimensionMismatch):
-            dti_forward(head, np.ones(4), np.ones(5))
+            dti_forward(head, np.ones((1, 4)), np.ones((1, 5)))
 
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
-        head = ProjectionHead(Modality.TEXT, init_params(projector_specs(6, 8, 4), seed=2))
+        head = ProjectionHead(init_params(projector_specs(6, 8, 4), seed=2))
         x = np.random.default_rng(0).standard_normal((3, 6))
         out, tape = project(head, x, "eval")
         grads, gin = backward(tape, np.zeros_like(out))
@@ -164,18 +173,24 @@ class TestBackward:
             np.testing.assert_array_equal(g.b, 0.0)
 
     def test_tape_mismatch(self):
-        head = ProjectionHead(Modality.TEXT, init_params(projector_specs(6, 8, 4), seed=2))
+        head = ProjectionHead(init_params(projector_specs(6, 8, 4), seed=2))
         x = np.random.default_rng(0).standard_normal((3, 6))
         out, tape = project(head, x, "eval")
         with pytest.raises(TapeMismatch):
             backward(tape, np.zeros((2, 4)))
+
+    def test_single_vector_upstream_rejected(self):
+        head = ProjectionHead(init_params(projector_specs(6, 8, 4), seed=2))
+        _, tape = project(head, np.ones((1, 6)), "eval")
+        with pytest.raises(TapeMismatch):
+            backward(tape, np.zeros(4))
 
     def test_l2_norm_jacobian_annihilates_radial_component(self):
         # identity single-layer "projector": output is exactly x / ||x||, so
         # the input gradient must be orthogonal to the output direction
         p = init_params((LayerSpec(4, 4),), seed=0)
         p.layers[0].w[...] = np.eye(4)
-        head = ProjectionHead(Modality.HTA, p)
+        head = ProjectionHead(p)
         x = np.array([[1.0, 2.0, -0.5, 0.25]])
         out, tape = project(head, x, "eval")
         g = np.array([[0.3, -0.7, 0.2, 0.9]])

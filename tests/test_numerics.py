@@ -12,7 +12,6 @@ from gramalign.errors import (
     NotNormalized,
     NotSymmetric,
     SingularGram,
-    ZeroVector,
 )
 from gramalign.numerics import (
     VolumeGrad,
@@ -20,7 +19,6 @@ from gramalign.numerics import (
     gram_matrix,
     gram_volume,
     gram_volume_grad,
-    l2_normalize,
     volume_unclamped,
 )
 
@@ -42,37 +40,13 @@ def random_unit_rows(rng, n, d):
     return f / np.linalg.norm(f, axis=1, keepdims=True)
 
 
-class TestL2Normalize:
-    def test_scaling_identity(self):
-        np.testing.assert_allclose(l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8])
-
-    def test_already_unit(self):
-        np.testing.assert_allclose(l2_normalize(np.array([1.0, 0.0, 0.0])), [1, 0, 0])
-
-    def test_hand_sqrt8(self):
-        np.testing.assert_allclose(
-            l2_normalize(np.array([2.0, 2.0])), [0.70710678, 0.70710678], atol=1e-8
-        )
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVector):
-            l2_normalize(np.zeros(3))
-        with pytest.raises(ZeroVector):
-            l2_normalize(np.full(4, 1e-13))
-
-    def test_direction_preserved(self):
-        v = np.array([1.0, -2.0, 0.5])
-        u = l2_normalize(v)
-        np.testing.assert_allclose(np.cross(u, v / np.linalg.norm(v)), 0, atol=1e-12)
-
-
 class TestGramMatrix:
     def test_orthonormal_basis(self):
         e = np.eye(4)
         np.testing.assert_allclose(gram_matrix([e[0], e[1], e[2], e[3]]), np.eye(4))
 
     def test_duplicate_vector(self):
-        u = l2_normalize(np.array([1.0, 2.0]))
+        u = np.array([1.0, 2.0]) / np.sqrt(5.0)
         np.testing.assert_allclose(gram_matrix([u, u]), np.ones((2, 2)), atol=1e-12)
 
     def test_sixty_degrees(self):

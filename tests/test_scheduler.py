@@ -86,13 +86,6 @@ class TestDecide:
         assert d.branch is Branch.ARGMIN
         assert d.dropped is Modality.SMILES
 
-    def test_not_training_guard(self):
-        d = decide(np.array([10.0, 1, 1, 1]), self._cfg(), np.random.default_rng(0), False)
-        assert not d.should_drop
-        assert d.dropped is None
-        assert d.anchor is Modality.PROTEIN
-        assert d.branch is Branch.NONE
-
     def test_equal_values_never_dominance(self):
         for seed in range(20):
             d = decide(np.array([2.0, 2, 2, 2]), self._cfg(), np.random.default_rng(seed))

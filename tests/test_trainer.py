@@ -328,9 +328,16 @@ def test_train_config_json_round_trip():
 
 
 def test_dataset_weights_fallback_uniform():
+    """No annotations, or a class without any: unweighted CE, every weight exactly 1.0."""
     _, quads = synth_quadruplets(8, (4, 4, 4, 4), 0.1, seed=0)
     for q in quads:
         q.ic50_um = None
         q.ic50_class = None
+    cw = _dataset_weights(quads)
+    np.testing.assert_array_equal(cw.weights, [1.0, 1.0, 1.0])
+
+    _, quads = synth_quadruplets(30, (4, 4, 4, 4), 0.1, seed=0)
+    quads = [q for q in quads if q.ic50_class != 2]
+    assert {q.ic50_class for q in quads} == {None, 0, 1}
     cw = _dataset_weights(quads)
     np.testing.assert_array_equal(cw.weights, [1.0, 1.0, 1.0])
