@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, TruncatedFile
+from .errors import BadMagic, FormatError, TruncatedFile
 
 MAGIC = b"GCKPT1\n"
 TERMINATOR = b"\n\x00"
@@ -66,10 +66,16 @@ def load_checkpoint(path):
     end = blob.find(TERMINATOR, len(MAGIC))
     if end < 0:
         raise TruncatedFile("header terminator not found")
-    header = json.loads(blob[len(MAGIC) : end].decode("utf-8"))
+    try:
+        header = json.loads(blob[len(MAGIC) : end].decode("utf-8"))
+        directory, config = header["tensors"].items(), header["config"]
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise FormatError(
+            f"header from byte {len(MAGIC)} is not UTF-8 JSON holding config and tensors: {e}"
+        ) from None
     base = end + len(TERMINATOR)
     tensors = {}
-    for name, (offset, rows, cols) in header["tensors"].items():
+    for name, (offset, rows, cols) in directory:
         start = base + offset
         count = rows * cols
         if len(blob) < start + 4 * count:
@@ -79,4 +85,4 @@ def load_checkpoint(path):
             )
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start).reshape(rows, cols)
         tensors[name] = arr.copy()
-    return tensors, header["config"]
+    return tensors, config

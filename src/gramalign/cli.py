@@ -77,21 +77,16 @@ def _load_dataset(data_dir):
     return tables, quads
 
 
-def _check_dims(model, tables):
+def _load_fitting_dataset(model, data_dir):
+    """The dataset, whose tables must fit the checkpoint model's projectors."""
+    tables, quads = _load_dataset(data_dir)
     for m in MODALITY_ORDER:
         expected = model.projectors[m].in_dim
         if tables[m].dim != expected:
             raise DimensionMismatch(
                 f"{m.name} table dim {tables[m].dim} != checkpoint projector input {expected}"
             )
-
-
-def _load_model_and_data(args):
-    """The checkpoint's model, then the dataset, whose tables must fit its projectors."""
-    model, _, _ = load_model(args.checkpoint)
-    tables, quads = _load_dataset(args.data)
-    _check_dims(model, tables)
-    return model, tables, quads
+    return tables, quads
 
 
 def _manifest_pairs(tables, quads):
@@ -174,24 +169,21 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    model, tables, quads = _load_model_and_data(args)
+    model, _, _ = load_model(args.checkpoint)
+    tables, quads = _load_fitting_dataset(model, args.data)
     pairs = _manifest_pairs(tables, quads)
     results = run_retrieval(model, tables[Modality.SMILES], tables[Modality.PROTEIN], pairs)
     rows = [
-        {
-            "direction": r.direction.value,
-            "r1": r.recall_at[1],
-            "r10": r.recall_at[10],
-            "r100": r.recall_at[100],
-        }
+        {"direction": r.direction.value, **{f"r{k}": v for k, v in r.recall_at.items()}}
         for r in results
     ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_report(out, "retrieval", rows, args.csv)
     _echo_config(out, "retrieve", csv=bool(args.csv))
-    for d in rows:
-        print(f"{d['direction']}: R@1={d['r1']:.4f} R@10={d['r10']:.4f} R@100={d['r100']:.4f}")
+    for r in results:
+        recalls = " ".join(f"R@{k}={v:.4f}" for k, v in r.recall_at.items())
+        print(f"{r.direction.value}: {recalls}")
     return 0
 
 
@@ -204,8 +196,7 @@ def cmd_dti(args) -> int:
         return _flag_error(f"bad config: {e}")
     if args.folds < 2:
         return _flag_error(f"bad config: folds must be >= 2, got {args.folds}")
-    tables, quads = _load_dataset(args.data)
-    _check_dims(model, tables)
+    tables, quads = _load_fitting_dataset(model, args.data)
     pairs = _manifest_pairs(tables, quads)
     kind = SplitKind(args.split)
     folds = make_split(
@@ -236,7 +227,8 @@ def cmd_dti(args) -> int:
 
 
 def cmd_export(args) -> int:
-    model, tables, _ = _load_model_and_data(args)
+    model, _, _ = load_model(args.checkpoint)
+    tables, _ = _load_fitting_dataset(model, args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for m in MODALITY_ORDER:

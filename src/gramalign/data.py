@@ -190,7 +190,10 @@ def load_embedding_table(path, modality: Modality | None = None) -> EmbeddingTab
         off += 2
         if len(blob) < off + id_len:
             raise TruncatedFile(f"id bytes for row {r} truncated at offset {off}")
-        ids.append(blob[off : off + id_len].decode("utf-8"))
+        try:
+            ids.append(blob[off : off + id_len].decode("utf-8"))
+        except UnicodeDecodeError as e:
+            raise FormatError(f"row {r} id is not UTF-8 at byte offset {off + e.start}") from None
         off += id_len
     if off != len(blob):
         raise FormatError(f"{len(blob) - off} unexpected trailing bytes at offset {off}")
@@ -214,7 +217,10 @@ def write_manifest(quads, tables: dict, path) -> None:
 
 
 def load_manifest(path, tables: dict):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"manifest is not UTF-8 at byte offset {e.start}") from None
     lines = [ln for ln in text.split("\n") if ln != ""]
     if not lines or lines[0] != MANIFEST_HEADER:
         raise FormatError(f"manifest header mismatch: {lines[0] if lines else '(empty)'!r}")
@@ -261,7 +267,7 @@ def discretize_ic50(value_um: float) -> int:
 
 
 def class_weights(labels) -> ClassWeights:
-    """Inverse-frequency weights w_c = N_total / (C * N_c) over 3 classes."""
+    """Inverse-frequency weights w_c = N_total / (C * N_c) over the C = NUM_IC50_CLASSES classes."""
     counts = [0] * NUM_IC50_CLASSES
     for y in labels:
         if not 0 <= int(y) < NUM_IC50_CLASSES:

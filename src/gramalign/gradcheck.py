@@ -10,19 +10,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import class_weights
+from .data import NUM_IC50_CLASSES, class_weights
 from .errors import SingularGram
 from .heads import (
-    DtiHead,
-    Ic50Head,
-    LayerSpec,
-    ProjectionHead,
+    Head,
     backward,
     dti_forward,
+    dti_specs,
     ic50_forward,
+    ic50_specs,
     init_params,
     mlp_tensor_items,
     project,
+    projector_specs,
 )
 from .losses import Batch, clip_bimodal, ic50_loss, volume_contrastive
 from .modality import MODALITY_ORDER, Modality
@@ -75,17 +75,26 @@ def _worst(fn, pairs):
     return max(_rel_err(grad, _fd_on_array(fn, arr)) for arr, grad in pairs)
 
 
-def _mlp_worst(params, forward, inputs, probe):
-    """Worst error over every parameter tensor and the concatenated input gradient, eval mode."""
-    _, tape = forward()
+def _head_worst(seed, stream, specs, forward, inputs=1):
+    """Worst error over a head's parameter tensors and its input gradient, eval mode.
+
+    The head is built from ``specs``; its input rows are ``inputs`` random
+    blocks that ``forward`` takes as separate arguments.
+    """
+    rng = substream(seed, stream)
+    head = Head(init_params(specs, seed))
+    xs = [rng.standard_normal((2, head.in_dim // inputs)) for _ in range(inputs)]
+    probe = rng.standard_normal((2, head.out_dim))
+    _, tape = forward(head, *xs, "eval")
     grads, gin = backward(tape, probe)
 
     def fn():
-        return float(np.sum(forward()[0] * probe))
+        return float(np.sum(forward(head, *xs, "eval")[0] * probe))
 
+    params = head.params
     named = zip(mlp_tensor_items("t", params.specs, params.layers),
                 mlp_tensor_items("t", params.specs, grads))
-    fd_in = np.concatenate([_fd_on_array(fn, x) for x in inputs], axis=1)
+    fd_in = np.concatenate([_fd_on_array(fn, x) for x in xs], axis=1)
     return max(_worst(fn, [(arr, grad) for (_, arr), (_, grad) in named]), _rel_err(gin, fd_in))
 
 
@@ -103,42 +112,15 @@ def check_gram_volume_grad(seed: int) -> float:
 
 
 def check_projector(seed: int) -> float:
-    rng = substream(seed, "gc-proj")
-    in_dim, hidden, out = 10, 12, 8
-    specs = (
-        LayerSpec(in_dim, hidden, "gelu", True, 0.1),
-        LayerSpec(hidden, out, "gelu", True, 0.1),
-        LayerSpec(out, out),
-    )
-    head = ProjectionHead(init_params(specs, seed))
-    x = rng.standard_normal((2, in_dim))
-    probe = rng.standard_normal((2, out))
-    return _mlp_worst(head.params, lambda: project(head, x, "eval"), [x], probe)
+    return _head_worst(seed, "gc-proj", projector_specs(10, 12, 8), project)
 
 
 def check_ic50_head(seed: int) -> float:
-    rng = substream(seed, "gc-ic50h")
-    shared = 4
-    specs = (LayerSpec(4 * shared, 8, "gelu", False, 0.3), LayerSpec(8, 3))
-    head = Ic50Head(init_params(specs, seed))
-    x = rng.standard_normal((2, 4 * shared))
-    probe = rng.standard_normal((2, 3))
-    return _mlp_worst(head.params, lambda: ic50_forward(head, x, "eval"), [x], probe)
+    return _head_worst(seed, "gc-ic50h", ic50_specs(4, 8), ic50_forward)
 
 
 def check_dti_head(seed: int) -> float:
-    rng = substream(seed, "gc-dtih")
-    shared = 4
-    specs = (
-        LayerSpec(2 * shared, 8, "relu", False, 0.3),
-        LayerSpec(8, 6, "relu", False, 0.3),
-        LayerSpec(6, 2),
-    )
-    head = DtiHead(init_params(specs, seed))
-    xs = rng.standard_normal((2, shared))
-    xp = rng.standard_normal((2, shared))
-    probe = rng.standard_normal((2, 2))
-    return _mlp_worst(head.params, lambda: dti_forward(head, xs, xp, "eval"), [xs, xp], probe)
+    return _head_worst(seed, "gc-dtih", dti_specs(4, (8, 6)), dti_forward, inputs=2)
 
 
 def _random_batch(rng, batch_size, dim, with_labels=False):
@@ -148,7 +130,7 @@ def _random_batch(rng, batch_size, dim, with_labels=False):
         emb[m] = f / np.linalg.norm(f, axis=1, keepdims=True)
     labels = mask = None
     if with_labels:
-        labels = rng.integers(0, 3, size=batch_size)
+        labels = rng.integers(0, NUM_IC50_CLASSES, size=batch_size)
         mask = rng.random(batch_size) < 0.7
     return Batch(embeddings=emb, ic50_labels=labels, ic50_mask=mask)
 
@@ -185,7 +167,7 @@ def check_ic50_loss(seed: int) -> float:
     batch = _random_batch(rng, batch_size, 4, with_labels=True)
     if batch.ic50_mask is not None and not batch.ic50_mask.any():
         batch.ic50_mask[0] = True
-    logits = rng.standard_normal((batch_size, 3))
+    logits = rng.standard_normal((batch_size, NUM_IC50_CLASSES))
     weights = class_weights([0, 1, 2, 0, 1, 2, 0])
     out = ic50_loss(batch, logits, weights, smoothing=0.1)
     return _worst(lambda: ic50_loss(batch, logits, weights, smoothing=0.1).value,

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
+from .data import NUM_IC50_CLASSES
 from .errors import DimensionMismatch, MissingTensor, ShapeMismatch, TapeMismatch, ZeroVector
 from .modality import MODALITY_ORDER, Modality
 
@@ -22,7 +23,6 @@ NORM_EPS = 1e-12
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-IC50_CLASSES = 3
 PROJ_DROPOUT = 0.1
 HEAD_DROPOUT = 0.3
 DTI_HIDDEN = (512, 256)
@@ -75,7 +75,9 @@ class ForwardTape:
 
 
 @dataclass
-class ProjectionHead:
+class Head:
+    """One trainable MLP: a modality projector, the IC50 head or a DTI head."""
+
     params: MlpParams
 
     @property
@@ -88,50 +90,40 @@ class ProjectionHead:
 
 
 @dataclass
-class Ic50Head:
-    params: MlpParams
-
-
-@dataclass
-class DtiHead:
-    params: MlpParams
-
-
-@dataclass
 class AlignmentModel:
     """The pre-training trainables: four projectors plus the IC50 head."""
 
     projectors: dict
-    ic50_head: Ic50Head
+    ic50_head: Head
 
     @property
     def shared_dim(self):
         return self.projectors[Modality.SMILES].out_dim
 
 
-def projector_specs(in_dim, hidden, out_dim, dropout=PROJ_DROPOUT):
+def projector_specs(in_dim, hidden, out_dim):
     """Three linear layers; hidden layers carry GELU + LayerNorm + Dropout."""
     return (
-        LayerSpec(in_dim, hidden, "gelu", True, dropout),
-        LayerSpec(hidden, out_dim, "gelu", True, dropout),
+        LayerSpec(in_dim, hidden, "gelu", True, PROJ_DROPOUT),
+        LayerSpec(hidden, out_dim, "gelu", True, PROJ_DROPOUT),
         LayerSpec(out_dim, out_dim),
     )
 
 
-def ic50_specs(shared_dim, hidden, dropout=HEAD_DROPOUT):
+def ic50_specs(shared_dim, hidden):
     """Two-layer classifier over the fused [f^s; f^t; f^h; f^p] features."""
     return (
-        LayerSpec(4 * shared_dim, hidden, "gelu", False, dropout),
-        LayerSpec(hidden, IC50_CLASSES),
+        LayerSpec(4 * shared_dim, hidden, "gelu", False, HEAD_DROPOUT),
+        LayerSpec(hidden, NUM_IC50_CLASSES),
     )
 
 
-def dti_specs(shared_dim, hidden=DTI_HIDDEN, dropout=HEAD_DROPOUT):
+def dti_specs(shared_dim, hidden=DTI_HIDDEN):
     """Binary interaction classifier over concatenated [f^s; f^p]."""
     h1, h2 = hidden
     return (
-        LayerSpec(2 * shared_dim, h1, "relu", False, dropout),
-        LayerSpec(h1, h2, "relu", False, dropout),
+        LayerSpec(2 * shared_dim, h1, "relu", False, HEAD_DROPOUT),
+        LayerSpec(h1, h2, "relu", False, HEAD_DROPOUT),
         LayerSpec(h2, 2),
     )
 
@@ -220,7 +212,7 @@ def mlp_backward(tape: ForwardTape, gy):
     return grads, gy
 
 
-def project(head: ProjectionHead, raw, mode="eval", rng=None):
+def project(head: Head, raw, mode="eval", rng=None):
     """Map raw embeddings into the shared space; rows come out unit-norm."""
     y, tape = mlp_forward(head.params, raw, mode, rng)
     norms = np.linalg.norm(y, axis=1, keepdims=True)
@@ -233,12 +225,12 @@ def project(head: ProjectionHead, raw, mode="eval", rng=None):
     return out, tape
 
 
-def ic50_forward(head: Ic50Head, f_fused, mode="eval", rng=None):
-    """Three activity-class logits from fused [f^s; f^t; f^h; f^p] features."""
+def ic50_forward(head: Head, f_fused, mode="eval", rng=None):
+    """IC50 activity-class logits from fused [f^s; f^t; f^h; f^p] features."""
     return mlp_forward(head.params, f_fused, mode, rng)
 
 
-def dti_forward(head: DtiHead, f_s, f_p, mode="eval", rng=None):
+def dti_forward(head: Head, f_s, f_p, mode="eval", rng=None):
     """Two interaction logits from the [f^s; f^p] concatenation."""
     f_s = np.asarray(f_s, dtype=np.float64)
     f_p = np.asarray(f_p, dtype=np.float64)
@@ -276,14 +268,14 @@ def build_model(in_dims: dict, shared_dim, proj_hidden, ic50_hidden, seed: int) 
     for m in MODALITY_ORDER:
         child = int(substream(seed, "init", m.short).integers(2**63))
         params = init_params(projector_specs(in_dims[m], proj_hidden, shared_dim), child)
-        projectors[m] = ProjectionHead(params=params)
+        projectors[m] = Head(params=params)
     child = int(substream(seed, "init", "ic50").integers(2**63))
-    ic50 = Ic50Head(params=init_params(ic50_specs(shared_dim, ic50_hidden), child))
+    ic50 = Head(params=init_params(ic50_specs(shared_dim, ic50_hidden), child))
     return AlignmentModel(projectors=projectors, ic50_head=ic50)
 
 
-def build_dti_head(shared_dim, seed: int) -> DtiHead:
-    return DtiHead(params=init_params(dti_specs(shared_dim), seed))
+def build_dti_head(shared_dim, seed: int) -> Head:
+    return Head(params=init_params(dti_specs(shared_dim), seed))
 
 
 def mlp_tensor_items(prefix: str, specs, layers):
@@ -304,13 +296,10 @@ def mlp_tensor_items(prefix: str, specs, layers):
 
 
 def named_tensors(model: AlignmentModel):
-    items = []
-    for m in MODALITY_ORDER:
-        params = model.projectors[m].params
-        items.extend(mlp_tensor_items(f"proj.{m.short}", params.specs, params.layers))
-    params = model.ic50_head.params
-    items.extend(mlp_tensor_items("ic50", params.specs, params.layers))
-    return items
+    heads = {f"proj.{m.short}": model.projectors[m] for m in MODALITY_ORDER}
+    heads["ic50"] = model.ic50_head
+    return [item for prefix, head in heads.items()
+            for item in mlp_tensor_items(prefix, head.params.specs, head.params.layers)]
 
 
 def cast_params(params: MlpParams, dtype) -> None:

@@ -1,9 +1,8 @@
 """Training objectives: volume contrastive, CLIP-style bimodal, weighted IC50 CE.
 
 Every loss returns its value plus exact gradients. The volume contrastive
-loss regularizes each pair volume as sqrt(det + 1e-10) so gradients stay
-finite near collapse; the numerics module deliberately refuses singular
-gradients, and this epsilon is the caller-side answer.
+loss regularizes each pair volume as sqrt(det + 1e-10), so its value and
+gradients stay finite even when a tuple collapses to a singular Gram matrix.
 """
 
 from dataclasses import dataclass, field
@@ -11,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
+from .data import NUM_IC50_CLASSES
 from .errors import DimensionMismatch
 from .kernels import pair_volume_coeffs, pair_volumes
 from .modality import MODALITY_ORDER, Modality
@@ -38,8 +38,8 @@ class Batch:
             if len(self.ic50_mask) != self.size:
                 raise DimensionMismatch("ic50 mask length != batch size")
             picked = np.asarray(self.ic50_labels)[np.asarray(self.ic50_mask, dtype=bool)]
-            if picked.size and (picked.min() < 0 or picked.max() > 2):
-                raise DimensionMismatch("masked ic50 labels must lie in {0, 1, 2}")
+            if picked.size and not 0 <= picked.min() <= picked.max() < NUM_IC50_CLASSES:
+                raise DimensionMismatch(f"masked ic50 labels must lie in 0..{NUM_IC50_CLASSES - 1}")
 
     @property
     def size(self) -> int:
@@ -58,7 +58,8 @@ def _zero_grads(batch: Batch) -> dict:
     return {m: np.zeros_like(e) for m, e in batch.embeddings.items()}
 
 
-def _validate_active(batch, anchor, active):
+def _checked_pair_volumes(batch, anchor, active, tau):
+    """Checked volume-loss inputs: the non-anchors in canonical order and their pair volumes."""
     active = tuple(active)
     if anchor not in active:
         raise DimensionMismatch(f"anchor {anchor.name} not in active set")
@@ -67,14 +68,11 @@ def _validate_active(batch, anchor, active):
     for m in active:
         if m not in batch.embeddings:
             raise DimensionMismatch(f"batch is missing modality {m.name}")
-    return active
-
-
-def _pair_inputs(batch, anchor, active):
-    """Non-anchor modalities in canonical order, the anchor rows and the stacked others."""
+    if tau <= 0:
+        raise ValueError("tau must be positive")
     others = [m for m in MODALITY_ORDER if m in active and m != anchor]
     stack = np.stack([batch.embeddings[m] for m in others])
-    return others, batch.embeddings[anchor], stack
+    return others, pair_volumes(batch.embeddings[anchor], stack, EPS_VOL)
 
 
 def _info_nce(s):
@@ -103,11 +101,8 @@ def volume_similarity_forward(batch: Batch, anchor: Modality, active, tau: float
     The diagonal holds the positive tuples. Volumes use the epsilon-regularized
     square root sqrt(det + 1e-10).
     """
-    active = _validate_active(batch, anchor, active)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    _, f_a, stack = _pair_inputs(batch, anchor, active)
-    return -pair_volumes(f_a, stack, EPS_VOL).vol / tau
+    _, pv = _checked_pair_volumes(batch, anchor, active, tau)
+    return -pv.vol / tau
 
 
 def volume_contrastive(batch: Batch, anchor: Modality, active, tau: float = DEFAULT_TAU):
@@ -119,11 +114,7 @@ def volume_contrastive(batch: Batch, anchor: Modality, active, tau: float = DEFA
     forward one. Gradients flow to every active modality; excluded modalities
     get exact zero blocks.
     """
-    active = _validate_active(batch, anchor, active)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    others, f_a, stack = _pair_inputs(batch, anchor, active)
-    pv = pair_volumes(f_a, stack, EPS_VOL)
+    others, pv = _checked_pair_volumes(batch, anchor, active, tau)
     value, l_fwd, l_rev, ds = _info_nce(-pv.vol / tau)
 
     g = pair_volume_coeffs(pv, -ds / tau)
@@ -163,14 +154,15 @@ def clip_bimodal(batch: Batch, tau: float = DEFAULT_TAU):
 def ic50_loss(batch: Batch, logits, weights, smoothing: float = DEFAULT_SMOOTHING):
     """Class-weighted, label-smoothed cross-entropy over annotated samples.
 
-    Targets are q = (1 - smoothing) * onehot + smoothing / 3. The average runs
-    over the annotated subset only; a batch with no annotations contributes
-    exactly zero loss and zero gradient. The returned gradient is with respect
-    to the logits; chaining into the embeddings is the IC50 head's backward.
+    Targets are q = (1 - smoothing) * onehot + smoothing / C over the C IC50
+    classes. The average runs over the annotated subset only; a batch with no
+    annotations contributes exactly zero loss and zero gradient. The returned
+    gradient is with respect to the logits; chaining into the embeddings is the
+    IC50 head's backward.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[1] != 3:
-        raise DimensionMismatch(f"expected (B, 3) logits, got {logits.shape}")
+    if logits.ndim != 2 or logits.shape[1] != NUM_IC50_CLASSES:
+        raise DimensionMismatch(f"expected (B, {NUM_IC50_CLASSES}) logits, got {logits.shape}")
     mask = (
         np.zeros(batch.size, dtype=bool)
         if batch.ic50_mask is None
@@ -184,7 +176,7 @@ def ic50_loss(batch: Batch, logits, weights, smoothing: float = DEFAULT_SMOOTHIN
     w = np.asarray(weights.weights, dtype=np.float64)[labels]
     sel = logits[mask]
     logp = sel - logsumexp(sel, axis=1, keepdims=True)
-    q = np.full((n_valid, 3), smoothing / 3.0)
+    q = np.full((n_valid, NUM_IC50_CLASSES), smoothing / NUM_IC50_CLASSES)
     q[np.arange(n_valid), labels] += 1.0 - smoothing
     value = float(np.sum(w * -(q * logp).sum(axis=1)) / n_valid)
 

@@ -50,13 +50,9 @@ class DropDecision:
 class GradHistory:
     """Per-modality ring buffers of recent gradient norms, newest first."""
 
-    max_len: int = 5
-    decay: float = 0.9
-    buffers: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for m in MODALITY_ORDER:
-            self.buffers.setdefault(m, [])
+    max_len: int
+    decay: float
+    buffers: dict = field(default_factory=lambda: {m: [] for m in MODALITY_ORDER})
 
 
 def record(history: GradHistory, norms) -> GradHistory:

@@ -19,8 +19,9 @@ import numpy as np
 from scipy.special import softmax
 
 from . import checkpoint as ckpt
-from .data import class_weights
-from .errors import ConfigMismatch, EmptyClass, EmptyDataset, NonFiniteLoss, ShapeMismatch
+from .data import NUM_IC50_CLASSES, class_weights
+from .errors import (ConfigMismatch, EmptyClass, EmptyDataset, FormatError, NonFiniteLoss,
+                     ShapeMismatch)
 from .heads import (
     AlignmentModel,
     assign_named,
@@ -159,7 +160,7 @@ def _dataset_weights(quads):
     try:
         return class_weights([q.ic50_class for q in quads if q.ic50_class is not None])
     except EmptyClass:  # a class without annotations: unweighted CE, every weight exactly 1.0
-        return class_weights([0, 1, 2])
+        return class_weights(range(NUM_IC50_CLASSES))
 
 
 def _batch_from_rows(tables, quads, rows):
@@ -245,11 +246,8 @@ def alignment_volumes(model, tables, quads):
     Mismatched tuples shift each modality by a different offset so every
     evaluated tuple mixes four distinct samples.
     """
-    quads = quads[:ALIGNMENT_EVAL_CAP]
-    feats = {}
-    for m in MODALITY_ORDER:
-        idx = [q.row_for(m) for q in quads]
-        feats[m], _ = project(model.projectors[m], tables[m].rows[idx].astype(np.float64), "eval")
+    raw, _, _ = _batch_from_rows(tables, quads, range(min(len(quads), ALIGNMENT_EVAL_CAP)))
+    feats = {m: project(model.projectors[m], raw[m], "eval")[0] for m in MODALITY_ORDER}
     pos = tuple_volumes([feats[m] for m in MODALITY_ORDER])
     mis = tuple_volumes([np.roll(feats[m], -k, axis=0) for k, m in enumerate(MODALITY_ORDER)])
     return float(np.mean(pos)), float(np.mean(mis))
@@ -280,9 +278,8 @@ def _state_items(model, adam):
 def _new_model(in_dims, cfg: TrainConfig) -> AlignmentModel:
     """The seeded initial model with float32 masters."""
     model = build_model(in_dims, cfg.shared_dim, cfg.proj_hidden, cfg.ic50_hidden, cfg.seed)
-    for m in MODALITY_ORDER:
-        cast_params(model.projectors[m].params, np.float32)
-    cast_params(model.ic50_head.params, np.float32)
+    for head in [*model.projectors.values(), model.ic50_head]:
+        cast_params(head.params, np.float32)
     return model
 
 
@@ -294,11 +291,33 @@ def save_model_checkpoint(path, model, cfg, in_dims, epochs_done, adam, history)
     )
 
 
-def load_model(path):
-    """Rebuild an AlignmentModel (float32 masters) from a GCKPT1 file."""
+def _read_run_checkpoint(path):
+    """A checkpoint ``train`` wrote, as (tensors, config, TrainConfig, in_dims, GradHistory).
+
+    The config must be one ``_model_config`` writes, in keys and value types,
+    with no negative count; any other GCKPT1 file raises one FormatError
+    naming ``path``.
+    """
     tensors, config = ckpt.load_checkpoint(path)
-    cfg = TrainConfig.from_dict(config["train_config"])
-    in_dims = {Modality[k.upper()]: v for k, v in config["in_dims"].items()}
+    try:
+        cfg = TrainConfig.from_dict(config["train_config"])
+        in_dims = {Modality[k.upper()]: int(v) for k, v in config["in_dims"].items()}
+        history = make_history(cfg.scheduler)
+        for m in MODALITY_ORDER:
+            history.buffers[m][:] = [float(x) for x in config["sched_history"][m.short]]
+        saved = _model_config(cfg, in_dims, config["epochs_done"], config["adam_t"], history)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"{path} is not a run checkpoint: {e!r}") from None
+    # compared as JSON text, so 3.0 or true where a run writes 3 or 1 differs as well
+    same = json.dumps(saved, sort_keys=True) == json.dumps(config, sort_keys=True)
+    if not same or min(saved["epochs_done"], saved["adam_t"], *in_dims.values()) < 0:
+        raise FormatError(f"{path} is not a run checkpoint: its config is not one a run writes")
+    return tensors, saved, cfg, in_dims, history
+
+
+def load_model(path):
+    """Rebuild an AlignmentModel (float32 masters) from a run checkpoint."""
+    tensors, config, cfg, in_dims, _ = _read_run_checkpoint(path)
     model = _new_model(in_dims, cfg)
     assign_named(named_tensors(model), tensors)
     return model, cfg, config
@@ -328,23 +347,21 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
     adam = init_adam(params)
 
     if resume is not None:
-        tensors, config = ckpt.load_checkpoint(resume)
-        saved, now = TrainConfig.from_dict(config["train_config"]).to_dict(), cfg.to_dict()
+        tensors, config, _, _, history = _read_run_checkpoint(resume)
+        saved, now = config["train_config"], cfg.to_dict()
         differing = sorted(k for k in now if k != "epochs" and saved[k] != now[k])
         if differing:
             raise ConfigMismatch(
                 f"resume checkpoint was produced with a different config: {', '.join(differing)}"
             )
         assign_named(_state_items(model, adam), tensors)
-        adam.t = int(config["adam_t"])
-        start_epoch = int(config["epochs_done"])
+        adam.t = config["adam_t"]
+        start_epoch = config["epochs_done"]
         if cfg.epochs <= start_epoch:
             raise ConfigMismatch(
                 f"resume checkpoint has epochs_done={start_epoch}; epochs={cfg.epochs} "
                 "leaves nothing to train"
             )
-        for m in MODALITY_ORDER:
-            history.buffers[m][:] = [float(x) for x in config["sched_history"][m.short]]
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -412,15 +429,8 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
             step += 1
         log_alignment(epoch + 1, epoch_losses)
         if out_dir is not None:
-            save_model_checkpoint(
-                Path(out_dir) / f"epoch-{epoch:04d}.ckpt",
-                model,
-                cfg,
-                in_dims,
-                epoch + 1,
-                adam,
-                history,
-            )
+            save_model_checkpoint(out_dir / f"epoch-{epoch:04d}.ckpt", model, cfg, in_dims,
+                                  epoch + 1, adam, history)
 
     result = TrainResult(model=model, records=records, timings=timings)
     if out_dir is not None:
@@ -450,6 +460,7 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
     head learns, with Adam on unweighted cross-entropy. Returns one
     (head, metrics dict) pair per fold, metrics computed on the test fold.
     """
+    # imported at call time so perfbench's tracer, which wraps these names, sees each call
     from .evaluation import auprc, auroc, classification_metrics
 
     f_s, _ = project(model.projectors[Modality.SMILES], smiles_table.rows, "eval")

@@ -16,6 +16,7 @@ from gramalign import gradcheck
 from gramalign.checkpoint import load_checkpoint, save_checkpoint
 from gramalign.cli import main
 from gramalign.data import load_embedding_table
+from gramalign.evaluation import RECALL_KS
 from gramalign.modality import MODALITY_ORDER, Modality
 
 
@@ -283,6 +284,97 @@ def test_bad_manifest_exits_with_one_line(tmp_path, synth_dir, edit, code, messa
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
 
 
+def _foreign_checkpoint(tmp_path, pretrained):
+    """A valid GCKPT1 file that no training run wrote."""
+    path = tmp_path / "foreign.ckpt"
+    save_checkpoint(path, {"x": np.ones((2, 2), dtype=np.float32)}, {"k": 1})
+    return path, f"{path} is not a run checkpoint: KeyError('train_config')"
+
+
+def _epochs_done_not_int(tmp_path, pretrained):
+    tensors, config = load_checkpoint(pretrained / "epoch-0000.ckpt")
+    path = tmp_path / "epochs-x.ckpt"
+    save_checkpoint(path, tensors, {**config, "epochs_done": "x"})
+    return path, f"{path} is not a run checkpoint: ValueError("
+
+
+def _raw_header(header):
+    def build(tmp_path, pretrained):
+        path = tmp_path / "header.ckpt"
+        path.write_bytes(b"GCKPT1\n" + header + b"\n\x00")
+        return path, "header from byte 7 is not UTF-8 JSON holding config and tensors: "
+    return build
+
+
+def _retrieve(build):
+    def argv(tmp_path, synth_dir, pretrained):
+        path, message = build(tmp_path, pretrained)
+        return ["retrieve", "--checkpoint", path, "--data", synth_dir], message
+    return argv
+
+
+def _resume(build):
+    def argv(tmp_path, synth_dir, pretrained):
+        path, message = build(tmp_path, pretrained)
+        return ["pretrain", "--data", synth_dir, "--resume", path, *PRETRAINED_FLAGS], message
+    return argv
+
+
+def _pretrain_on_copy(edit):
+    """Pretrain on a copy of the synth data whose files ``edit`` rewrites."""
+    def argv(tmp_path, synth_dir, pretrained):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        return ["pretrain", "--data", data, *PRETRAINED_FLAGS], edit(data)
+    return argv
+
+
+def _text_id_not_utf8(data):
+    path = data / "text.gemb"
+    ids = load_embedding_table(path).ids
+    blob = bytearray(path.read_bytes())
+    offset = len(blob) - len(ids[-1].encode())
+    blob[offset] = 0xFF  # the first byte of the last row's id
+    path.write_bytes(bytes(blob))
+    return f"row {len(ids) - 1} id is not UTF-8 at byte offset {offset}"
+
+
+def _manifest_not_utf8(data):
+    path = data / "manifest.tsv"
+    blob = path.read_bytes()
+    offset = blob.index(b"\n") + 1  # the first byte of line 2
+    path.write_bytes(blob[:offset] + b"\xff" + blob[offset:])
+    return f"manifest is not UTF-8 at byte offset {offset}"
+
+
+BAD_FILES = [
+    _retrieve(_foreign_checkpoint),
+    _resume(_foreign_checkpoint),
+    _resume(_epochs_done_not_int),
+    _retrieve(_raw_header(b'{"version":1,"config":{},"tensors":{},"n\xffte":0}')),
+    _retrieve(_raw_header(b'{"version":1,')),
+    _retrieve(_raw_header(b'{"version":1,"config":{}}')),
+    _pretrain_on_copy(_text_id_not_utf8),
+    _pretrain_on_copy(_manifest_not_utf8),
+]
+
+
+@pytest.mark.parametrize("build", BAD_FILES,
+                         ids=["retrieve-foreign-checkpoint", "resume-foreign-checkpoint",
+                              "resume-epochs-done-not-int", "header-not-utf8", "header-not-json",
+                              "header-without-tensors", "gemb-id-not-utf8", "manifest-not-utf8"])
+def test_bad_file_exits_1_with_one_line(tmp_path, synth_dir, pretrained, build):
+    """A file that is not what its flag names is a data error: exit 1, one line naming the fault."""
+    argv, message = build(tmp_path, synth_dir, pretrained)
+    out = tmp_path / "out"
+    proc = _cli_in_subprocess(*argv, "--out", out)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+    assert not out.exists()
+
+
 class TestGradcheckCommand:
     def test_quick_mode_passes(self, capsys):
         assert run("gradcheck", "--seed", "1", "--trials", "1") == 0
@@ -351,6 +443,14 @@ class TestRetrieveDtiExport:
         csv_lines = (out / "retrieval.csv").read_text().splitlines()
         assert csv_lines[0] == "direction,r1,r10,r100"
         assert len(csv_lines) == 3
+
+    def test_retrieve_columns_follow_recall_ks(self, tmp_path, pretrained, synth_dir):
+        out = tmp_path / "ret"
+        assert run("retrieve", "--checkpoint", str(pretrained / "final.ckpt"),
+                   "--data", str(synth_dir), "--out", str(out), "--csv") == 0
+        columns = ["direction", *(f"r{k}" for k in RECALL_KS)]
+        assert [list(r) for r in json.loads((out / "retrieval.json").read_text())] == [columns] * 2
+        assert (out / "retrieval.csv").read_text().splitlines()[0].split(",") == columns
 
     def test_csv_cells_match_json_rows(self, tmp_path, pretrained, synth_dir):
         """Each CSV cell equals its JSON value: strings verbatim, numbers by value.
