@@ -3,8 +3,9 @@
 Layout: ASCII line "GCKPT1\\n", then a UTF-8 JSON object
 {"version", "config", "tensors": {name: [offset, rows, cols]}} terminated by
 "\\n\\0", then concatenated 32-bit little-endian float payloads in directory
-order. Offsets are bytes from the start of the payload section. Vectors are
-stored as (1, n).
+order. Offsets are bytes from the start of the payload section: each is the
+sum of the payload sizes before it, and the last payload ends the file.
+Vectors are stored as (1, n).
 """
 
 import json
@@ -40,9 +41,8 @@ def save_checkpoint(path, tensors: dict, config: dict) -> None:
         if arr.ndim != 2:
             raise ValueError(f"tensor {name!r} must be 1-d or 2-d, got shape {arr.shape}")
         directory[name] = [offset, int(arr.shape[0]), int(arr.shape[1])]
-        raw = np.ascontiguousarray(arr).tobytes()
-        payloads.append(raw)
-        offset += len(raw)
+        payloads.append(np.ascontiguousarray(arr))  # written as a buffer, never copied to bytes
+        offset += arr.nbytes
     header = {"version": VERSION, "config": config, "tensors": directory}
     blob = MAGIC + json.dumps(header, separators=(",", ":")).encode("utf-8") + TERMINATOR
     path = Path(path)
@@ -50,8 +50,8 @@ def save_checkpoint(path, tensors: dict, config: dict) -> None:
     try:
         with open(tmp, "wb") as fh:
             fh.write(blob)
-            for raw in payloads:
-                fh.write(raw)
+            for arr in payloads:
+                fh.write(arr)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -75,7 +75,13 @@ def load_checkpoint(path):
         ) from None
     base = end + len(TERMINATOR)
     tensors = {}
-    for name, (offset, rows, cols) in directory:
+    offset = 0  # payloads are packed in directory order
+    for name, entry in directory:
+        if not (isinstance(entry, list) and len(entry) == 3 and entry[0] == offset
+                and all(type(v) is int and v >= 0 for v in entry)):
+            raise FormatError(f"tensor {name!r}: directory entry {entry!r} is not "
+                              f"[{offset}, rows, cols] with non-negative int rows and cols")
+        _, rows, cols = entry
         start = base + offset
         count = rows * cols
         if len(blob) < start + 4 * count:
@@ -85,4 +91,7 @@ def load_checkpoint(path):
             )
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start).reshape(rows, cols)
         tensors[name] = arr.copy()
+        offset += 4 * count
+    if len(blob) > base + offset:
+        raise FormatError(f"{len(blob) - base - offset} trailing bytes after the last payload")
     return tensors, config

@@ -106,8 +106,9 @@ def cmd_synth(args) -> int:
         dims = ()
     if len(dims) != 4 or min(dims) < 2:
         return _flag_error(f"--dims needs 4 comma-separated integers >= 2, got {args.dims!r}")
-    if args.n < 4 or args.noise < 0:
-        return _flag_error(f"--n must be >= 4 and --noise >= 0 (got n={args.n}, noise={args.noise})")
+    if args.n < 4 or not 0 <= args.noise < np.inf or args.seed < 0:
+        return _flag_error(f"--n must be >= 4, --noise finite and >= 0, and --seed >= 0 "
+                           f"(got n={args.n}, noise={args.noise}, seed={args.seed})")
     tables, quads = synth_quadruplets(args.n, dims, args.noise, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -275,17 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="JSON file mirroring TrainConfig fields")
     p.add_argument("--resume", default=None, help="epoch checkpoint to continue from")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--lambda-vol", type=float, default=None)
-    p.add_argument("--lambda-bi", type=float, default=None)
-    p.add_argument("--lambda-ic50", type=float, default=None)
-    p.add_argument("--shared-dim", type=int, default=None)
-    p.add_argument("--proj-hidden", type=int, default=None)
-    p.add_argument("--label-smoothing", type=float, default=None)
+    for name in ("seed", "epochs", "batch_size", "lr", "tau", "lambda_vol", "lambda_bi",
+                 "lambda_ic50", "shared_dim", "proj_hidden", "label_smoothing"):
+        field_type = TrainConfig.__dataclass_fields__[name].type
+        p.add_argument("--" + name.replace("_", "-"), type=field_type, default=None)
     p.add_argument("--p-drop", type=float, default=None)
     p.set_defaults(func=cmd_pretrain)
 

@@ -268,17 +268,16 @@ def discretize_ic50(value_um: float) -> int:
 
 def class_weights(labels) -> ClassWeights:
     """Inverse-frequency weights w_c = N_total / (C * N_c) over the C = NUM_IC50_CLASSES classes."""
-    counts = [0] * NUM_IC50_CLASSES
-    for y in labels:
-        if not 0 <= int(y) < NUM_IC50_CLASSES:
-            raise EmptyClass(f"label {y} outside 0..{NUM_IC50_CLASSES - 1}")
-        counts[int(y)] += 1
-    for c, n_c in enumerate(counts):
-        if n_c == 0:
-            raise EmptyClass(f"class {c} has no samples")
-    total = sum(counts)
-    weights = np.array([total / (NUM_IC50_CLASSES * n_c) for n_c in counts], dtype=np.float64)
-    return ClassWeights(counts=tuple(counts), total=total, weights=weights)
+    labels = np.fromiter(labels, dtype=np.int64)
+    outside = labels[(labels < 0) | (labels >= NUM_IC50_CLASSES)]
+    if outside.size:
+        raise EmptyClass(f"label {outside[0]} outside 0..{NUM_IC50_CLASSES - 1}")
+    counts = np.bincount(labels, minlength=NUM_IC50_CLASSES)
+    if not counts.all():
+        raise EmptyClass(f"class {np.argmin(counts)} has no samples")
+    total = int(counts.sum())
+    return ClassWeights(counts=tuple(counts.tolist()), total=total,
+                        weights=total / (NUM_IC50_CLASSES * counts))
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +337,13 @@ def make_split(positives, kind: SplitKind, folds: int, seed: int, drugs=None, pr
     interaction); otherwise the entities appearing in positives.
     """
     positives = list(dict.fromkeys(tuple(p) for p in positives))
-    drugs = sorted({d for d, _ in positives} if drugs is None else set(drugs))
-    proteins = sorted({p for _, p in positives} if proteins is None else set(proteins))
     known_d = {d for d, _ in positives}
     known_p = {p for _, p in positives}
-    if not known_d <= set(drugs) or not known_p <= set(proteins):
+    drugs = known_d if drugs is None else set(drugs)
+    proteins = known_p if proteins is None else set(proteins)
+    if not known_d <= drugs or not known_p <= proteins:
         raise InsufficientEntities("positives reference entities outside the given universe")
+    drugs, proteins = sorted(drugs), sorted(proteins)
     if len(drugs) < 2 or len(proteins) < 2:
         raise InsufficientEntities("need at least 2 distinct drugs and proteins")
     if folds < 2:
@@ -429,8 +429,8 @@ def synth_quadruplets(n: int, dims, noise_sigma: float, seed: int):
         raise DimensionMismatch(f"need 4 modality dims, got {len(dims)}")
     if n < 4:
         raise InsufficientEntities(f"need n >= 4 quadruplets, got {n}")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    if not 0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
 
     latent_dim = min(8, min(dims))
     rng = substream(seed, "synth")

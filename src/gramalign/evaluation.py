@@ -59,6 +59,8 @@ def recall_at_k(scores, relevant, ks=RECALL_KS) -> dict:
     """
     scores = np.asarray(scores, dtype=np.float64)
     n_q, n_c = scores.shape
+    if n_q == 0:
+        raise NoRelevant("recall needs at least one query, got 0")
     if len(relevant) != n_q:
         raise NoRelevant(f"{len(relevant)} relevance sets for {n_q} queries")
     rel_sets = [frozenset(int(i) for i in r) for r in relevant]

@@ -56,9 +56,7 @@ def _rel_err(analytic, fd) -> float:
 def _fd_on_array(fn, arr, h=FD_STEP):
     """Central differences of scalar fn() with respect to every entry of arr."""
     g = np.zeros_like(arr, dtype=np.float64)
-    it = np.nditer(arr, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
+    for idx in np.ndindex(arr.shape):
         old = arr[idx]
         arr[idx] = old + h
         up = fn()
@@ -66,7 +64,6 @@ def _fd_on_array(fn, arr, h=FD_STEP):
         down = fn()
         arr[idx] = old
         g[idx] = (up - down) / (2.0 * h)
-        it.iternext()
     return g
 
 

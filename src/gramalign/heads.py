@@ -9,7 +9,7 @@ Inputs are ``(rows, dim)`` batches. Math runs in float64 regardless of
 parameter dtype; the trainer keeps float32 masters and upcasts per step.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -17,6 +17,7 @@ from scipy.special import erf
 from .data import NUM_IC50_CLASSES
 from .errors import DimensionMismatch, MissingTensor, ShapeMismatch, TapeMismatch, ZeroVector
 from .modality import MODALITY_ORDER, Modality
+from .seeding import substream
 
 LN_EPS = 1e-5
 NORM_EPS = 1e-12
@@ -68,7 +69,7 @@ class ForwardTape:
 
     params: MlpParams
     out_shape: tuple
-    stages: list = field(default_factory=list)
+    stages: list
     # set only for projection heads (final L2 normalization)
     unit_out: np.ndarray | None = None
     prenorm_norms: np.ndarray | None = None
@@ -154,7 +155,7 @@ def mlp_forward(params: MlpParams, x, mode="eval", rng=None):
     in_dim = params.specs[0].in_dim
     if h.ndim != 2 or h.shape[1] != in_dim:
         raise DimensionMismatch(f"expected input dim {in_dim}, got shape {h.shape}")
-    tape = ForwardTape(params=params, out_shape=())
+    stages = []
     for spec, layer in zip(params.specs, params.layers):
         cache = {"x": h}
         h = h @ np.asarray(layer.w, dtype=np.float64) + np.asarray(layer.b, dtype=np.float64)
@@ -175,17 +176,26 @@ def mlp_forward(params: MlpParams, x, mode="eval", rng=None):
             mask = rng.random(h.shape) >= spec.dropout
             cache["mask"] = mask
             h = h * mask / (1.0 - spec.dropout)
-        tape.stages.append(cache)
-    tape.out_shape = h.shape
-    return h, tape
+        stages.append(cache)
+    return h, ForwardTape(params=params, out_shape=h.shape, stages=stages)
 
 
-def mlp_backward(tape: ForwardTape, gy):
-    params = tape.params
-    gy = np.asarray(gy, dtype=np.float64)
+def backward(tape: ForwardTape, upstream_grad):
+    """Exact parameter and input gradients for one recorded forward call.
+
+    For projection heads the upstream gradient is taken with respect to the
+    unit-normalized output and is chained through the normalization Jacobian
+    (I/||u|| - u u^T/||u||^3) before the MLP stages.
+    """
+    gy = np.asarray(upstream_grad, dtype=np.float64)
+    if gy.shape != tape.out_shape:
+        raise TapeMismatch(f"upstream grad shape {gy.shape} != forward output {tape.out_shape}")
+    if tape.unit_out is not None:
+        u, norms = tape.unit_out, tape.prenorm_norms
+        gy = (gy - u * (u * gy).sum(axis=1, keepdims=True)) / norms
     grads = []
     for spec, layer, cache in zip(
-        reversed(params.specs), reversed(params.layers), reversed(tape.stages)
+        reversed(tape.params.specs), reversed(tape.params.layers), reversed(tape.stages)
     ):
         if "mask" in cache:
             gy = gy * cache["mask"] / (1.0 - spec.dropout)
@@ -240,30 +250,12 @@ def dti_forward(head: Head, f_s, f_p, mode="eval", rng=None):
     return mlp_forward(head.params, fused, mode, rng)
 
 
-def backward(tape: ForwardTape, upstream_grad):
-    """Exact parameter and input gradients for one recorded forward call.
-
-    For projection heads the upstream gradient is taken with respect to the
-    unit-normalized output and is chained through the normalization Jacobian
-    (I/||u|| - u u^T/||u||^3) before the MLP stages.
-    """
-    gy = np.asarray(upstream_grad, dtype=np.float64)
-    if gy.shape != tape.out_shape:
-        raise TapeMismatch(f"upstream grad shape {gy.shape} != forward output {tape.out_shape}")
-    if tape.unit_out is not None:
-        u, norms = tape.unit_out, tape.prenorm_norms
-        gy = (gy - u * (u * gy).sum(axis=1, keepdims=True)) / norms
-    return mlp_backward(tape, gy)
-
-
 # ---------------------------------------------------------------------------
 # model assembly and tensor naming
 # ---------------------------------------------------------------------------
 
 
 def build_model(in_dims: dict, shared_dim, proj_hidden, ic50_hidden, seed: int) -> AlignmentModel:
-    from .seeding import substream
-
     projectors = {}
     for m in MODALITY_ORDER:
         child = int(substream(seed, "init", m.short).integers(2**63))

@@ -5,7 +5,7 @@ exponential decay, and decides per step whether to drop one modality from
 the volume loss and which of the remaining ones anchors the negatives.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -30,6 +30,14 @@ class SchedulerConfig:
             raise ValueError("decay must lie in (0, 1)")
         if self.sigma_multiplier <= 0.0:
             raise ValueError("sigma_multiplier must be positive")
+        check_finite_fields(self)
+
+
+def check_finite_fields(config) -> None:
+    """Raise ValueError naming the first float field of dataclass ``config`` that is not finite."""
+    for f in fields(config):
+        if f.type is float and not np.isfinite(getattr(config, f.name)):
+            raise ValueError(f"{f.name} must be finite, got {getattr(config, f.name)}")
 
 
 class Branch(Enum):

@@ -36,9 +36,10 @@ from .heads import (
     project,
 )
 from .kernels import tuple_volumes
-from .losses import Batch, LossOut, clip_bimodal, ic50_loss, total_loss, volume_contrastive
+from .losses import (DEFAULT_SMOOTHING, DEFAULT_TAU, Batch, clip_bimodal, ic50_loss, total_loss,
+                     volume_contrastive)
 from .modality import MODALITY_ORDER, Modality
-from .scheduler import SchedulerConfig, decide, make_history, record, smoothed
+from .scheduler import SchedulerConfig, check_finite_fields, decide, make_history, record, smoothed
 from .seeding import substream
 
 ADAM_BETA1 = 0.9
@@ -53,12 +54,12 @@ class TrainConfig:
     lr: float = 1e-4
     batch_size: int = 1280
     epochs: int = 40
-    tau: float = 0.07
+    tau: float = DEFAULT_TAU
     lambda_vol: float = 1.0
     lambda_bi: float = 1.0
     lambda_ic50: float = 1.0
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    label_smoothing: float = 0.1
+    label_smoothing: float = DEFAULT_SMOOTHING
     seed: int = 0
     shared_dim: int = 512
     proj_hidden: int = 768
@@ -84,6 +85,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.dti_epochs < 0 or not self.dti_lr > 0:
             raise ValueError("dti_epochs must be >= 0 and dti_lr positive")
+        check_finite_fields(self)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -167,7 +169,7 @@ def _batch_from_rows(tables, quads, rows):
     raw = {}
     for m in MODALITY_ORDER:
         idx = [quads[r].row_for(m) for r in rows]
-        raw[m] = tables[m].rows[idx].astype(np.float64)
+        raw[m] = tables[m].rows[idx]
     labels = np.array(
         [quads[r].ic50_class if quads[r].ic50_class is not None else -1 for r in rows]
     )
@@ -194,23 +196,14 @@ def train_step(model, raw, labels, mask, history, weights, cfg: TrainConfig, rng
 
     fused = np.concatenate([feats[m] for m in MODALITY_ORDER], axis=1)
     logits, ic50_tape = ic50_forward(model.ic50_head, fused, "train", rngs["dropout"])
-    ic50_raw = ic50_loss(batch, logits, weights, cfg.label_smoothing)
-    _require_finite("ic50", ic50_raw.value)
-    head_grads, dfused = backward(ic50_tape, ic50_raw.logit_grad)
-    d = model.shared_dim
-    ic50_comp = LossOut(
-        value=ic50_raw.value,
-        grads={m: dfused[:, i * d : (i + 1) * d] for i, m in enumerate(MODALITY_ORDER)},
-        diagnostics=ic50_raw.diagnostics,
-    )
+    ic50 = ic50_loss(batch, logits, weights, cfg.label_smoothing)
+    _require_finite("ic50", ic50.value)
+    head_grads, dfused = backward(ic50_tape, ic50.logit_grad)
+    ic50.grads = dict(zip(MODALITY_ORDER, np.split(dfused, 4, axis=1)))
 
     # modality importance comes from the bimodal + IC50 objectives only
     norms = [
-        float(
-            np.linalg.norm(
-                cfg.lambda_bi * bi.grads[m] + cfg.lambda_ic50 * ic50_comp.grads[m]
-            )
-        )
+        float(np.linalg.norm(cfg.lambda_bi * bi.grads[m] + cfg.lambda_ic50 * ic50.grads[m]))
         for m in MODALITY_ORDER
     ]
     record(history, norms)
@@ -221,7 +214,7 @@ def train_step(model, raw, labels, mask, history, weights, cfg: TrainConfig, rng
     vol = volume_contrastive(batch, decision.anchor, active, cfg.tau)
     _require_finite("volume", vol.value)
 
-    total = total_loss(vol, bi, ic50_comp, cfg.lambda_vol, cfg.lambda_bi, cfg.lambda_ic50)
+    total = total_loss(vol, bi, ic50, cfg.lambda_vol, cfg.lambda_bi, cfg.lambda_ic50)
     _require_finite("total", total.value)
 
     grads = {}

@@ -185,6 +185,14 @@ BAD_CONFIGS = [
     (["synth", "--n", "8", "--dims", "-1,4,4,4"], "argument --dims: expected one argument"),
     (["frobnicate"], "gramalign: error: argument command: invalid choice: 'frobnicate'"),
     (["synth"], "the following arguments are required: --n"),
+    (["--lr", "inf"], "lr must be finite, got inf"),
+    (["--tau", "inf"], "tau must be finite, got inf"),
+    (["--lambda-bi", "inf"], "lambda_bi must be finite, got inf"),
+    ({"dti_lr": float("inf")}, "dti_lr must be finite, got inf"),
+    ({"scheduler": {"sigma_multiplier": float("inf")}}, "sigma_multiplier must be finite, got inf"),
+    (["synth", "--n", "8", "--seed", "-1"], "seed=-1"),
+    (["synth", "--n", "8", "--noise", "nan"], "noise=nan"),
+    (["synth", "--n", "8", "--noise", "inf"], "noise=inf"),
 ]
 
 
@@ -196,7 +204,8 @@ BAD_CONFIGS = [
          "label-smoothing", "lambda-vol", "lambda-bi", "lambda-ic50", "dti-epochs", "dti-lr",
          "resume-config-mismatch", "dti-epochs-flag", "dti-seed-flag", "tau-nan",
          "resume-nothing-to-train", "dti-folds-flag", "synth-n-not-int", "synth-dims-dash",
-         "unknown-command", "synth-missing-n"],
+         "unknown-command", "synth-missing-n", "lr-inf", "tau-inf", "lambda-bi-inf", "dti-lr-inf",
+         "scheduler-sigma-inf", "synth-seed-negative", "synth-noise-nan", "synth-noise-inf"],
 )
 def test_bad_config_exits_2_with_one_line(tmp_path, synth_dir, pretrained, flags, message):
     """Out-of-range values are flag errors: exit 2, one stderr line, no traceback.
@@ -347,6 +356,31 @@ def _manifest_not_utf8(data):
     return f"manifest is not UTF-8 at byte offset {offset}"
 
 
+def _retrieve_on_copy(edit):
+    """Retrieve with the pretrained model on a copy of the synth data that ``edit`` rewrites."""
+    def argv(tmp_path, synth_dir, pretrained):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        return ["retrieve", "--checkpoint", pretrained / "final.ckpt", "--data", data], edit(data)
+    return argv
+
+
+def _manifest_without_rows(data):
+    path = data / "manifest.tsv"
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+    return "recall needs at least one query, got 0"
+
+
+def _raw_checkpoint(directory, payload_bytes, message):
+    """A GCKPT1 file with a hand-written tensor directory and ``payload_bytes`` of zeros."""
+    def build(tmp_path, pretrained):
+        path = tmp_path / "raw.ckpt"
+        header = json.dumps({"version": 1, "config": {}, "tensors": directory}).encode()
+        path.write_bytes(b"GCKPT1\n" + header + b"\n\x00" + bytes(payload_bytes))
+        return path, message
+    return build
+
+
 BAD_FILES = [
     _retrieve(_foreign_checkpoint),
     _resume(_foreign_checkpoint),
@@ -356,13 +390,23 @@ BAD_FILES = [
     _retrieve(_raw_header(b'{"version":1,"config":{}}')),
     _pretrain_on_copy(_text_id_not_utf8),
     _pretrain_on_copy(_manifest_not_utf8),
+    _retrieve_on_copy(_manifest_without_rows),
+    _retrieve(_raw_checkpoint({"x": [0, -1, 2]}, 16, "tensor 'x': directory entry [0, -1, 2] is")),
+    _retrieve(_raw_checkpoint({"x": "abc"}, 0, "tensor 'x': directory entry 'abc' is")),
+    _retrieve(_raw_checkpoint({"x": [0, 1]}, 4, "tensor 'x': directory entry [0, 1] is")),
+    _retrieve(_raw_checkpoint({"x": [0, 1, 1], "y": [8, 1, 1]}, 12,
+                              "tensor 'y': directory entry [8, 1, 1] is not [4, rows, cols]")),
+    _retrieve(_raw_checkpoint({"x": [0, 1, 1]}, 8, "4 trailing bytes after the last payload")),
 ]
 
 
 @pytest.mark.parametrize("build", BAD_FILES,
                          ids=["retrieve-foreign-checkpoint", "resume-foreign-checkpoint",
                               "resume-epochs-done-not-int", "header-not-utf8", "header-not-json",
-                              "header-without-tensors", "gemb-id-not-utf8", "manifest-not-utf8"])
+                              "header-without-tensors", "gemb-id-not-utf8", "manifest-not-utf8",
+                              "retrieve-empty-manifest", "ckpt-entry-negative",
+                              "ckpt-entry-not-list", "ckpt-entry-short", "ckpt-offset-gap",
+                              "ckpt-trailing-bytes"])
 def test_bad_file_exits_1_with_one_line(tmp_path, synth_dir, pretrained, build):
     """A file that is not what its flag names is a data error: exit 1, one line naming the fault."""
     argv, message = build(tmp_path, synth_dir, pretrained)

@@ -1,0 +1,70 @@
+"""Run the desk CLI walkthrough against one source tree and keep every output.
+
+Usage: python tools/walkthrough.py --src SRC OUT
+
+SRC is the directory holding the ``gramalign`` package (``src`` in a
+checkout). Each command runs in its own ``python -m gramalign.cli``
+subprocess with SRC first on PYTHONPATH. OUT receives the synthetic data,
+the training run, a run resumed from its tenth epoch, the retrieve, dti and
+export reports, and ``stdout/<step>.txt`` with each command's stdout, in
+which OUT is replaced by a fixed token. The wall-clock ``run.timing.jsonl``
+files are deleted, so two trees with the same behaviour give the same
+bytes: compare the OUT of each with ``diff -r``.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+OUT_TOKEN = "<OUT>"
+TRAIN_FLAGS = ["--epochs", "20", "--batch-size", "64", "--shared-dim", "16",
+               "--proj-hidden", "32", "--lr", "1e-3", "--seed", "3"]
+
+
+def steps(out):
+    """(name, argv) for each walkthrough command, in run order."""
+    data, run = out / "synth", out / "run"
+    ckpt = ["--checkpoint", run / "final.ckpt", "--data", data]
+    yield "synth", ["synth", "--out", data, "--n", "256", "--dims", "32,32,32,32",
+                    "--noise", "0.05", "--seed", "11"]
+    yield "pretrain", ["pretrain", "--data", data, "--out", run, *TRAIN_FLAGS]
+    yield "resume", ["pretrain", "--data", data, "--out", out / "resumed",
+                     "--resume", run / "epoch-0009.ckpt", *TRAIN_FLAGS]
+    yield "retrieve", ["retrieve", *ckpt, "--out", out / "retrieve", "--csv"]
+    for split in ("warm", "drug-cold", "target-cold"):
+        yield f"dti-{split}", ["dti", *ckpt, "--out", out / f"dti-{split}", "--split", split,
+                               "--folds", "3", "--epochs", "3", "--csv"]
+    yield "export", ["export", *ckpt, "--out", out / "export"]
+    yield "gradcheck", ["gradcheck", "--seed", "0", "--trials", "50"]
+    yield "pretrain-help", ["pretrain", "--help"]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, help="directory holding the gramalign package")
+    parser.add_argument("out", help="output directory; must not exist")
+    args = parser.parse_args(argv)
+    src, out = Path(args.src).resolve(), Path(args.out).resolve()
+    if not (src / "gramalign" / "__init__.py").is_file():
+        parser.error(f"no gramalign package in {src}")
+    if out.exists():
+        parser.error(f"{out} already exists")
+    (out / "stdout").mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    for name, cmd in steps(out):
+        proc = subprocess.run([sys.executable, "-m", "gramalign.cli", *map(str, cmd)],
+                              capture_output=True, text=True, env=env, cwd=out)
+        if proc.returncode != 0:
+            print(f"{name} exited {proc.returncode}:\n{proc.stderr}", file=sys.stderr)
+            return 1
+        (out / "stdout" / f"{name}.txt").write_text(proc.stdout.replace(str(out), OUT_TOKEN))
+    for timing in out.rglob("run.timing.jsonl"):
+        timing.unlink()
+    print(f"wrote {sum(1 for p in out.rglob('*') if p.is_file())} files to {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
