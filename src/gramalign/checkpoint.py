@@ -21,15 +21,31 @@ TERMINATOR = b"\n\x00"
 VERSION = 1
 
 
+def write_atomically(path, chunks) -> None:
+    """Write the bytes-like ``chunks`` in turn as the file ``path``, creating its directory.
+
+    The bytes go to a temporary file beside ``path`` that then replaces it, so
+    a failure or a killed process mid-write leaves either the old file or the
+    new one, never a torn one. (Not fsynced: durability is the filesystem's.)
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, tensors: dict, config: dict) -> None:
     """Write named float32 tensors plus a config echo, atomically.
 
     Insertion order of ``tensors`` defines the directory and payload order,
-    so identical inputs produce byte-identical files. The bytes go to a
-    temporary file in the target directory that then replaces ``path``, so a
-    failure or a killed process mid-write leaves either the old file or the
-    new one, never a torn one. (The data is not fsynced: durability across a
-    power loss is left to the filesystem.)
+    so identical inputs produce byte-identical files.
     """
     directory = {}
     payloads = []
@@ -45,17 +61,7 @@ def save_checkpoint(path, tensors: dict, config: dict) -> None:
         offset += arr.nbytes
     header = {"version": VERSION, "config": config, "tensors": directory}
     blob = MAGIC + json.dumps(header, separators=(",", ":")).encode("utf-8") + TERMINATOR
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-            for arr in payloads:
-                fh.write(arr)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomically(path, [blob, *payloads])
 
 
 def load_checkpoint(path):

@@ -11,6 +11,7 @@ identical flags give byte-identical outputs) into the output directory.
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .checkpoint import write_atomically
 from .data import (
     EmbeddingTable,
     SplitKind,
@@ -33,7 +35,7 @@ from .evaluation import run_retrieval
 from .gradcheck import run_gradcheck
 from .heads import project
 from .modality import MODALITY_ORDER, Modality
-from .trainer import TrainConfig, load_model, train, train_dti
+from .trainer import TrainConfig, load_model, require_table_dims, train, train_dti
 
 TABLE_FILES = {m: f"{m.short}.gemb" for m in MODALITY_ORDER}
 MANIFEST_FILE = "manifest.tsv"
@@ -41,7 +43,7 @@ DEFAULT_DIMS = "768,768,768,1280"
 
 
 def _write_json(path, obj):
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomically(path, [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
 def _echo_config(out, command, **fields):
@@ -57,11 +59,12 @@ def _write_report(out, stem, rows, with_csv):
     """
     _write_json(out / f"{stem}.json", rows)
     if with_csv:
-        with open(out / f"{stem}.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(rows[0])
-            for r in rows:
-                writer.writerow(v if isinstance(v, str) else repr(v) for v in r.values())
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(rows[0])
+        for r in rows:
+            writer.writerow(v if isinstance(v, str) else repr(v) for v in r.values())
+        write_atomically(out / f"{stem}.csv", [text.getvalue().encode("utf-8")])
 
 
 def _flag_error(message) -> int:
@@ -80,12 +83,7 @@ def _load_dataset(data_dir):
 def _load_fitting_dataset(model, data_dir):
     """The dataset, whose tables must fit the checkpoint model's projectors."""
     tables, quads = _load_dataset(data_dir)
-    for m in MODALITY_ORDER:
-        expected = model.projectors[m].in_dim
-        if tables[m].dim != expected:
-            raise DimensionMismatch(
-                f"{m.name} table dim {tables[m].dim} != checkpoint projector input {expected}"
-            )
+    require_table_dims(tables, {m: model.projectors[m].in_dim for m in MODALITY_ORDER})
     return tables, quads
 
 
@@ -111,7 +109,6 @@ def cmd_synth(args) -> int:
                            f"(got n={args.n}, noise={args.noise}, seed={args.seed})")
     tables, quads = synth_quadruplets(args.n, dims, args.noise, args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for m in MODALITY_ORDER:
         write_embedding_table(tables[m], out / TABLE_FILES[m])
     write_manifest(quads, tables, out / MANIFEST_FILE)
@@ -179,7 +176,6 @@ def cmd_retrieve(args) -> int:
         for r in results
     ]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_report(out, "retrieval", rows, args.csv)
     _echo_config(out, "retrieve", csv=bool(args.csv))
     for r in results:
@@ -215,7 +211,6 @@ def cmd_dti(args) -> int:
         for _, metrics in results
     ]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_report(out, "metrics", rows, args.csv)
     _echo_config(out, "dti", split=kind.value, folds=args.folds, seed=cfg.seed,
                  dti_epochs=cfg.dti_epochs, dataset=dataset_name)
@@ -231,7 +226,6 @@ def cmd_export(args) -> int:
     model, _, _ = load_model(args.checkpoint)
     tables, _ = _load_fitting_dataset(model, args.data)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for m in MODALITY_ORDER:
         projected, _ = project(model.projectors[m], tables[m].rows, "eval")
         table = EmbeddingTable(

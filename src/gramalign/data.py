@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import write_atomically
 from .errors import (
     BadMagic,
     DimensionMismatch,
@@ -139,17 +140,14 @@ class SplitFold:
 
 
 def write_embedding_table(table: EmbeddingTable, path) -> None:
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<B", int(table.modality))
-    buf += struct.pack("<II", table.rows.shape[0], table.rows.shape[1])
-    buf += np.ascontiguousarray(table.rows, dtype="<f4").tobytes()
+    header = MAGIC + struct.pack("<BII", int(table.modality), *table.rows.shape)
+    ids = bytearray()
     for entity_id in table.ids:
         raw = entity_id.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise FormatError(f"id too long to length-prefix: {len(raw)} bytes")
-        buf += struct.pack("<H", len(raw)) + raw
-    Path(path).write_bytes(bytes(buf))
+        ids += struct.pack("<H", len(raw)) + raw
+    write_atomically(path, [header, np.ascontiguousarray(table.rows, dtype="<f4"), ids])
 
 
 def load_embedding_table(path, modality: Modality | None = None) -> EmbeddingTable:
@@ -213,7 +211,7 @@ def write_manifest(quads, tables: dict, path) -> None:
         cells = [tables[m].ids[q.row_for(m)] for m in MODALITY_ORDER]
         cells.append("" if q.ic50_um is None else repr(float(q.ic50_um)))
         lines.append("\t".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomically(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def load_manifest(path, tables: dict):

@@ -5,6 +5,7 @@ exponential decay, and decides per step whether to drop one modality from
 the volume loss and which of the remaining ones anchors the negatives.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -22,6 +23,7 @@ class SchedulerConfig:
     sigma_multiplier: float = 1.5  # lambda_sigma
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 <= self.p_drop <= 1.0:
             raise ValueError(f"p_drop must lie in [0, 1], got {self.p_drop}")
         if self.history_len < 1:
@@ -30,14 +32,29 @@ class SchedulerConfig:
             raise ValueError("decay must lie in (0, 1)")
         if self.sigma_multiplier <= 0.0:
             raise ValueError("sigma_multiplier must be positive")
-        check_finite_fields(self)
 
 
-def check_finite_fields(config) -> None:
-    """Raise ValueError naming the first float field of dataclass ``config`` that is not finite."""
+def check_field_types(config) -> None:
+    """Raise naming the first int or float field of dataclass ``config`` holding a bad value.
+
+    An int field takes only an int (TypeError otherwise). A float field takes
+    an int or a float (TypeError otherwise) that is finite (ValueError
+    otherwise); an int beyond float range is not finite. Neither takes a bool.
+    """
     for f in fields(config):
-        if f.type is float and not np.isfinite(getattr(config, f.name)):
-            raise ValueError(f"{f.name} must be finite, got {getattr(config, f.name)}")
+        if f.type not in (int, float):
+            continue
+        value = getattr(config, f.name)
+        if isinstance(value, bool) or not isinstance(value, (int, f.type)):
+            raise TypeError(f"{f.name} must be {'a float' if f.type is float else 'an int'}, "
+                            f"got {value!r}")
+        if f.type is float:
+            try:
+                number = float(value)
+            except OverflowError:  # an int beyond float range
+                number = math.inf if value > 0 else -math.inf
+            if not math.isfinite(number):
+                raise ValueError(f"{f.name} must be finite, got {number}")
 
 
 class Branch(Enum):

@@ -20,8 +20,8 @@ from scipy.special import softmax
 
 from . import checkpoint as ckpt
 from .data import NUM_IC50_CLASSES, class_weights
-from .errors import (ConfigMismatch, EmptyClass, EmptyDataset, FormatError, NonFiniteLoss,
-                     ShapeMismatch)
+from .errors import (ConfigMismatch, DimensionMismatch, EmptyClass, EmptyDataset, FormatError,
+                     NonFiniteLoss, ShapeMismatch)
 from .heads import (
     AlignmentModel,
     assign_named,
@@ -39,7 +39,7 @@ from .kernels import tuple_volumes
 from .losses import (DEFAULT_SMOOTHING, DEFAULT_TAU, Batch, clip_bimodal, ic50_loss, total_loss,
                      volume_contrastive)
 from .modality import MODALITY_ORDER, Modality
-from .scheduler import SchedulerConfig, check_finite_fields, decide, make_history, record, smoothed
+from .scheduler import SchedulerConfig, check_field_types, decide, make_history, record, smoothed
 from .seeding import substream
 
 ADAM_BETA1 = 0.9
@@ -68,6 +68,7 @@ class TrainConfig:
     dti_lr: float = 1e-3
 
     def __post_init__(self):
+        check_field_types(self)
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
         if self.epochs < 0 or not (self.lr > 0 and self.tau > 0):
@@ -85,7 +86,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.dti_epochs < 0 or not self.dti_lr > 0:
             raise ValueError("dti_epochs must be >= 0 and dti_lr positive")
-        check_finite_fields(self)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -308,6 +308,15 @@ def _read_run_checkpoint(path):
     return tensors, saved, cfg, in_dims, history
 
 
+def require_table_dims(tables, in_dims) -> None:
+    """Raise DimensionMismatch unless each table is as wide as its projector's ``in_dims``."""
+    for m in MODALITY_ORDER:
+        if tables[m].dim != in_dims[m]:
+            raise DimensionMismatch(
+                f"{m.name} table dim {tables[m].dim} != checkpoint projector input {in_dims[m]}"
+            )
+
+
 def load_model(path):
     """Rebuild an AlignmentModel (float32 masters) from a run checkpoint."""
     tensors, config, cfg, in_dims, _ = _read_run_checkpoint(path)
@@ -340,7 +349,8 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
     adam = init_adam(params)
 
     if resume is not None:
-        tensors, config, _, _, history = _read_run_checkpoint(resume)
+        tensors, config, _, saved_dims, history = _read_run_checkpoint(resume)
+        require_table_dims(tables, saved_dims)
         saved, now = config["train_config"], cfg.to_dict()
         differing = sorted(k for k in now if k != "epochs" and saved[k] != now[k])
         if differing:
@@ -355,9 +365,7 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
                 f"resume checkpoint has epochs_done={start_epoch}; epochs={cfg.epochs} "
                 "leaves nothing to train"
             )
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = None if out_dir is None else Path(out_dir)
 
     weights = _dataset_weights(quads)
     records, timings = [], []
@@ -436,9 +444,8 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
 
 
 def write_jsonl(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+    lines = "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in records)
+    ckpt.write_atomically(path, [lines.encode("utf-8")])
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,12 @@ BAD_CONFIGS = [
     (["synth", "--n", "8", "--seed", "-1"], "seed=-1"),
     (["synth", "--n", "8", "--noise", "nan"], "noise=nan"),
     (["synth", "--n", "8", "--noise", "inf"], "noise=inf"),
+    ({"batch_size": 64.5}, "batch_size must be an int, got 64.5"),
+    ({"epochs": True}, "epochs must be an int, got True"),
+    ({"seed": 2.5}, "seed must be an int, got 2.5"),
+    ({"scheduler": {"history_len": 2.5}}, "history_len must be an int, got 2.5"),
+    ({"lambda_vol": True}, "lambda_vol must be a float, got True"),
+    ({"lr": 10**400}, "lr must be finite"),
 ]
 
 
@@ -205,7 +211,9 @@ BAD_CONFIGS = [
          "resume-config-mismatch", "dti-epochs-flag", "dti-seed-flag", "tau-nan",
          "resume-nothing-to-train", "dti-folds-flag", "synth-n-not-int", "synth-dims-dash",
          "unknown-command", "synth-missing-n", "lr-inf", "tau-inf", "lambda-bi-inf", "dti-lr-inf",
-         "scheduler-sigma-inf", "synth-seed-negative", "synth-noise-nan", "synth-noise-inf"],
+         "scheduler-sigma-inf", "synth-seed-negative", "synth-noise-nan", "synth-noise-inf",
+         "batch-size-float", "epochs-bool", "seed-float", "scheduler-history-len-float",
+         "lambda-vol-bool", "lr-int-beyond-float"],
 )
 def test_bad_config_exits_2_with_one_line(tmp_path, synth_dir, pretrained, flags, message):
     """Out-of-range values are flag errors: exit 2, one stderr line, no traceback.
@@ -256,6 +264,21 @@ def test_resume_with_wrong_size_moment_exits_1_with_one_line(tmp_path, synth_dir
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: tensor '{name}': checkpoint (3, 12)")
+
+
+def test_resume_on_data_of_another_width_exits_6_with_one_line(tmp_path, pretrained):
+    """Resuming on tables the checkpoint's projectors do not fit fails like ``retrieve`` does."""
+    wide = tmp_path / "wide"
+    assert run("synth", "--out", str(wide), "--n", "48", "--dims", "24,12,12,16",
+               "--seed", "5") == 0
+    out = tmp_path / "out"
+    proc = _cli_in_subprocess("pretrain", "--data", wide, "--out", out,
+                              "--resume", pretrained / "epoch-0000.ckpt", *PRETRAINED_FLAGS)
+    assert proc.returncode == 6
+    assert proc.stderr.splitlines() == [
+        "dimension mismatch: SMILES table dim 24 != checkpoint projector input 12"
+    ]
+    assert not out.exists()
 
 
 def _replace_cell(line_no, column, value):

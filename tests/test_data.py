@@ -105,6 +105,19 @@ class TestGemb1:
         with pytest.raises(FormatError):
             load_embedding_table(path)
 
+    def test_write_makes_no_copy_of_the_rows(self, tmp_path):
+        """A paper-width table goes to its file without a staging copy of its payload."""
+        rows = np.ones((4000, 1280), dtype=np.float32)  # 20.5 MB
+        table = EmbeddingTable(Modality.PROTEIN, [f"p{i}" for i in range(len(rows))], rows)
+        tracemalloc.start()
+        try:
+            write_embedding_table(table, tmp_path / "p.gemb")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes / 4
+        assert load_embedding_table(tmp_path / "p.gemb").rows.tobytes() == rows.tobytes()
+
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
