@@ -121,12 +121,13 @@ def _resolve_train_config(args) -> TrainConfig:
     base = {}
     if args.config:
         base = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    # each pretrain flag's dest is the TrainConfig field it overrides
-    for key, value in vars(args).items():
-        if key in TrainConfig.__dataclass_fields__ and value is not None:
-            base[key] = value
-    if args.p_drop is not None:
-        base.setdefault("scheduler", {})["p_drop"] = args.p_drop
+    if isinstance(base, dict):  # from_dict names any other JSON value
+        # each pretrain flag's dest is the TrainConfig field it overrides
+        for key, value in vars(args).items():
+            if key in TrainConfig.__dataclass_fields__ and value is not None:
+                base[key] = value
+        if args.p_drop is not None and isinstance(base.setdefault("scheduler", {}), dict):
+            base["scheduler"]["p_drop"] = args.p_drop
     return TrainConfig.from_dict(base)
 
 

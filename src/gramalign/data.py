@@ -4,7 +4,7 @@ File formats owned here:
 
 GEMB1 (binary, bit-exact): bytes 0-5 ASCII "GEMB1\\n"; byte 6 modality code
 (0=SMILES, 1=TEXT, 2=HTA, 3=PROTEIN); bytes 7-10 row count and 11-14 column
-count (unsigned 32-bit little-endian); rows*cols IEEE-754 32-bit
+count (unsigned 32-bit little-endian); rows*cols finite IEEE-754 32-bit
 little-endian floats, row-major; then one id per row as u16-little-endian
 length + UTF-8 bytes.
 
@@ -21,9 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import write_atomically
+from .checkpoint import f4_blocks, read_file, write_atomically
 from .errors import (
-    BadMagic,
     DimensionMismatch,
     EmptyClass,
     FormatError,
@@ -151,9 +150,7 @@ def write_embedding_table(table: EmbeddingTable, path) -> None:
 
 
 def load_embedding_table(path, modality: Modality | None = None) -> EmbeddingTable:
-    blob = Path(path).read_bytes()
-    if len(blob) < len(MAGIC) or blob[: len(MAGIC)] != MAGIC:
-        raise BadMagic(f"bad magic at byte 0: {blob[:6]!r}")
+    blob = read_file(path, MAGIC)
     if len(blob) < HEADER_LEN:
         raise TruncatedFile(f"header needs {HEADER_LEN} bytes, file has {len(blob)}")
     code = blob[len(MAGIC)]
@@ -164,22 +161,8 @@ def load_embedding_table(path, modality: Modality | None = None) -> EmbeddingTab
     if modality is not None and file_modality != modality:
         raise WrongModality(f"expected {modality.name}, file declares {file_modality.name}")
     n_rows, n_cols = struct.unpack_from("<II", blob, len(MAGIC) + 1)
-    off = HEADER_LEN
-    payload = n_rows * n_cols * 4
-    if len(blob) < off + payload:
-        raise TruncatedFile(
-            f"declared {n_rows}x{n_cols} floats need {payload} bytes at offset {off}, "
-            f"only {len(blob) - off} present"
-        )
-    rows = np.frombuffer(blob, dtype="<f4", count=n_rows * n_cols, offset=off)
-    finite = np.isfinite(rows)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise NonFiniteValue(
-            f"non-finite float at byte offset {off + 4 * k} (row {k // n_cols}, col {k % n_cols})"
-        )
-    rows = rows.reshape(n_rows, n_cols).copy()
-    off += payload
+    (rows,) = f4_blocks(blob, HEADER_LEN, [(f"{n_rows}x{n_cols} table", n_rows, n_cols)])
+    off = HEADER_LEN + rows.nbytes
     ids = []
     for r in range(n_rows):
         if len(blob) < off + 2:

@@ -65,10 +65,13 @@ class Branch(Enum):
 
 @dataclass
 class DropDecision:
-    should_drop: bool
     dropped: Modality | None
     anchor: Modality
     branch: Branch
+
+    @property
+    def should_drop(self) -> bool:
+        return self.dropped is not None
 
 
 @dataclass
@@ -129,7 +132,7 @@ def decide(gbar, cfg: SchedulerConfig, rng) -> DropDecision:
     if gbar.shape != (4,) or not np.all(np.isfinite(gbar)):
         raise NegativeNorm(f"need 4 finite smoothed norms, got {gbar}")
     if rng.random() > cfg.p_drop:
-        return DropDecision(False, None, Modality.PROTEIN, Branch.NONE)
+        return DropDecision(None, Modality.PROTEIN, Branch.NONE)
 
     mu = float(gbar.mean())
     sigma = float(np.sqrt(np.mean((gbar - mu) ** 2)))
@@ -145,4 +148,4 @@ def decide(gbar, cfg: SchedulerConfig, rng) -> DropDecision:
         dropped = MODALITY_ORDER[int(np.argmin(gbar))]
     remaining = [m for m in MODALITY_ORDER if m is not dropped]
     anchor = remaining[int(rng.integers(0, len(remaining)))]
-    return DropDecision(True, dropped, anchor, branch)
+    return DropDecision(dropped, anchor, branch)

@@ -92,8 +92,12 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         sched = d.pop("scheduler", {})
+        if not isinstance(sched, dict):
+            raise ValueError(f"scheduler must be a JSON object, got {type(sched).__name__}")
         known = set(cls.__dataclass_fields__) - {"scheduler"}
         unknown = set(d) - known
         if unknown:

@@ -6,7 +6,7 @@ import pytest
 from gramalign import cli
 from gramalign.checkpoint import load_checkpoint, save_checkpoint
 from gramalign.data import EmbeddingTable, synth_quadruplets, write_embedding_table, write_manifest
-from gramalign.errors import BadMagic, TruncatedFile
+from gramalign.errors import BadMagic, NonFiniteValue, TruncatedFile
 from gramalign.modality import Modality
 from gramalign.trainer import write_jsonl
 
@@ -50,6 +50,19 @@ def test_bad_magic(tmp_path):
     path.write_bytes(b"NOTCKPT" + b"\x00" * 16)
     with pytest.raises(BadMagic):
         load_checkpoint(path)
+
+
+def test_non_finite_names_its_tensor(tmp_path):
+    """One finiteness pass covers every payload, and its error names the tensor, row and col."""
+    tensors = {"a": np.zeros((2, 3)), "empty": np.zeros((0, 4)), "b": np.zeros((2, 2))}
+    tensors["b"][1, 0] = np.inf  # float 8 of the payload section
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, tensors, {})
+    base = path.read_bytes().index(b"\n\x00") + 2
+    with pytest.raises(NonFiniteValue) as err:
+        load_checkpoint(path)
+    assert str(err.value) == (f"tensor 'b': non-finite float at byte offset {base + 4 * 8} "
+                              "(row 1, col 0)")
 
 
 def test_truncated_payload(tmp_path):

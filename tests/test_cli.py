@@ -199,6 +199,9 @@ BAD_CONFIGS = [
     ({"scheduler": {"history_len": 2.5}}, "history_len must be an int, got 2.5"),
     ({"lambda_vol": True}, "lambda_vol must be a float, got True"),
     ({"lr": 10**400}, "lr must be finite"),
+    ("[1]", "bad config: config must be a JSON object"),
+    ('"x"', "bad config: config must be a JSON object"),
+    ({"scheduler": 3}, "bad config: scheduler must be a JSON object"),
 ]
 
 
@@ -213,7 +216,8 @@ BAD_CONFIGS = [
          "unknown-command", "synth-missing-n", "lr-inf", "tau-inf", "lambda-bi-inf", "dti-lr-inf",
          "scheduler-sigma-inf", "synth-seed-negative", "synth-noise-nan", "synth-noise-inf",
          "batch-size-float", "epochs-bool", "seed-float", "scheduler-history-len-float",
-         "lambda-vol-bool", "lr-int-beyond-float"],
+         "lambda-vol-bool", "lr-int-beyond-float", "config-list", "config-string",
+         "scheduler-not-object"],
 )
 def test_bad_config_exits_2_with_one_line(tmp_path, synth_dir, pretrained, flags, message):
     """Out-of-range values are flag errors: exit 2, one stderr line, no traceback.
@@ -404,6 +408,20 @@ def _raw_checkpoint(directory, payload_bytes, message):
     return build
 
 
+def _nan_in(name):
+    """The pretrained first-epoch checkpoint, saved with a NaN as the second float of ``name``."""
+    def build(tmp_path, pretrained):
+        tensors, config = load_checkpoint(pretrained / "epoch-0000.ckpt")
+        tensors[name].flat[1] = np.nan
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(path, tensors, config)
+        blob = path.read_bytes()
+        base = blob.index(b"\n\x00") + 2
+        start = base + json.loads(blob[7 : base - 2])["tensors"][name][0]
+        return path, f"tensor {name!r}: non-finite float at byte offset {start + 4} (row 0, col 1)"
+    return build
+
+
 BAD_FILES = [
     _retrieve(_foreign_checkpoint),
     _resume(_foreign_checkpoint),
@@ -420,6 +438,8 @@ BAD_FILES = [
     _retrieve(_raw_checkpoint({"x": [0, 1, 1], "y": [8, 1, 1]}, 12,
                               "tensor 'y': directory entry [8, 1, 1] is not [4, rows, cols]")),
     _retrieve(_raw_checkpoint({"x": [0, 1, 1]}, 8, "4 trailing bytes after the last payload")),
+    _retrieve(_nan_in("proj.smiles.L0.w")),
+    _resume(_nan_in("adam.v.proj.text.L0.w")),
 ]
 
 
@@ -429,7 +449,7 @@ BAD_FILES = [
                               "header-without-tensors", "gemb-id-not-utf8", "manifest-not-utf8",
                               "retrieve-empty-manifest", "ckpt-entry-negative",
                               "ckpt-entry-not-list", "ckpt-entry-short", "ckpt-offset-gap",
-                              "ckpt-trailing-bytes"])
+                              "ckpt-trailing-bytes", "retrieve-nan-weight", "resume-nan-moment"])
 def test_bad_file_exits_1_with_one_line(tmp_path, synth_dir, pretrained, build):
     """A file that is not what its flag names is a data error: exit 1, one line naming the fault."""
     argv, message = build(tmp_path, synth_dir, pretrained)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gramalign import data
+from gramalign.checkpoint import load_checkpoint, save_checkpoint
 from gramalign.data import (
     EmbeddingTable,
     PairDataset,
@@ -35,6 +36,17 @@ from gramalign.errors import (
     WrongModality,
 )
 from gramalign.modality import MODALITY_ORDER, Modality
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak bytes that tracemalloc saw allocated while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def small_table(rng, modality=Modality.SMILES, n=4, dim=3):
@@ -109,14 +121,31 @@ class TestGemb1:
         """A paper-width table goes to its file without a staging copy of its payload."""
         rows = np.ones((4000, 1280), dtype=np.float32)  # 20.5 MB
         table = EmbeddingTable(Modality.PROTEIN, [f"p{i}" for i in range(len(rows))], rows)
-        tracemalloc.start()
-        try:
-            write_embedding_table(table, tmp_path / "p.gemb")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: write_embedding_table(table, tmp_path / "p.gemb"))
         assert peak < rows.nbytes / 4
         assert load_embedding_table(tmp_path / "p.gemb").rows.tobytes() == rows.tobytes()
+
+    def test_load_makes_no_copy_of_the_rows(self, tmp_path):
+        """A paper-width table loads as one buffer holding its file, the rows a view of it."""
+        rows = np.arange(4000 * 1280, dtype=np.float32).reshape(4000, 1280)  # 20.5 MB
+        path = tmp_path / "p.gemb"
+        write_embedding_table(EmbeddingTable(Modality.PROTEIN, [f"p{i}" for i in range(4000)],
+                                             rows), path)
+        table, peak = traced_peak(lambda: load_embedding_table(path))
+        assert peak < 1.5 * rows.nbytes
+        assert table.rows.tobytes() == rows.tobytes()
+
+
+def test_load_checkpoint_makes_no_copy_of_the_tensors(tmp_path):
+    """A checkpoint loads as one buffer holding its file, each tensor a view of it."""
+    rng = np.random.default_rng(5)
+    tensors = {f"w{i}": rng.standard_normal((1024, 1024), dtype=np.float32)
+                for i in range(4)}  # 16.8 MB of payload
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, tensors, {"k": 1})
+    (back, _), peak = traced_peak(lambda: load_checkpoint(path))
+    assert peak < 1.25 * path.stat().st_size
+    assert all(back[name].tobytes() == arr.tobytes() for name, arr in tensors.items())
 
 
 class TestManifest:
