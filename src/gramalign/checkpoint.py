@@ -11,6 +11,7 @@ buffer: ``read_file`` and ``f4_blocks`` read GCKPT1 and GEMB1 as views of it.
 
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -22,24 +23,41 @@ TERMINATOR = b"\n\x00"
 VERSION = 1
 
 
-def write_atomically(path, chunks) -> None:
-    """Write the bytes-like ``chunks`` in turn as the file ``path``, creating its directory.
+def _via_temporary(path, fill) -> None:
+    """Create the file ``path`` as ``fill(tmp)`` creates ``tmp`` beside it, then rename it.
 
-    The bytes go to a temporary file beside ``path`` that then replaces it, so
-    a failure or a killed process mid-write leaves either the old file or the
-    new one, never a torn one. (Not fsynced: durability is the filesystem's.)
+    The directory of ``path`` is created first. A failure or a killed process
+    leaves either the old file or the new one, never a torn one. (Not
+    fsynced: durability is the filesystem's.)
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+        fill(tmp)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_atomically(path, chunks) -> None:
+    """Write the bytes-like ``chunks`` in turn as the file ``path``, creating its directory."""
+    def fill(tmp):
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    _via_temporary(path, fill)
+
+
+def link_atomically(src, path) -> None:
+    """Make ``path`` a hard link to the file ``src``, or a copy of it where links fail."""
+    def fill(tmp):
+        try:
+            os.link(src, tmp)
+        except OSError:  # a filesystem without hard links, or one at its link limit
+            shutil.copyfile(src, tmp)
+    _via_temporary(path, fill)
 
 
 def save_checkpoint(path, tensors: dict, config: dict) -> None:
@@ -76,6 +94,14 @@ def read_file(path, magic: bytes) -> bytearray:
     return blob
 
 
+def first_non_finite(floats) -> int:
+    """Flat index of the first NaN or Inf in ``floats``, or -1; a mask is built only if one exists."""
+    # NaN propagates through min and max and Inf reaches one of them
+    if np.isfinite(floats.min(initial=0)) and np.isfinite(floats.max(initial=0)):
+        return -1
+    return int(np.argmin(np.isfinite(floats)))
+
+
 def f4_blocks(blob, offset: int, shapes: list) -> list:
     """Views of the consecutive ``(what, rows, cols)`` float32 blocks from byte ``offset``.
 
@@ -91,9 +117,8 @@ def f4_blocks(blob, offset: int, shapes: list) -> list:
                                 f"file has {len(blob) - start}")
         bounds.append(bounds[-1] + rows * cols)
     floats = np.frombuffer(blob, dtype="<f4", count=bounds[-1], offset=offset)
-    # NaN propagates through min and max and Inf reaches one of them, so no mask is built
-    if not (np.isfinite(floats.min(initial=0)) and np.isfinite(floats.max(initial=0))):
-        k = int(np.argmin(np.isfinite(floats)))
+    k = first_non_finite(floats)
+    if k >= 0:
         i = int(np.searchsorted(bounds, k, side="right")) - 1
         what, _, cols = shapes[i]
         row, col = divmod(k - bounds[i], cols)

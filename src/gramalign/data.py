@@ -15,13 +15,13 @@ the pair has no measurement; one quadruplet per line.
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import f4_blocks, read_file, write_atomically
+from .checkpoint import f4_blocks, first_non_finite, read_file, write_atomically
 from .errors import (
     DimensionMismatch,
     EmptyClass,
@@ -53,8 +53,10 @@ class EmbeddingTable:
     modality: Modality
     ids: list
     rows: np.ndarray  # (len(ids), dim) float32
+    # True only from load_embedding_table, whose f4_blocks has checked every float
+    checked_finite: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, checked_finite):
         self.rows = np.asarray(self.rows, dtype=np.float32)
         if self.rows.ndim != 2 or self.rows.shape[0] != len(self.ids):
             raise DimensionMismatch(
@@ -65,7 +67,7 @@ class EmbeddingTable:
         self._index = {e: i for i, e in enumerate(self.ids)}
         if len(self._index) != len(self.ids):
             raise FormatError("duplicate entity ids in table")
-        if not np.all(np.isfinite(self.rows)):
+        if not checked_finite and first_non_finite(self.rows) >= 0:
             raise NonFiniteValue("table contains NaN/Inf entries")
 
     @property
@@ -178,7 +180,7 @@ def load_embedding_table(path, modality: Modality | None = None) -> EmbeddingTab
         off += id_len
     if off != len(blob):
         raise FormatError(f"{len(blob) - off} unexpected trailing bytes at offset {off}")
-    return EmbeddingTable(modality=file_modality, ids=ids, rows=rows)
+    return EmbeddingTable(modality=file_modality, ids=ids, rows=rows, checked_finite=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Trainable networks: modality projectors, IC50 classifier, DTI classifier.
 
 All forward passes cache what the hand-rolled backward pass needs in a
-ForwardTape; gradients are exact (erf-form GELU, full LayerNorm Jacobian,
-inverted-dropout masks, L2-normalization Jacobian) and are verified against
-central finite differences in the test suite and the gradcheck command.
+ForwardTape, one dict per stage: the layer input ``x``, the pre-activation
+``pre`` and, for GELU, its ``phi`` = Phi(pre), so backward runs no second
+``erf``; LayerNorm's ``xhat`` and ``inv``; and the dropout ``mask``. Gradients
+are exact (erf-form GELU, full LayerNorm Jacobian, inverted-dropout masks,
+L2-normalization Jacobian) and are verified against central finite
+differences in the test suite and the gradcheck command. Training calls
+backward with ``input_grad=False`` wherever the gradient with respect to the
+head's input is discarded, which skips the first layer's ``gy @ W.T``.
 
 Inputs are ``(rows, dim)`` batches. Math runs in float64 regardless of
 parameter dtype; the trainer keeps float32 masters and upcasts per step.
@@ -36,6 +41,7 @@ def gelu(x):
 
 
 def gelu_grad(x):
+    """d gelu / dx = Phi(x) + x * phi(x); backward() takes Phi from the tape instead."""
     x = np.asarray(x, dtype=np.float64)
     return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
@@ -143,6 +149,16 @@ def init_params(specs, seed: int) -> MlpParams:
     return MlpParams(specs=tuple(specs), layers=layers)
 
 
+def empty_params(specs) -> MlpParams:
+    """float32 parameters of the specs' shapes, left uninitialised for assign_named to fill."""
+    def empty(*shape):
+        return np.empty(shape, dtype=np.float32)
+    layers = [LayerParams(w=empty(s.in_dim, s.out_dim), b=empty(s.out_dim),
+                          gamma=empty(s.out_dim) if s.layer_norm else None,
+                          beta=empty(s.out_dim) if s.layer_norm else None) for s in specs]
+    return MlpParams(specs=tuple(specs), layers=layers)
+
+
 # ---------------------------------------------------------------------------
 # forward / backward
 # ---------------------------------------------------------------------------
@@ -156,36 +172,62 @@ def mlp_forward(params: MlpParams, x, mode="eval", rng=None):
     if h.ndim != 2 or h.shape[1] != in_dim:
         raise DimensionMismatch(f"expected input dim {in_dim}, got shape {h.shape}")
     stages = []
+    # Each in-place step below acts on an array made in this loop and not yet
+    # cached, and rounds exactly like its out-of-place form.
     for spec, layer in zip(params.specs, params.layers):
         cache = {"x": h}
-        h = h @ np.asarray(layer.w, dtype=np.float64) + np.asarray(layer.b, dtype=np.float64)
-        if spec.activation is not None:
+        h = h @ np.asarray(layer.w, dtype=np.float64)
+        h += layer.b
+        if spec.activation == "gelu":
+            # gelu(h) with its Phi kept for backward(): halving is exact above the
+            # subnormal range, so h * phi rounds like gelu's 0.5 * h * (1 + erf)
+            phi = h * _INV_SQRT2
+            erf(phi, out=phi)
+            phi += 1.0
+            phi *= 0.5
+            cache["pre"], cache["phi"] = h, phi
+            h = h * phi
+        elif spec.activation == "relu":
             cache["pre"] = h
-            h = gelu(h) if spec.activation == "gelu" else np.maximum(h, 0.0)
+            h = np.maximum(h, 0.0)
         if spec.layer_norm:
-            mu = h.mean(axis=1, keepdims=True)
-            inv = 1.0 / np.sqrt(h.var(axis=1, keepdims=True) + LN_EPS)
-            xhat = (h - mu) * inv
+            # h.var's own sum of squared deviations, the deviations then reused for xhat
+            xhat = h - h.mean(axis=1, keepdims=True)
+            inv = 1.0 / np.sqrt(np.square(xhat).sum(axis=1, keepdims=True) / h.shape[1] + LN_EPS)
+            xhat *= inv
             cache["xhat"], cache["inv"] = xhat, inv
-            h = xhat * np.asarray(layer.gamma, dtype=np.float64) + np.asarray(
-                layer.beta, dtype=np.float64
-            )
+            h = xhat * layer.gamma
+            h += layer.beta
         if spec.dropout > 0.0 and mode == "train":
             if rng is None:
                 raise ValueError("train-mode dropout needs an rng")
             mask = rng.random(h.shape) >= spec.dropout
             cache["mask"] = mask
-            h = h * mask / (1.0 - spec.dropout)
+            h *= mask
+            h /= 1.0 - spec.dropout
         stages.append(cache)
     return h, ForwardTape(params=params, out_shape=h.shape, stages=stages)
 
 
-def backward(tape: ForwardTape, upstream_grad):
-    """Exact parameter and input gradients for one recorded forward call.
+def _gelu_grad_from_tape(x, phi, gy):
+    """``gy * gelu_grad(x)`` bit for bit, with Phi(x) = ``phi`` taken from the tape."""
+    d = -0.5 * x
+    d *= x
+    np.exp(d, out=d)
+    d *= x * _INV_SQRT_2PI
+    d += phi
+    d *= gy
+    return d
+
+
+def backward(tape: ForwardTape, upstream_grad, input_grad=True):
+    """Exact parameter gradients, and the input gradient, for one recorded forward call.
 
     For projection heads the upstream gradient is taken with respect to the
     unit-normalized output and is chained through the normalization Jacobian
-    (I/||u|| - u u^T/||u||^3) before the MLP stages.
+    (I/||u|| - u u^T/||u||^3) before the MLP stages. With ``input_grad=False``
+    the first layer's ``gy @ W.T`` is not formed and None is returned in its
+    place; the parameter gradients are unchanged.
     """
     gy = np.asarray(upstream_grad, dtype=np.float64)
     if gy.shape != tape.out_shape:
@@ -194,29 +236,32 @@ def backward(tape: ForwardTape, upstream_grad):
         u, norms = tape.unit_out, tape.prenorm_norms
         gy = (gy - u * (u * gy).sum(axis=1, keepdims=True)) / norms
     grads = []
-    for spec, layer, cache in zip(
-        reversed(tape.params.specs), reversed(tape.params.layers), reversed(tape.stages)
-    ):
+    stages = zip(tape.params.specs, tape.params.layers, tape.stages)
+    for i, (spec, layer, cache) in reversed(list(enumerate(stages))):
+        # gy may be the caller's array until a step below makes a new one; in-place
+        # steps act only on arrays made here and round like their out-of-place forms
         if "mask" in cache:
-            gy = gy * cache["mask"] / (1.0 - spec.dropout)
+            gy = gy * cache["mask"]
+            gy /= 1.0 - spec.dropout
         dgamma = dbeta = None
         if spec.layer_norm:
             xhat, inv = cache["xhat"], cache["inv"]
             dgamma = (gy * xhat).sum(axis=0)
             dbeta = gy.sum(axis=0)
-            dxhat = gy * np.asarray(layer.gamma, dtype=np.float64)
-            gy = inv * (
-                dxhat
-                - dxhat.mean(axis=1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
-            )
+            dxhat = gy * layer.gamma
+            radial = dxhat * xhat
+            radial = np.multiply(xhat, radial.mean(axis=1, keepdims=True), out=radial)
+            dxhat -= dxhat.mean(axis=1, keepdims=True)
+            dxhat -= radial
+            dxhat *= inv
+            gy = dxhat  # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         if spec.activation == "gelu":
-            gy = gy * gelu_grad(cache["pre"])
+            gy = _gelu_grad_from_tape(cache["pre"], cache["phi"], gy)
         elif spec.activation == "relu":
             gy = gy * (cache["pre"] > 0.0)
         dw = cache["x"].T @ gy
         db = gy.sum(axis=0)
-        gy = gy @ np.asarray(layer.w, dtype=np.float64).T
+        gy = gy @ np.asarray(layer.w, dtype=np.float64).T if i or input_grad else None
         grads.append(LayerParams(w=dw, b=db, gamma=dgamma, beta=dbeta))
     grads.reverse()
     return grads, gy

@@ -24,16 +24,20 @@ from .errors import (ConfigMismatch, DimensionMismatch, EmptyClass, EmptyDataset
                      NonFiniteLoss, ShapeMismatch)
 from .heads import (
     AlignmentModel,
+    Head,
     assign_named,
     backward,
     build_dti_head,
     build_model,
     cast_params,
     dti_forward,
+    empty_params,
     ic50_forward,
+    ic50_specs,
     mlp_tensor_items,
     named_tensors,
     project,
+    projector_specs,
 )
 from .kernels import tuple_volumes
 from .losses import (DEFAULT_SMOOTHING, DEFAULT_TAU, Batch, clip_bimodal, ic50_loss, total_loss,
@@ -45,6 +49,8 @@ from .seeding import substream
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+ADAM_BLOCK = 32768  # elements per block: its float64 temporaries stay in cache
 
 ALIGNMENT_EVAL_CAP = 512
 
@@ -122,11 +128,22 @@ def init_adam(params: dict) -> AdamState:
     )
 
 
+def _flat(a, what):
+    """``a`` as a 1-d view; a copy would silently drop an in-place update."""
+    flat = a.reshape(-1)
+    if not np.may_share_memory(flat, a):
+        raise ValueError(f"{what} is not contiguous, so it cannot be updated in place")
+    return flat
+
+
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
     """One bias-corrected Adam update over named tensors, in place.
 
     Math runs in float64 and is quantized back to each tensor's storage
     dtype, so float32 masters stay exactly what a checkpoint would hold.
+    Each tensor is walked in flat blocks of ADAM_BLOCK elements, every block
+    running the same element-wise operations in the same order, so the result
+    is bit-equal to one pass over the whole tensor.
     """
     if set(params) != set(grads):
         raise ShapeMismatch(
@@ -139,13 +156,18 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
         g = np.asarray(grads[name], dtype=np.float64)
         if g.size != theta.size:
             raise ShapeMismatch(f"tensor {name!r}: grad {g.shape} vs param {theta.shape}")
-        g = g.reshape(theta.shape)
-        m = ADAM_BETA1 * state.m[name].astype(np.float64) + (1 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * state.v[name].astype(np.float64) + (1 - ADAM_BETA2) * g * g
-        step = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        theta[...] = theta.astype(np.float64) - step
-        state.m[name][...] = m
-        state.v[name][...] = v
+        g = g.reshape(-1)
+        th = _flat(theta, name)
+        ms, vs = _flat(state.m[name], f"adam.m.{name}"), _flat(state.v[name], f"adam.v.{name}")
+        for a in range(0, th.size, ADAM_BLOCK):
+            blk = slice(a, a + ADAM_BLOCK)
+            gb = g[blk]
+            m = ADAM_BETA1 * ms[blk].astype(np.float64) + (1 - ADAM_BETA1) * gb
+            v = ADAM_BETA2 * vs[blk].astype(np.float64) + (1 - ADAM_BETA2) * gb * gb
+            step = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            th[blk] = th[blk].astype(np.float64) - step
+            ms[blk] = m
+            vs[blk] = v
     return params, state
 
 
@@ -223,7 +245,7 @@ def train_step(model, raw, labels, mask, history, weights, cfg: TrainConfig, rng
 
     grads = {}
     for m in MODALITY_ORDER:
-        proj_grads, _ = backward(tapes[m], total.grads[m])
+        proj_grads, _ = backward(tapes[m], total.grads[m], input_grad=False)
         specs = model.projectors[m].params.specs
         grads.update(mlp_tensor_items(f"proj.{m.short}", specs, proj_grads))
     for name, g in mlp_tensor_items("ic50", model.ic50_head.params.specs, head_grads):
@@ -322,9 +344,18 @@ def require_table_dims(tables, in_dims) -> None:
 
 
 def load_model(path):
-    """Rebuild an AlignmentModel (float32 masters) from a run checkpoint."""
+    """Rebuild an AlignmentModel (float32 masters) from a run checkpoint.
+
+    The heads are allocated from their specs and filled from the checkpoint's
+    arrays; no initial model is drawn only to be overwritten.
+    """
     tensors, config, cfg, in_dims, _ = _read_run_checkpoint(path)
-    model = _new_model(in_dims, cfg)
+    model = AlignmentModel(
+        projectors={m: Head(empty_params(projector_specs(in_dims[m], cfg.proj_hidden,
+                                                         cfg.shared_dim)))
+                    for m in MODALITY_ORDER},
+        ic50_head=Head(empty_params(ic50_specs(cfg.shared_dim, cfg.ic50_hidden))),
+    )
     assign_named(named_tensors(model), tensors)
     return model, cfg, config
 
@@ -333,9 +364,10 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
     """Full pre-training run: per-epoch shuffling, stepping, checkpointing.
 
     With ``out_dir`` set, writes epoch-NNNN.ckpt after every epoch, final.ckpt
-    at the end, run.log.jsonl (deterministic records) and run.timing.jsonl
-    (wall times). ``resume`` restarts from an epoch-boundary checkpoint and
-    reproduces the uninterrupted run exactly.
+    at the end (a hard link to the last epoch's file, which holds the same
+    bytes; serialized only when no epoch ran), run.log.jsonl (deterministic
+    records) and run.timing.jsonl (wall times). ``resume`` restarts from an
+    epoch-boundary checkpoint and reproduces the uninterrupted run exactly.
     """
     if not quads:
         raise EmptyDataset("no quadruplets to train on")
@@ -440,7 +472,10 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
     result = TrainResult(model=model, records=records, timings=timings)
     if out_dir is not None:
         final = out_dir / "final.ckpt"
-        save_model_checkpoint(final, model, cfg, in_dims, cfg.epochs, adam, history)
+        if cfg.epochs > 0:  # the last epoch's checkpoint holds this state, byte for byte
+            ckpt.link_atomically(out_dir / f"epoch-{cfg.epochs - 1:04d}.ckpt", final)
+        else:
+            save_model_checkpoint(final, model, cfg, in_dims, cfg.epochs, adam, history)
         write_jsonl(out_dir / "run.log.jsonl", records)
         write_jsonl(out_dir / "run.timing.jsonl", timings)
         result.checkpoint_path = final
@@ -498,7 +533,7 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
                 dlogits = softmax(logits, axis=1)
                 dlogits[np.arange(len(rows)), yb] -= 1.0
                 dlogits /= len(rows)
-                grads, _ = backward(tape, dlogits)
+                grads, _ = backward(tape, dlogits, input_grad=False)
                 adam_step(params, dict(mlp_tensor_items("dti", specs, grads)), adam, cfg.dti_lr)
 
         ts, tp, ty = rows_of(fold.test.pairs)

@@ -162,3 +162,20 @@ def test_failed_write_leaves_old_file_intact(tmp_path, monkeypatch, writer):
     if writer == "checkpoint":
         tensors, config = load_checkpoint(path)
         assert config == {"epochs_done": 1}
+
+
+@pytest.mark.parametrize("links", [True, False], ids=["hard-link", "no-links"])
+def test_link_atomically_names_the_same_bytes(tmp_path, monkeypatch, links):
+    from gramalign import checkpoint
+
+    src = tmp_path / "epoch-0000.ckpt"
+    save_checkpoint(src, {"x": np.arange(6, dtype=np.float32)}, {"epochs_done": 1})
+    (tmp_path / "final.ckpt").write_bytes(b"an older run's file")
+    if not links:
+        def refuse(*args):
+            raise PermissionError(1, "Operation not permitted")
+        monkeypatch.setattr(checkpoint.os, "link", refuse)
+    checkpoint.link_atomically(src, tmp_path / "final.ckpt")
+    assert (tmp_path / "final.ckpt").read_bytes() == src.read_bytes()
+    assert (tmp_path / "final.ckpt").samefile(src) is links
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["epoch-0000.ckpt", "final.ckpt"]

@@ -135,6 +135,21 @@ class TestGemb1:
         assert peak < 1.5 * rows.nbytes
         assert table.rows.tobytes() == rows.tobytes()
 
+    def test_load_checks_finiteness_once(self, tmp_path):
+        """Loading builds no finiteness mask: the peak is the buffer holding the file."""
+        rows = np.arange(4000 * 1280, dtype=np.float32).reshape(4000, 1280)  # 20.5 MB
+        path = tmp_path / "p.gemb"
+        write_embedding_table(EmbeddingTable(Modality.PROTEIN, [f"p{i}" for i in range(4000)],
+                                             rows), path)
+        _, peak = traced_peak(lambda: load_embedding_table(path))
+        assert peak < 1.05 * path.stat().st_size
+
+    def test_in_memory_table_checks_finiteness(self):
+        rows = np.ones((3, 4), dtype=np.float32)
+        rows[2, 1] = np.inf
+        with pytest.raises(NonFiniteValue):
+            EmbeddingTable(Modality.SMILES, ["a", "b", "c"], rows)
+
 
 def test_load_checkpoint_makes_no_copy_of_the_tensors(tmp_path):
     """A checkpoint loads as one buffer holding its file, each tensor a view of it."""

@@ -10,6 +10,7 @@ from gramalign.gradcheck import (
     check_projector,
 )
 from gramalign.heads import (
+    LN_EPS,
     Head,
     LayerSpec,
     backward,
@@ -21,6 +22,7 @@ from gramalign.heads import (
     ic50_forward,
     ic50_specs,
     init_params,
+    mlp_forward,
     mlp_tensor_items,
     project,
     projector_specs,
@@ -67,6 +69,109 @@ class TestGelu:
         h = 1e-6
         fd = (gelu(xs + h) - gelu(xs - h)) / (2 * h)
         np.testing.assert_allclose(gelu_grad(xs), fd, atol=1e-8)
+
+
+# 0, the tiny, the moderate and the saturated, on both sides
+PHI_GRID = np.array([0.0, 1e-300, -1e-300, 5.0, -5.0, 40.0, -40.0, *np.linspace(-8, 8, 57)])
+
+
+class TestPhiFromTape:
+    """The forward's cached Phi gives gelu() and gelu_grad() bit for bit."""
+
+    def _identity_gelu(self):
+        # one GELU layer whose pre-activation is its input exactly
+        p = init_params((LayerSpec(len(PHI_GRID), len(PHI_GRID), "gelu"),), seed=0)
+        p.layers[0].w[...] = np.eye(len(PHI_GRID))
+        return p
+
+    def test_forward_equals_gelu_on_grid(self):
+        h, tape = mlp_forward(self._identity_gelu(), PHI_GRID[None, :])
+        np.testing.assert_array_equal(tape.stages[0]["pre"][0], PHI_GRID)
+        assert h[0].tobytes() == gelu(PHI_GRID).tobytes()
+
+    def test_backward_factor_equals_gelu_grad_on_grid(self):
+        # with one row and upstream 1, the bias gradient is the GELU factor itself
+        _, tape = mlp_forward(self._identity_gelu(), PHI_GRID[None, :])
+        grads, _ = backward(tape, np.ones((1, len(PHI_GRID))))
+        assert grads[0].b.tobytes() == gelu_grad(PHI_GRID).tobytes()
+
+
+def reference_forward(params, x, mask_rng):
+    """The out-of-place forward formulas with gelu(), one list of stage caches."""
+    h, stages = np.asarray(x, dtype=np.float64), []
+    for spec, layer in zip(params.specs, params.layers):
+        cache = {"x": h}
+        h = h @ np.asarray(layer.w, dtype=np.float64) + np.asarray(layer.b, dtype=np.float64)
+        if spec.activation is not None:
+            cache["pre"] = h
+            h = gelu(h) if spec.activation == "gelu" else np.maximum(h, 0.0)
+        if spec.layer_norm:
+            mu = h.mean(axis=1, keepdims=True)
+            inv = 1.0 / np.sqrt(h.var(axis=1, keepdims=True) + LN_EPS)
+            cache["xhat"], cache["inv"] = (h - mu) * inv, inv
+            h = cache["xhat"] * np.asarray(layer.gamma, dtype=np.float64) + np.asarray(
+                layer.beta, dtype=np.float64)
+        if spec.dropout > 0.0:
+            cache["mask"] = mask_rng.random(h.shape) >= spec.dropout
+            h = h * cache["mask"] / (1.0 - spec.dropout)
+        stages.append(cache)
+    return h, stages
+
+
+def reference_backward(params, stages, gy):
+    """The out-of-place backward formulas with gelu_grad(): parameter grads and input grad."""
+    grads = []
+    for spec, layer, cache in zip(reversed(params.specs), reversed(params.layers),
+                                  reversed(stages)):
+        if "mask" in cache:
+            gy = gy * cache["mask"] / (1.0 - spec.dropout)
+        dgamma = dbeta = None
+        if spec.layer_norm:
+            xhat, inv = cache["xhat"], cache["inv"]
+            dgamma, dbeta = (gy * xhat).sum(axis=0), gy.sum(axis=0)
+            dxhat = gy * np.asarray(layer.gamma, dtype=np.float64)
+            gy = inv * (dxhat - dxhat.mean(axis=1, keepdims=True)
+                        - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
+        if spec.activation == "gelu":
+            gy = gy * gelu_grad(cache["pre"])
+        elif spec.activation == "relu":
+            gy = gy * (cache["pre"] > 0.0)
+        grads.append((cache["x"].T @ gy, gy.sum(axis=0), dgamma, dbeta))
+        gy = gy @ np.asarray(layer.w, dtype=np.float64).T
+    return grads[::-1], gy
+
+
+@pytest.mark.parametrize("specs, rows", [
+    (projector_specs(12, 16, 8), 9),
+    (projector_specs(1280, 768, 512), 256),  # paper widths, where BLAS threads
+    (ic50_specs(512, 512), 256),
+    (dti_specs(16), 64),
+], ids=["projector-desk", "projector-paper", "ic50-paper", "dti"])
+def test_forward_and_backward_equal_the_reference_formulas(specs, rows):
+    """The tape-reusing, in-place forward and backward round exactly like the plain formulas."""
+    params = init_params(specs, seed=rows)
+    for layer in params.layers:  # float32 masters with non-trivial LayerNorm parameters
+        layer.w, layer.b = layer.w.astype(np.float32), (layer.b + 0.1).astype(np.float32)
+        if layer.gamma is not None:
+            layer.gamma = (layer.gamma * 1.5).astype(np.float32)
+            layer.beta = (layer.beta - 0.2).astype(np.float32)
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((rows, specs[0].in_dim))
+    h, tape = mlp_forward(params, x, "train", np.random.default_rng(2))
+    ref_h, ref_stages = reference_forward(params, x, np.random.default_rng(2))
+    assert h.tobytes() == ref_h.tobytes()
+    for stage, ref in zip(tape.stages, ref_stages):
+        for key, arr in ref.items():
+            assert stage[key].tobytes() == arr.tobytes(), key
+    gy = rng.standard_normal(h.shape)
+    before = gy.copy()
+    grads, gin = backward(tape, gy)
+    np.testing.assert_array_equal(gy, before)  # the caller's gradient is not written to
+    ref_grads, ref_gin = reference_backward(params, ref_stages, gy)
+    assert gin.tobytes() == ref_gin.tobytes()
+    for got, ref in zip(grads, ref_grads):
+        for a, b in zip((got.w, got.b, got.gamma, got.beta), ref):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
 
 class TestProject:
@@ -198,6 +303,24 @@ class TestBackward:
         u = out[0]
         expected = (g[0] - u * (u @ g[0])) / np.linalg.norm(x)
         np.testing.assert_allclose(gin[0], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("specs, forward", [
+        (projector_specs(12, 16, 8), project),
+        (ic50_specs(4, 8), ic50_forward),
+        (dti_specs(4, (8, 6)), ic50_forward),  # the DTI head on its fused [f^s; f^p] input
+    ], ids=["projector", "ic50", "dti"])
+    def test_skipping_the_input_gradient_leaves_parameter_gradients(self, specs, forward):
+        head = Head(init_params(specs, seed=3))
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((9, head.in_dim))
+        out, tape = forward(head, x, "train", np.random.default_rng(5))
+        g = rng.standard_normal(out.shape)
+        full, gin = backward(tape, g)
+        skipped, none = backward(tape, g, input_grad=False)
+        assert gin.shape == x.shape and none is None
+        names = mlp_tensor_items("h", specs, full)
+        for (name, a), (_, b) in zip(names, mlp_tensor_items("h", specs, skipped)):
+            assert a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize(
         "checker", [check_projector, check_ic50_head, check_dti_head]

@@ -13,7 +13,12 @@ from gramalign.losses import Batch, clip_bimodal, ic50_loss, volume_contrastive
 from gramalign.modality import MODALITY_ORDER, Modality
 from gramalign.scheduler import make_history
 from gramalign.seeding import substream
+from gramalign import trainer
 from gramalign.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_BLOCK,
+    ADAM_EPS,
     AdamState,
     TrainConfig,
     _batch_from_rows,
@@ -68,6 +73,37 @@ class TestAdam:
         adam_step(params, {"w": np.ones((2, 2))}, state, lr=0.1)
         assert params["w"].dtype == np.float32
         assert state.m["w"].dtype == np.float32
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])  # masters, and every rounding
+    @pytest.mark.parametrize("shape", [(5,), (ADAM_BLOCK - 1,), (ADAM_BLOCK,), (100_003,),
+                                       (317, 331)])
+    def test_blocked_update_equals_one_pass(self, shape, dtype):
+        """Walking a tensor in blocks gives the one-pass formula's m, v and theta bit for bit."""
+        rng = np.random.default_rng(shape[0])
+        theta = rng.standard_normal(shape).astype(dtype)
+        params, ref = {"w": theta.copy()}, theta.copy()
+        state = init_adam(params)
+        m, v = np.zeros_like(ref), np.zeros_like(ref)
+        for t in range(1, 4):
+            g = rng.standard_normal(shape) * 10.0**-t
+            adam_step(params, {"w": g}, state, lr=1e-3)
+            # the one-pass update over the whole tensor
+            bc1, bc2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+            m64 = ADAM_BETA1 * m.astype(np.float64) + (1 - ADAM_BETA1) * g
+            v64 = ADAM_BETA2 * v.astype(np.float64) + (1 - ADAM_BETA2) * g * g
+            step = 1e-3 * (m64 / bc1) / (np.sqrt(v64 / bc2) + ADAM_EPS)
+            ref[...] = ref.astype(np.float64) - step
+            m[...], v[...] = m64, v64
+            assert params["w"].tobytes() == ref.tobytes()
+            assert state.m["w"].tobytes() == m.tobytes()
+            assert state.v["w"].tobytes() == v.tobytes()
+
+    def test_non_contiguous_tensor_rejected(self):
+        """A strided parameter would be updated through a copy, so it is refused."""
+        params = {"w": np.zeros((4, 4), dtype=np.float32)[:, :2]}
+        with pytest.raises(ValueError, match="not contiguous"):
+            adam_step(params, {"w": np.ones((4, 2))}, init_adam(params), lr=0.1)
 
 
 def small_setup(n=16, dim=8, seed=0, **cfg_kwargs):
@@ -164,6 +200,54 @@ class TestTrain:
         loaded, _, _ = load_model(result.checkpoint_path)
         for (_, ta), (_, tb) in zip(named_tensors(loaded), named_tensors(fresh)):
             np.testing.assert_array_equal(ta, tb)
+
+    def test_final_checkpoint_is_the_last_epoch_serialized_once(self, tmp_path, monkeypatch):
+        saved = []
+        save = trainer.save_model_checkpoint
+        monkeypatch.setattr(trainer, "save_model_checkpoint",
+                            lambda path, *a: (saved.append(path.name), save(path, *a)))
+        tables, quads, cfg = small_setup(epochs=3)
+        result = train(tables, quads, cfg, out_dir=tmp_path)
+        assert saved == ["epoch-0000.ckpt", "epoch-0001.ckpt", "epoch-0002.ckpt"]
+        final = result.checkpoint_path.read_bytes()
+        assert final == (tmp_path / "epoch-0002.ckpt").read_bytes()
+        loaded, _, config = load_model(result.checkpoint_path)
+        assert config["epochs_done"] == 3
+        for (_, a), (_, b) in zip(named_tensors(loaded), named_tensors(result.model)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_epochs_zero_serializes_final_checkpoint(self, tmp_path):
+        tables, quads, cfg = small_setup(epochs=0)
+        result = train(tables, quads, cfg, out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "final.ckpt", "run.log.jsonl", "run.timing.jsonl"]
+        _, _, config = load_model(result.checkpoint_path)
+        assert config["epochs_done"] == 0 and config["adam_t"] == 0
+
+    def test_load_model_draws_no_initial_model(self, tmp_path, monkeypatch):
+        tables, quads, cfg = small_setup(epochs=1)
+        result = train(tables, quads, cfg, out_dir=tmp_path)
+
+        def no_draw(*args):
+            raise AssertionError("load_model drew a model only to overwrite it")
+        monkeypatch.setattr(trainer, "build_model", no_draw)
+        loaded, _, _ = load_model(result.checkpoint_path)
+        for (na, a), (nb, b) in zip(named_tensors(loaded), named_tensors(result.model)):
+            assert na == nb and a.dtype == np.float32 and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name, error", [("proj.hta.ln1.b", MissingTensor),
+                                             ("ic50.L1.w", ShapeMismatch)])
+    def test_load_model_checks_every_tensor(self, tmp_path, name, error):
+        tables, quads, cfg = small_setup(epochs=1)
+        train(tables, quads, cfg, out_dir=tmp_path / "run")
+        tensors, config = load_checkpoint(tmp_path / "run" / "final.ckpt")
+        if error is MissingTensor:
+            del tensors[name]
+        else:
+            tensors[name] = tensors[name][:-1]
+        save_checkpoint(tmp_path / "bad.ckpt", tensors, config)
+        with pytest.raises(error, match=name):
+            load_model(tmp_path / "bad.ckpt")
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         tables, quads, cfg = small_setup(epochs=4)

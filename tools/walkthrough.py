@@ -1,18 +1,25 @@
-"""Run the desk CLI walkthrough against one source tree and keep every output.
+"""Run the CLI walkthrough against one source tree and keep every output.
 
 Usage: python tools/walkthrough.py --src SRC OUT
 
 SRC is the directory holding the ``gramalign`` package (``src`` in a
 checkout). Each command runs in its own ``python -m gramalign.cli``
-subprocess with SRC first on PYTHONPATH. OUT receives the synthetic data,
-the training run, a run resumed from its tenth epoch, the retrieve, dti and
-export reports, and ``stdout/<step>.txt`` with each command's stdout, in
-which OUT is replaced by a fixed token. The wall-clock ``run.timing.jsonl``
-files are deleted, so two trees with the same behaviour give the same
-bytes: compare the OUT of each with ``diff -r``.
+subprocess with SRC first on PYTHONPATH. OUT receives the desk-scale
+synthetic data, the training run, a run resumed from its tenth epoch, the
+retrieve, dti and export reports, and ``stdout/<step>.txt`` with each
+command's stdout, in which OUT is replaced by a fixed token.
+
+``OUT/paper`` holds one paper-width run (dims 768/768/768/1280, shared 512,
+hidden 768, one epoch of two B=256 steps), whose GEMMs are large enough for
+BLAS to thread. Its checkpoints and tables are replaced by ``<name>.sha256``
+files holding their SHA-256, so it adds kilobytes, not 77 MB per checkpoint.
+
+The wall-clock ``run.timing.jsonl`` files are deleted, so two trees with the
+same behaviour give the same bytes: compare the OUT of each with ``diff -r``.
 """
 
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -39,6 +46,12 @@ def steps(out):
     yield "export", ["export", *ckpt, "--out", out / "export"]
     yield "gradcheck", ["gradcheck", "--seed", "0", "--trials", "50"]
     yield "pretrain-help", ["pretrain", "--help"]
+    paper = out / "paper"
+    yield "paper-synth", ["synth", "--out", paper / "synth", "--n", "512",
+                          "--dims", "768,768,768,1280", "--noise", "0.05", "--seed", "11"]
+    yield "paper-pretrain", ["pretrain", "--data", paper / "synth", "--out", paper / "run",
+                             "--epochs", "1", "--batch-size", "256", "--shared-dim", "512",
+                             "--proj-hidden", "768", "--seed", "3"]
 
 
 def main(argv=None) -> int:
@@ -62,6 +75,11 @@ def main(argv=None) -> int:
         (out / "stdout" / f"{name}.txt").write_text(proc.stdout.replace(str(out), OUT_TOKEN))
     for timing in out.rglob("run.timing.jsonl"):
         timing.unlink()
+    for big in [*(out / "paper").rglob("*.ckpt"), *(out / "paper").rglob("*.gemb")]:
+        with open(big, "rb") as fh:
+            digest = hashlib.file_digest(fh, "sha256").hexdigest()
+        big.with_name(big.name + ".sha256").write_text(digest + "\n")
+        big.unlink()
     print(f"wrote {sum(1 for p in out.rglob('*') if p.is_file())} files to {out}")
     return 0
 
