@@ -11,7 +11,10 @@ backward with ``input_grad=False`` wherever the gradient with respect to the
 head's input is discarded, which skips the first layer's ``gy @ W.T``.
 
 Inputs are ``(rows, dim)`` batches. Math runs in float64 regardless of
-parameter dtype; the trainer keeps float32 masters and upcasts per step.
+parameter or input dtype; the trainer keeps float32 masters and upcasts per
+step. Stage 0's ``x`` is a reference to the caller's input, not a copy (in
+training, the float32 table rows), upcast exactly wherever a GEMM reads it;
+the caller must not write to that array before the tape's backward() call.
 """
 
 from dataclasses import dataclass
@@ -71,7 +74,11 @@ class MlpParams:
 
 @dataclass
 class ForwardTape:
-    """Per-call cache consumed by backward() for exactly that call."""
+    """Per-call cache consumed by backward() for exactly that call.
+
+    ``stages[0]["x"]`` is the caller's input array itself, in its own dtype,
+    so writing to that array before backward() changes the gradients.
+    """
 
     params: MlpParams
     out_shape: tuple
@@ -167,16 +174,17 @@ def empty_params(specs) -> MlpParams:
 def mlp_forward(params: MlpParams, x, mode="eval", rng=None):
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    h = np.asarray(x, dtype=np.float64)
+    h = np.asarray(x)
     in_dim = params.specs[0].in_dim
     if h.ndim != 2 or h.shape[1] != in_dim:
         raise DimensionMismatch(f"expected input dim {in_dim}, got shape {h.shape}")
     stages = []
     # Each in-place step below acts on an array made in this loop and not yet
-    # cached, and rounds exactly like its out-of-place form.
+    # cached, and rounds exactly like its out-of-place form. Stage 0 caches the
+    # input as given; the float64 upcast, which is exact, is made where a GEMM reads it.
     for spec, layer in zip(params.specs, params.layers):
         cache = {"x": h}
-        h = h @ np.asarray(layer.w, dtype=np.float64)
+        h = np.asarray(h, dtype=np.float64) @ np.asarray(layer.w, dtype=np.float64)
         h += layer.b
         if spec.activation == "gelu":
             # gelu(h) with its Phi kept for backward(): halving is exact above the
@@ -259,7 +267,7 @@ def backward(tape: ForwardTape, upstream_grad, input_grad=True):
             gy = _gelu_grad_from_tape(cache["pre"], cache["phi"], gy)
         elif spec.activation == "relu":
             gy = gy * (cache["pre"] > 0.0)
-        dw = cache["x"].T @ gy
+        dw = np.asarray(cache["x"], dtype=np.float64).T @ gy
         db = gy.sum(axis=0)
         gy = gy @ np.asarray(layer.w, dtype=np.float64).T if i or input_grad else None
         grads.append(LayerParams(w=dw, b=db, gamma=dgamma, beta=dbeta))

@@ -84,10 +84,13 @@ def pair_volume_coeffs(pv: PairVolumes, weights) -> np.ndarray:
     grads = np.empty((m + 1, b, d))
     ct = (c[:, None, :] * pv.t).reshape(b * m, b)
     grads[0] = c.sum(axis=0)[:, None] * pv.anchor - ct.T @ qt.reshape(b * m, d)
+    del ct
 
-    cy = c[:, None, :] * (rinv @ pv.t)  # (B, m, B): c_ij y_ij^u
-    e = rinv @ qt  # (B, m, d)
-    g = (c * pv.rho2).sum(axis=1)[:, None, None] * e
+    # scaled in place: x * c rounds like c * x
+    cy = rinv @ pv.t
+    cy *= c[:, None, :]  # (B, m, B): c_ij y_ij^u
+    g = rinv @ qt  # (B, m, d): e_i^u
+    g *= (c * pv.rho2).sum(axis=1)[:, None, None]
     g -= (cy.reshape(b * m, b) @ pv.anchor).reshape(b, m, d)
     g += (cy @ pv.t.transpose(0, 2, 1)) @ qt
     grads[1:] = g.transpose(1, 0, 2)

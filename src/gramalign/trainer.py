@@ -210,7 +210,13 @@ def train_step(model, raw, labels, mask, history, weights, cfg: TrainConfig, rng
     IC50 losses and their embedding gradients; record gradient norms from
     lambda_bi * L_bi + lambda_ic50 * L_IC50 only (never the volume loss) and
     get the drop decision; compute the volume loss over the surviving
-    modalities; combine; backprop; Adam-update every trainable tensor.
+    modalities; combine; backprop. Returns the gradient of every trainable
+    tensor; ``train`` applies the Adam update.
+
+    Each array is released once its last reader has used it: the IC50 tape
+    after the IC50 backward, the per-loss gradients once combined, and each
+    projector's tape and its entry of ``total.grads`` after that projector's
+    backward, so the returned ``total`` carries no embedding gradients.
     """
     feats, tapes = {}, {}
     for m in MODALITY_ORDER:
@@ -226,6 +232,7 @@ def train_step(model, raw, labels, mask, history, weights, cfg: TrainConfig, rng
     _require_finite("ic50", ic50.value)
     head_grads, dfused = backward(ic50_tape, ic50.logit_grad)
     ic50.grads = dict(zip(MODALITY_ORDER, np.split(dfused, 4, axis=1)))
+    del ic50_tape, fused, logits, dfused
 
     # modality importance comes from the bimodal + IC50 objectives only
     norms = [
@@ -241,11 +248,12 @@ def train_step(model, raw, labels, mask, history, weights, cfg: TrainConfig, rng
     _require_finite("volume", vol.value)
 
     total = total_loss(vol, bi, ic50, cfg.lambda_vol, cfg.lambda_bi, cfg.lambda_ic50)
+    del vol, bi, ic50
     _require_finite("total", total.value)
 
     grads = {}
     for m in MODALITY_ORDER:
-        proj_grads, _ = backward(tapes[m], total.grads[m], input_grad=False)
+        proj_grads, _ = backward(tapes.pop(m), total.grads.pop(m), input_grad=False)
         specs = model.projectors[m].params.specs
         grads.update(mlp_tensor_items(f"proj.{m.short}", specs, proj_grads))
     for name, g in mlp_tensor_items("ic50", model.ic50_head.params.specs, head_grads):
@@ -302,6 +310,16 @@ def _new_model(in_dims, cfg: TrainConfig) -> AlignmentModel:
     return model
 
 
+def _empty_model(in_dims, cfg: TrainConfig) -> AlignmentModel:
+    """float32 heads of the run's shapes, allocated from their specs for assign_named to fill."""
+    return AlignmentModel(
+        projectors={m: Head(empty_params(projector_specs(in_dims[m], cfg.proj_hidden,
+                                                         cfg.shared_dim)))
+                    for m in MODALITY_ORDER},
+        ic50_head=Head(empty_params(ic50_specs(cfg.shared_dim, cfg.ic50_hidden))),
+    )
+
+
 def save_model_checkpoint(path, model, cfg, in_dims, epochs_done, adam, history):
     ckpt.save_checkpoint(
         path,
@@ -350,12 +368,7 @@ def load_model(path):
     arrays; no initial model is drawn only to be overwritten.
     """
     tensors, config, cfg, in_dims, _ = _read_run_checkpoint(path)
-    model = AlignmentModel(
-        projectors={m: Head(empty_params(projector_specs(in_dims[m], cfg.proj_hidden,
-                                                         cfg.shared_dim)))
-                    for m in MODALITY_ORDER},
-        ic50_head=Head(empty_params(ic50_specs(cfg.shared_dim, cfg.ic50_hidden))),
-    )
+    model = _empty_model(in_dims, cfg)
     assign_named(named_tensors(model), tensors)
     return model, cfg, config
 
@@ -380,7 +393,8 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
     in_dims = {m: tables[m].dim for m in MODALITY_ORDER}
     history = make_history(cfg.scheduler)
     start_epoch = 0
-    model = _new_model(in_dims, cfg)
+    # a resumed run restores every tensor below, so it draws no initial model
+    model = _new_model(in_dims, cfg) if resume is None else _empty_model(in_dims, cfg)
     params = dict(named_tensors(model))
     adam = init_adam(params)
 
@@ -446,6 +460,7 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
             adam_step(params, grads, adam, cfg.lr)
             wall_ms = 1000.0 * (time.perf_counter() - t0)
             losses = {k: float(v) for k, v in total.diagnostics.items()}
+            del total, grads  # not held through the next step
             epoch_losses.append(losses)
             records.append(
                 {

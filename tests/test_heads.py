@@ -174,6 +174,24 @@ def test_forward_and_backward_equal_the_reference_formulas(specs, rows):
             assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
 
+def test_input_cached_as_given_with_unchanged_bits():
+    """Stage 0 keeps the caller's float32 rows, not a float64 copy, and no bit changes."""
+    specs = projector_specs(12, 16, 8)
+    params = init_params(specs, seed=3)
+    x32 = np.random.default_rng(1).standard_normal((9, 12)).astype(np.float32)
+    h, tape = mlp_forward(params, x32, "train", np.random.default_rng(2))
+    assert tape.stages[0]["x"] is x32
+    ref_h, ref_tape = mlp_forward(params, x32.astype(np.float64), "train",
+                                  np.random.default_rng(2))
+    assert h.tobytes() == ref_h.tobytes()
+    gy = np.random.default_rng(4).standard_normal(h.shape)
+    (grads, gin), (ref_grads, ref_gin) = backward(tape, gy), backward(ref_tape, gy)
+    assert gin.tobytes() == ref_gin.tobytes()
+    for got, ref in zip(grads, ref_grads):
+        for a, b in zip((got.w, got.b, got.gamma, got.beta), (ref.w, ref.b, ref.gamma, ref.beta)):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
 class TestProject:
     def _head(self, seed=0, in_dim=10):
         return Head(init_params(projector_specs(in_dim, 8, 6), seed))

@@ -113,6 +113,39 @@ def test_exactly_dependent_non_anchors_give_finite_gradients():
     np.testing.assert_allclose(pv.vol, np.sqrt(1e-10))
 
 
+def reference_coeffs(pv, weights):
+    """``pair_volume_coeffs`` with every product formed out of place."""
+    b, d, m = pv.q.shape
+    c = np.asarray(weights, dtype=np.float64) * pv.det_s[:, None] / pv.vol
+    qt = pv.q.transpose(0, 2, 1)
+    singular = pv.det_s == 0.0
+    rinv = np.linalg.inv(np.where(singular[:, None, None], np.eye(m), pv.r))
+    rinv[singular] = 0.0
+    grads = np.empty((m + 1, b, d))
+    ct = (c[:, None, :] * pv.t).reshape(b * m, b)
+    grads[0] = c.sum(axis=0)[:, None] * pv.anchor - ct.T @ qt.reshape(b * m, d)
+    cy = c[:, None, :] * (rinv @ pv.t)
+    e = rinv @ qt
+    g = (c * pv.rho2).sum(axis=1)[:, None, None] * e
+    g -= (cy.reshape(b * m, b) @ pv.anchor).reshape(b, m, d)
+    g += (cy @ pv.t.transpose(0, 2, 1)) @ qt
+    grads[1:] = g.transpose(1, 0, 2)
+    return grads
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_coeffs_equal_out_of_place_reference(k):
+    """The in-place products round exactly like the out-of-place formulas, singular samples too."""
+    rng = np.random.default_rng(30 + k)
+    anchor, others = make_inputs(rng, 64, 16, k - 1)
+    others[:, 5] = 0.0
+    others[:, 5, 0] = 1.0  # sample 5's non-anchors are all e_0, so det S_5 is exactly 0
+    pv = kernels.pair_volumes(anchor, others, EPS_VOL)
+    assert np.flatnonzero(pv.det_s == 0.0).tolist() == [5]
+    w = rng.standard_normal((64, 64))
+    assert kernels.pair_volume_coeffs(pv, w).tobytes() == reference_coeffs(pv, w).tobytes()
+
+
 def test_tuple_volumes_match_per_tuple_reference():
     rng = np.random.default_rng(13)
     vectors = list(unit_rows(rng.standard_normal((4, 9, 7))))

@@ -1,6 +1,8 @@
 """Tests for Adam, the training loop, determinism/resume, and downstream DTI."""
 
 import copy
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from gramalign.losses import Batch, clip_bimodal, ic50_loss, volume_contrastive
 from gramalign.modality import MODALITY_ORDER, Modality
 from gramalign.scheduler import make_history
 from gramalign.seeding import substream
-from gramalign import trainer
+from gramalign import heads, trainer
 from gramalign.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -174,6 +176,35 @@ class TestTrainStep:
         # the volume gradients still update the projectors
         assert any(np.abs(g).max() > 0 for g in grads.values())
 
+    def test_each_tape_released_after_its_backward(self, monkeypatch):
+        """When a projector's backward runs, the IC50 tape and every earlier projector's are gone."""
+        model, params, weights, raw, labels, mask, cfg, rngs = self._prepare()
+        made, alive = [], []  # weakrefs to each tape in creation order; liveness at each backward
+
+        def tracked(forward):
+            def call(*args, **kwargs):
+                out, tape = forward(*args, **kwargs)
+                made.append(weakref.ref(tape))
+                return out, tape
+            return call
+
+        def checked_backward(*args, **kwargs):
+            alive.append([ref() is not None for ref in made])
+            return heads.backward(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "project", tracked(trainer.project))
+        monkeypatch.setattr(trainer, "ic50_forward", tracked(trainer.ic50_forward))
+        monkeypatch.setattr(trainer, "backward", checked_backward)
+        train_step(model, raw, labels, mask, make_history(cfg.scheduler), weights, cfg, rngs)
+        # tapes: the four projectors, then IC50; backward: IC50, then the projectors in order
+        assert alive == [
+            [True, True, True, True, True],
+            [True, True, True, True, False],
+            [False, True, True, True, False],
+            [False, False, True, True, False],
+            [False, False, False, True, False],
+        ]
+
     def test_non_finite_loss_raises(self):
         model, params, weights, raw, labels, mask, cfg, rngs = self._prepare()
         model.ic50_head.params.layers[0].w[0, 0] = np.nan
@@ -268,6 +299,20 @@ class TestTrain:
         for (_, ta), (_, tb) in zip(named_tensors(full.model), named_tensors(resumed.model)):
             np.testing.assert_array_equal(ta, tb)
 
+    def test_resume_draws_no_initial_model(self, tmp_path, monkeypatch):
+        """A resumed run builds its heads from their specs; every tensor comes from the checkpoint."""
+        tables, quads, cfg = small_setup(epochs=4)
+        full = train(tables, quads, cfg, out_dir=tmp_path / "full")
+
+        def no_draw(*args):
+            raise AssertionError("resume drew a model only to overwrite it")
+        monkeypatch.setattr(heads, "init_params", no_draw)
+        resumed = train(tables, quads, cfg, out_dir=tmp_path / "resumed",
+                        resume=tmp_path / "full" / "epoch-0001.ckpt")
+        assert (tmp_path / "resumed" / "final.ckpt").read_bytes() == (
+            tmp_path / "full" / "final.ckpt").read_bytes()
+        assert resumed.records == full.records[-len(resumed.records):]
+
     def test_resume_config_mismatch_rejected(self, tmp_path):
         tables, quads, cfg = small_setup(epochs=2)
         train(tables, quads, cfg, out_dir=tmp_path)
@@ -354,6 +399,28 @@ def separable_dti_setup(seed=0, n_drugs=12):
         lr=1e-3, batch_size=64, epochs=0, shared_dim=8, proj_hidden=16, seed=9, dti_epochs=60
     )
     return model, smiles, protein, positives, cfg
+
+
+class TestStepMemory:
+    def test_no_step_array_outlives_its_step(self):
+        """Three steps peak no higher than one: no step holds arrays of the step before it.
+
+        Holding one step's parameter gradients through the next puts a 3-step
+        run about a fifth above a 1-step run at these proportions.
+        """
+        tables, quads = synth_quadruplets(128, (256, 256, 256, 384), 0.1, seed=0)
+
+        def peak(epochs):
+            cfg = TrainConfig(batch_size=128, epochs=epochs, shared_dim=128, proj_hidden=256)
+            tracemalloc.start()
+            try:
+                train(tables, quads, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, three = peak(1), peak(3)  # 128 quadruplets at B=128: one step per epoch
+        assert three <= 1.02 * one, f"3-step peak {three / one:.3f}x the 1-step peak"
 
 
 class TestTrainDti:
