@@ -64,9 +64,10 @@ class EmbeddingTable:
             )
         if self.rows.shape[1] < 2:
             raise DimensionMismatch(f"embedding dim must be >= 2, got {self.rows.shape[1]}")
-        self._index = {e: i for i, e in enumerate(self.ids)}
-        if len(self._index) != len(self.ids):
-            raise FormatError("duplicate entity ids in table")
+        self._index = {}
+        for i, e in enumerate(self.ids):
+            if self._index.setdefault(e, i) != i:
+                raise FormatError(f"duplicate entity id {e!r} in rows {self._index[e]} and {i}")
         if not checked_finite and first_non_finite(self.rows) >= 0:
             raise NonFiniteValue("table contains NaN/Inf entries")
 

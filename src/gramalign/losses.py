@@ -49,13 +49,9 @@ class Batch:
 @dataclass
 class LossOut:
     value: float
-    grads: dict = field(default_factory=dict)  # Modality -> (B, d)
+    grads: dict = field(default_factory=dict)  # Modality -> (B, d), only those the loss reaches
     diagnostics: dict = field(default_factory=dict)
     logit_grad: np.ndarray | None = None  # only ic50_loss sets this
-
-
-def _zero_grads(batch: Batch) -> dict:
-    return {m: np.zeros_like(e) for m, e in batch.embeddings.items()}
 
 
 def _checked_pair_volumes(batch, anchor, active, tau):
@@ -111,20 +107,16 @@ def volume_contrastive(batch: Batch, anchor: Modality, active, tau: float = DEFA
     The forward direction permutes the anchor across the batch; the reverse
     direction permutes the three non-anchor modalities jointly with a single
     index, which makes the reverse similarity matrix the transpose of the
-    forward one. Gradients flow to every active modality; excluded modalities
-    get exact zero blocks.
+    forward one. ``grads`` holds the active modalities only, each a view of
+    one (k, B, d) array; a dropped modality has no entry.
     """
     others, pv = _checked_pair_volumes(batch, anchor, active, tau)
     value, l_fwd, l_rev, ds = _info_nce(-pv.vol / tau)
 
     g = pair_volume_coeffs(pv, -ds / tau)
-    grads = _zero_grads(batch)
-    for u, m in enumerate([anchor, *others]):
-        grads[m] = g[u]
-
     return LossOut(
         value=value,
-        grads=grads,
+        grads=dict(zip([anchor, *others], g)),
         diagnostics={
             "volume_forward": l_fwd,
             "volume_reverse": l_rev,
@@ -134,19 +126,16 @@ def volume_contrastive(batch: Batch, anchor: Modality, active, tau: float = DEFA
 
 
 def clip_bimodal(batch: Batch, tau: float = DEFAULT_TAU):
-    """Standard two-direction InfoNCE between SMILES and protein embeddings."""
+    """Standard two-direction InfoNCE between SMILES and protein; ``grads`` holds those two."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     f_s = batch.embeddings[Modality.SMILES]
     f_p = batch.embeddings[Modality.PROTEIN]
     logits = f_s @ f_p.T / tau
     value, l_sp, l_ps, dlogits = _info_nce(logits)
-    grads = _zero_grads(batch)
-    grads[Modality.SMILES] = dlogits @ f_p / tau
-    grads[Modality.PROTEIN] = dlogits.T @ f_s / tau
     return LossOut(
         value=value,
-        grads=grads,
+        grads={Modality.SMILES: dlogits @ f_p / tau, Modality.PROTEIN: dlogits.T @ f_s / tau},
         diagnostics={"clip_s_to_p": l_sp, "clip_p_to_s": l_ps},
     )
 
@@ -186,14 +175,14 @@ def ic50_loss(batch: Batch, logits, weights, smoothing: float = DEFAULT_SMOOTHIN
 
 
 def total_loss(vol: LossOut, bi: LossOut, ic50: LossOut, lambda_vol, lambda_bi, lambda_ic50):
-    """Weighted sum of the three objectives, values and gradients alike."""
+    """Weighted sum of the three objectives over the modalities each part reaches."""
     value = 0.0
     grads = {}
     for lam, part in ((lambda_vol, vol), (lambda_bi, bi), (lambda_ic50, ic50)):
         value += lam * part.value
         for m, g in part.grads.items():
-            if m in grads:
-                grads[m] = grads[m] + lam * g
+            if m in grads:  # into the fresh array ``lam * g`` made; rounds like ``a + b``
+                grads[m] += lam * g
             else:
                 grads[m] = lam * g
     diagnostics = {"volume": vol.value, "bimodal": bi.value, "ic50": ic50.value, "total": value}

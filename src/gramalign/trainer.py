@@ -210,13 +210,13 @@ def train_step(model, raw, labels, mask, history, weights, cfg: TrainConfig, rng
     IC50 losses and their embedding gradients; record gradient norms from
     lambda_bi * L_bi + lambda_ic50 * L_IC50 only (never the volume loss) and
     get the drop decision; compute the volume loss over the surviving
-    modalities; combine; backprop. Returns the gradient of every trainable
-    tensor; ``train`` applies the Adam update.
+    modalities; combine; backprop. Returns the loss values, the decision, gbar,
+    the norms and every trainable tensor's gradient; ``train`` applies Adam.
 
     Each array is released once its last reader has used it: the IC50 tape
     after the IC50 backward, the per-loss gradients once combined, and each
-    projector's tape and its entry of ``total.grads`` after that projector's
-    backward, so the returned ``total`` carries no embedding gradients.
+    projector's tape and combined embedding gradient after that projector's
+    backward.
     """
     feats, tapes = {}, {}
     for m in MODALITY_ORDER:
@@ -234,11 +234,15 @@ def train_step(model, raw, labels, mask, history, weights, cfg: TrainConfig, rng
     ic50.grads = dict(zip(MODALITY_ORDER, np.split(dfused, 4, axis=1)))
     del ic50_tape, fused, logits, dfused
 
-    # modality importance comes from the bimodal + IC50 objectives only
-    norms = [
-        float(np.linalg.norm(cfg.lambda_bi * bi.grads[m] + cfg.lambda_ic50 * ic50.grads[m]))
-        for m in MODALITY_ORDER
-    ]
+    # modality importance comes from the bimodal + IC50 objectives only; the norm is a
+    # numpy sum, not np.linalg.norm's BLAS dot, whose rounding depends on the thread count
+    norms = []
+    for m in MODALITY_ORDER:
+        g = cfg.lambda_ic50 * ic50.grads[m]
+        if m in bi.grads:
+            g += cfg.lambda_bi * bi.grads[m]
+        norms.append(float(np.sqrt(np.square(g, out=g).sum())))
+    del g
     record(history, norms)
     gbar = smoothed(history)
     decision = decide(gbar, cfg.scheduler, rngs["scheduler"])
@@ -259,7 +263,7 @@ def train_step(model, raw, labels, mask, history, weights, cfg: TrainConfig, rng
     for name, g in mlp_tensor_items("ic50", model.ic50_head.params.specs, head_grads):
         grads[name] = cfg.lambda_ic50 * g
 
-    return total, decision, gbar, norms, grads
+    return total.diagnostics, decision, gbar, norms, grads
 
 
 def _require_finite(component: str, value: float) -> None:
@@ -452,15 +456,14 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
             raw, labels, mask = _batch_from_rows(tables, quads, rows)
             t0 = time.perf_counter()
             try:
-                total, decision, gbar, norms, grads = train_step(
+                losses, decision, gbar, norms, grads = train_step(
                     model, raw, labels, mask, history, weights, cfg, rngs
                 )
             except NonFiniteLoss as e:
                 raise NonFiniteLoss(f"step {step}: {e}") from None
             adam_step(params, grads, adam, cfg.lr)
             wall_ms = 1000.0 * (time.perf_counter() - t0)
-            losses = {k: float(v) for k, v in total.diagnostics.items()}
-            del total, grads  # not held through the next step
+            del grads  # not held through the next step
             epoch_losses.append(losses)
             records.append(
                 {

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: flags, exit codes, determinism, file outputs."""
 
 import csv
+import importlib.util
 import json
 import os
 import shutil
@@ -14,7 +15,7 @@ import pytest
 import gramalign
 from gramalign import gradcheck
 from gramalign.checkpoint import load_checkpoint, save_checkpoint
-from gramalign.cli import main
+from gramalign.cli import build_parser, main
 from gramalign.data import load_embedding_table
 from gramalign.evaluation import RECALL_KS
 from gramalign.modality import MODALITY_ORDER, Modality
@@ -375,6 +376,15 @@ def _text_id_not_utf8(data):
     return f"row {len(ids) - 1} id is not UTF-8 at byte offset {offset}"
 
 
+def _duplicate_text_id(data):
+    path = data / "text.gemb"
+    first, second = (i.encode() for i in load_embedding_table(path).ids[:2])
+    blob = path.read_bytes()
+    assert blob.count(second) == 1 and len(first) == len(second)
+    path.write_bytes(blob.replace(second, first))
+    return f"duplicate entity id {first.decode()!r} in rows 0 and 1"
+
+
 def _manifest_not_utf8(data):
     path = data / "manifest.tsv"
     blob = path.read_bytes()
@@ -431,6 +441,7 @@ BAD_FILES = [
     _retrieve(_raw_header(b'{"version":1,"config":{}}')),
     _pretrain_on_copy(_text_id_not_utf8),
     _pretrain_on_copy(_manifest_not_utf8),
+    _pretrain_on_copy(_duplicate_text_id),
     _retrieve_on_copy(_manifest_without_rows),
     _retrieve(_raw_checkpoint({"x": [0, -1, 2]}, 16, "tensor 'x': directory entry [0, -1, 2] is")),
     _retrieve(_raw_checkpoint({"x": "abc"}, 0, "tensor 'x': directory entry 'abc' is")),
@@ -447,7 +458,7 @@ BAD_FILES = [
                          ids=["retrieve-foreign-checkpoint", "resume-foreign-checkpoint",
                               "resume-epochs-done-not-int", "header-not-utf8", "header-not-json",
                               "header-without-tensors", "gemb-id-not-utf8", "manifest-not-utf8",
-                              "retrieve-empty-manifest", "ckpt-entry-negative",
+                              "gemb-duplicate-id", "retrieve-empty-manifest", "ckpt-entry-negative",
                               "ckpt-entry-not-list", "ckpt-entry-short", "ckpt-offset-gap",
                               "ckpt-trailing-bytes", "retrieve-nan-weight", "resume-nan-moment"])
 def test_bad_file_exits_1_with_one_line(tmp_path, synth_dir, pretrained, build):
@@ -460,6 +471,27 @@ def test_bad_file_exits_1_with_one_line(tmp_path, synth_dir, pretrained, build):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
     assert not out.exists()
+
+
+def _walkthrough_steps():
+    path = Path(__file__).resolve().parents[1] / "tools" / "walkthrough.py"
+    spec = importlib.util.spec_from_file_location("walkthrough", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return dict(module.steps(Path("out")))
+
+
+WALKTHROUGH = _walkthrough_steps()  # step name -> argv
+
+
+@pytest.mark.parametrize("name", list(WALKTHROUGH))
+def test_walkthrough_command_parses(capsys, name):
+    """Each ``tools/walkthrough.py`` command is one the parser accepts; ``--help`` exits 0."""
+    argv = list(map(str, WALKTHROUGH[name]))
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as e:
+        assert e.code == 0 and "--help" in argv, capsys.readouterr().err
 
 
 class TestGradcheckCommand:

@@ -1,12 +1,18 @@
 """Tests for Adam, the training loop, determinism/resume, and downstream DTI."""
 
 import copy
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gramalign
 from gramalign.checkpoint import load_checkpoint, save_checkpoint
 from gramalign.data import EmbeddingTable, SplitKind, make_split, synth_quadruplets
 from gramalign.errors import EmptyDataset, MissingTensor, NonFiniteLoss, ShapeMismatch
@@ -421,6 +427,50 @@ class TestStepMemory:
 
         one, three = peak(1), peak(3)  # 128 quadruplets at B=128: one step per epoch
         assert three <= 1.02 * one, f"3-step peak {three / one:.3f}x the 1-step peak"
+
+
+# one paper-width B=256 step; prints its recorded norms and a digest of every parameter gradient
+PAPER_STEP = """
+import hashlib, json
+import numpy as np
+from gramalign.data import synth_quadruplets
+from gramalign.modality import MODALITY_ORDER
+from gramalign.scheduler import make_history
+from gramalign.seeding import substream
+from gramalign.trainer import (TrainConfig, _batch_from_rows, _dataset_weights, _new_model,
+                               train_step)
+
+tables, quads = synth_quadruplets(256, (768, 768, 768, 1280), 0.05, seed=11)
+cfg = TrainConfig(batch_size=256, shared_dim=512, proj_hidden=768, seed=3)
+model = _new_model({m: tables[m].dim for m in MODALITY_ORDER}, cfg)
+raw, labels, mask = _batch_from_rows(tables, quads, range(256))
+rngs = {k: substream(cfg.seed, k, 0) for k in ("dropout", "scheduler")}
+_, _, _, norms, grads = train_step(model, raw, labels, mask, make_history(cfg.scheduler),
+                                   _dataset_weights(quads), cfg, rngs)
+digest = hashlib.sha256()
+for name in sorted(grads):
+    digest.update(name.encode())
+    digest.update(np.ascontiguousarray(grads[name]).tobytes())
+print(json.dumps({"norms": norms, "grads": digest.hexdigest()}))
+"""
+
+
+def test_paper_step_bytes_do_not_depend_on_blas_threads():
+    """The recorded norms and every parameter gradient are the same bytes at 1 and 2 threads.
+
+    The step's arrays are large enough for OpenBLAS to split its work; a BLAS
+    dot for the norms rounds differently at each thread count.
+    """
+    src = str(Path(gramalign.__file__).resolve().parents[1])
+
+    def step(threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", PAPER_STEP], capture_output=True,
+                              text=True, env=env, timeout=300, check=True)
+        return json.loads(proc.stdout)
+
+    assert step(1) == step(2)
 
 
 class TestTrainDti:
