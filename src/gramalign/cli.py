@@ -228,7 +228,7 @@ def cmd_export(args) -> int:
     tables, _ = _load_fitting_dataset(model, args.data)
     out = Path(args.out)
     for m in MODALITY_ORDER:
-        projected, _ = project(model.projectors[m], tables[m].rows, "eval")
+        projected, _ = project(model.projectors[m], tables[m].rows, "eval", record=False)
         table = EmbeddingTable(
             modality=m, ids=list(tables[m].ids), rows=projected.astype(np.float32)
         )
@@ -244,7 +244,14 @@ def cmd_export(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Flag errors print one line, ``<prog>: error: <message>``, and exit 2."""
+    """Flag errors print one line, ``<prog>: error: <message>``, and exit 2.
+
+    Flags are spelled in full: subcommand parsers are made by this class too,
+    and no parser takes an abbreviation, so ``--res`` is not read as ``--resume``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")

@@ -1,14 +1,19 @@
 """Trainable networks: modality projectors, IC50 classifier, DTI classifier.
 
-All forward passes cache what the hand-rolled backward pass needs in a
-ForwardTape, one dict per stage: the layer input ``x``, the pre-activation
-``pre`` and, for GELU, its ``phi`` = Phi(pre), so backward runs no second
-``erf``; LayerNorm's ``xhat`` and ``inv``; and the dropout ``mask``. Gradients
-are exact (erf-form GELU, full LayerNorm Jacobian, inverted-dropout masks,
-L2-normalization Jacobian) and are verified against central finite
-differences in the test suite and the gradcheck command. Training calls
-backward with ``input_grad=False`` wherever the gradient with respect to the
-head's input is discarded, which skips the first layer's ``gy @ W.T``.
+A recording forward pass caches what the hand-rolled backward pass needs in
+a ForwardTape, one dict per stage: the layer input ``x``; the activation's
+derivative ``dact``, for GELU the float64 factor Phi(pre) + pre * phi(pre)
+(computed once, in the forward, by the operations ``gelu_grad`` runs) and
+for ReLU the bool ``pre > 0``; LayerNorm's ``xhat`` and ``inv``; and the
+dropout ``mask``. Gradients are exact (erf-form GELU, full LayerNorm
+Jacobian, inverted-dropout masks, L2-normalization Jacobian) and are
+verified against central finite differences in the test suite and the
+gradcheck command. Training calls backward with ``input_grad=False``
+wherever the gradient with respect to the head's input is discarded, which
+skips the first layer's ``gy @ W.T``. A forward whose tape nobody reads
+passes ``record=False``: it caches nothing, returns None for the tape and
+runs GELU, LayerNorm and the final normalization in place, with the same
+output bits.
 
 Inputs are ``(rows, dim)`` batches. Math runs in float64 regardless of
 parameter or input dtype; the trainer keeps float32 masters and upcasts per
@@ -44,7 +49,7 @@ def gelu(x):
 
 
 def gelu_grad(x):
-    """d gelu / dx = Phi(x) + x * phi(x); backward() takes Phi from the tape instead."""
+    """d gelu / dx = Phi(x) + x * phi(x); a recording forward computes it once into the tape."""
     x = np.asarray(x, dtype=np.float64)
     return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
@@ -171,7 +176,18 @@ def empty_params(specs) -> MlpParams:
 # ---------------------------------------------------------------------------
 
 
-def mlp_forward(params: MlpParams, x, mode="eval", rng=None):
+def _gelu_factor(x, phi):
+    """``gelu_grad(x)`` bit for bit, with Phi(x) = ``phi`` already computed by the forward."""
+    d = -0.5 * x
+    d *= x
+    np.exp(d, out=d)
+    d *= x * _INV_SQRT_2PI
+    d += phi
+    return d
+
+
+def mlp_forward(params: MlpParams, x, mode="eval", rng=None, record=True):
+    """The head's output and the tape backward() reads, or None for the tape if not ``record``."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     h = np.asarray(x)
@@ -179,32 +195,36 @@ def mlp_forward(params: MlpParams, x, mode="eval", rng=None):
     if h.ndim != 2 or h.shape[1] != in_dim:
         raise DimensionMismatch(f"expected input dim {in_dim}, got shape {h.shape}")
     stages = []
-    # Each in-place step below acts on an array made in this loop and not yet
-    # cached, and rounds exactly like its out-of-place form. Stage 0 caches the
-    # input as given; the float64 upcast, which is exact, is made where a GEMM reads it.
+    # Each in-place step below acts on an array made in this loop and not cached,
+    # and rounds exactly like its out-of-place form. Stage 0 caches the input as
+    # given; the float64 upcast, which is exact, is made where a GEMM reads it.
     for spec, layer in zip(params.specs, params.layers):
-        cache = {"x": h}
+        cache = {"x": h} if record else {}
         h = np.asarray(h, dtype=np.float64) @ np.asarray(layer.w, dtype=np.float64)
         h += layer.b
         if spec.activation == "gelu":
-            # gelu(h) with its Phi kept for backward(): halving is exact above the
-            # subnormal range, so h * phi rounds like gelu's 0.5 * h * (1 + erf)
+            # halving is exact above the subnormal range, so h * Phi rounds like
+            # gelu's 0.5 * h * (1 + erf)
             phi = h * _INV_SQRT2
             erf(phi, out=phi)
             phi += 1.0
             phi *= 0.5
-            cache["pre"], cache["phi"] = h, phi
-            h = h * phi
+            if record:
+                cache["dact"] = _gelu_factor(h, phi)
+            h *= phi
+            del phi
         elif spec.activation == "relu":
-            cache["pre"] = h
-            h = np.maximum(h, 0.0)
+            if record:
+                cache["dact"] = h > 0.0
+            np.maximum(h, 0.0, out=h)
         if spec.layer_norm:
             # h.var's own sum of squared deviations, the deviations then reused for xhat
-            xhat = h - h.mean(axis=1, keepdims=True)
+            xhat = np.subtract(h, h.mean(axis=1, keepdims=True), out=None if record else h)
             inv = 1.0 / np.sqrt(np.square(xhat).sum(axis=1, keepdims=True) / h.shape[1] + LN_EPS)
             xhat *= inv
-            cache["xhat"], cache["inv"] = xhat, inv
-            h = xhat * layer.gamma
+            if record:
+                cache["xhat"], cache["inv"] = xhat, inv
+            h = np.multiply(xhat, layer.gamma, out=None if record else xhat)
             h += layer.beta
         if spec.dropout > 0.0 and mode == "train":
             if rng is None:
@@ -214,18 +234,9 @@ def mlp_forward(params: MlpParams, x, mode="eval", rng=None):
             h *= mask
             h /= 1.0 - spec.dropout
         stages.append(cache)
+    if not record:
+        return h, None
     return h, ForwardTape(params=params, out_shape=h.shape, stages=stages)
-
-
-def _gelu_grad_from_tape(x, phi, gy):
-    """``gy * gelu_grad(x)`` bit for bit, with Phi(x) = ``phi`` taken from the tape."""
-    d = -0.5 * x
-    d *= x
-    np.exp(d, out=d)
-    d *= x * _INV_SQRT_2PI
-    d += phi
-    d *= gy
-    return d
 
 
 def backward(tape: ForwardTape, upstream_grad, input_grad=True):
@@ -263,10 +274,8 @@ def backward(tape: ForwardTape, upstream_grad, input_grad=True):
             dxhat -= radial
             dxhat *= inv
             gy = dxhat  # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
-        if spec.activation == "gelu":
-            gy = _gelu_grad_from_tape(cache["pre"], cache["phi"], gy)
-        elif spec.activation == "relu":
-            gy = gy * (cache["pre"] > 0.0)
+        if "dact" in cache:
+            gy = gy * cache["dact"]
         dw = np.asarray(cache["x"], dtype=np.float64).T @ gy
         db = gy.sum(axis=0)
         gy = gy @ np.asarray(layer.w, dtype=np.float64).T if i or input_grad else None
@@ -275,17 +284,18 @@ def backward(tape: ForwardTape, upstream_grad, input_grad=True):
     return grads, gy
 
 
-def project(head: Head, raw, mode="eval", rng=None):
+def project(head: Head, raw, mode="eval", rng=None, record=True):
     """Map raw embeddings into the shared space; rows come out unit-norm."""
-    y, tape = mlp_forward(head.params, raw, mode, rng)
+    y, tape = mlp_forward(head.params, raw, mode, rng, record)
     norms = np.linalg.norm(y, axis=1, keepdims=True)
     if np.any(norms <= NORM_EPS):
         k = int(np.argmax(norms <= NORM_EPS))
         raise ZeroVector(f"pre-normalization output row {k} has norm {norms[k, 0]:.3e}")
-    out = y / norms
-    tape.unit_out = out
-    tape.prenorm_norms = norms
-    return out, tape
+    y /= norms  # y is the forward's own array, which no tape holds
+    if record:
+        tape.unit_out = y
+        tape.prenorm_norms = norms
+    return y, tape
 
 
 def ic50_forward(head: Head, f_fused, mode="eval", rng=None):
@@ -293,14 +303,14 @@ def ic50_forward(head: Head, f_fused, mode="eval", rng=None):
     return mlp_forward(head.params, f_fused, mode, rng)
 
 
-def dti_forward(head: Head, f_s, f_p, mode="eval", rng=None):
+def dti_forward(head: Head, f_s, f_p, mode="eval", rng=None, record=True):
     """Two interaction logits from the [f^s; f^p] concatenation."""
     f_s = np.asarray(f_s, dtype=np.float64)
     f_p = np.asarray(f_p, dtype=np.float64)
     if f_s.shape != f_p.shape:
         raise DimensionMismatch(f"drug/protein feature shapes differ: {f_s.shape} vs {f_p.shape}")
     fused = np.concatenate([f_s, f_p], axis=-1)
-    return mlp_forward(head.params, fused, mode, rng)
+    return mlp_forward(head.params, fused, mode, rng, record)
 
 
 # ---------------------------------------------------------------------------

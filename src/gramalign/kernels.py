@@ -36,7 +36,9 @@ class PairVolumes(NamedTuple):
 
     vol: np.ndarray  # (B, B), row i = non-anchors of sample i, column j = anchor of sample j
     anchor: np.ndarray  # (B, d)
-    q: np.ndarray  # (B, d, m), orthonormal basis of each sample's non-anchors
+    # (B, m, d), C-contiguous: row u of sample i is column u of Q_i, the
+    # orthonormal basis of that sample's non-anchors
+    qt: np.ndarray
     r: np.ndarray  # (B, m, m), upper triangular
     det_s: np.ndarray  # (B,), Gram determinant of each sample's non-anchors
     t: np.ndarray  # (B, m, B), t[i, :, j] = Q_i^T a_j
@@ -59,12 +61,14 @@ def pair_volumes(anchor, others, eps) -> PairVolumes:
     if not 1 <= m <= d:
         raise DimensionMismatch(f"need 1 <= {m} non-anchor modalities <= dimension {d}")
     q, r = np.linalg.qr(others.transpose(1, 2, 0))
+    qt = np.ascontiguousarray(q.transpose(0, 2, 1))  # the one copy of the transpose
+    del q
     det_s = np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1) ** 2
-    t = (q.transpose(0, 2, 1).reshape(b * m, d) @ anchor.T).reshape(b, m, b)
+    t = (qt.reshape(b * m, d) @ anchor.T).reshape(b, m, b)
     rho2 = np.einsum("jd,jd->j", anchor, anchor)[None, :] - np.einsum("iuj,iuj->ij", t, t)
     rho2 = np.maximum(rho2, 0.0)
     vol = np.sqrt(det_s[:, None] * rho2 + eps)
-    return PairVolumes(vol, anchor, q, r, det_s, t, rho2)
+    return PairVolumes(vol, anchor, qt, r, det_s, t, rho2)
 
 
 def pair_volume_coeffs(pv: PairVolumes, weights) -> np.ndarray:
@@ -73,26 +77,30 @@ def pair_volume_coeffs(pv: PairVolumes, weights) -> np.ndarray:
     dV_ij = d(det G_ij) / (2 V_ij), so every pair contributes through the
     single coefficient c_ij = w_ij det S_i / V_ij.
     """
-    b, d, m = pv.q.shape
+    b, m, d = pv.qt.shape
     c = np.asarray(weights, dtype=np.float64) * pv.det_s[:, None] / pv.vol
-    qt = pv.q.transpose(0, 2, 1)  # (B, m, d), row u of sample i = Q_i[:, u]
+    qt = pv.qt
     # samples whose non-anchors are exactly dependent have det S_i = 0, hence c_i. = 0
     singular = pv.det_s == 0.0
     rinv = np.linalg.inv(np.where(singular[:, None, None], np.eye(m), pv.r))
     rinv[singular] = 0.0
 
     grads = np.empty((m + 1, b, d))
-    ct = (c[:, None, :] * pv.t).reshape(b * m, b)
-    grads[0] = c.sum(axis=0)[:, None] * pv.anchor - ct.T @ qt.reshape(b * m, d)
-    del ct
+    ct = c[:, None, :] * pv.t
+    grads[0] = c.sum(axis=0)[:, None] * pv.anchor - ct.reshape(b * m, b).T @ qt.reshape(b * m, d)
 
-    # scaled in place: x * c rounds like c * x
-    cy = rinv @ pv.t
+    # Each product below goes into a buffer nobody reads any more: cy into ct's, the
+    # two (B*m, d) products into grads[1:], which the final transpose then fills.
+    # Scaled in place: x * c rounds like c * x.
+    cy = np.matmul(rinv, pv.t, out=ct)
     cy *= c[:, None, :]  # (B, m, B): c_ij y_ij^u
     g = rinv @ qt  # (B, m, d): e_i^u
     g *= (c * pv.rho2).sum(axis=1)[:, None, None]
-    g -= (cy.reshape(b * m, b) @ pv.anchor).reshape(b, m, d)
-    g += (cy @ pv.t.transpose(0, 2, 1)) @ qt
+    scratch = grads[1:].reshape(b, m, d)
+    np.matmul(cy.reshape(b * m, b), pv.anchor, out=scratch.reshape(b * m, d))
+    g -= scratch
+    np.matmul(cy @ pv.t.transpose(0, 2, 1), qt, out=scratch)
+    g += scratch
     grads[1:] = g.transpose(1, 0, 2)
     return grads
 

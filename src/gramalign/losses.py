@@ -8,7 +8,6 @@ gradients stay finite even when a tuple collapses to a singular Gram matrix.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import NUM_IC50_CLASSES
 from .errors import DimensionMismatch
@@ -71,23 +70,52 @@ def _checked_pair_volumes(batch, anchor, active, tau):
     return others, pair_volumes(batch.embeddings[anchor], stack, EPS_VOL)
 
 
+def _logsumexp(a, axis, keepdims=False):
+    """``scipy.special.logsumexp(a, axis, keepdims=keepdims)`` bit for bit on finite 2-D ``a``.
+
+    scipy's operations in scipy's order: every maximum of the line is taken out
+    of the sum and counted, and the result is log1p(sum / count) + log(count)
+    + max. scipy's recomputation of non-finite results is left out, so a NaN
+    or an Inf in ``a`` gives a non-finite result, not necessarily scipy's.
+    """
+    a_max = a.max(axis=axis, keepdims=True)
+    top = a == a_max
+    count = top.sum(axis=axis, keepdims=True, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):  # as scipy's, for non-finite input
+        e = a - a_max
+        np.exp(e, out=e)
+        e[top] = 0.0  # scipy sets each maximum to -inf before the exponential
+        out = e.sum(axis=axis, keepdims=True)
+        out /= count
+        np.log1p(out, out=out)
+        out += np.log(count)
+        out += a_max
+    return out if keepdims else out.squeeze(axis)
+
+
 def _info_nce(s):
     """Row and column InfoNCE over a similarity matrix with diagonal positives.
 
     Returns (combined value, row-direction value, column-direction value,
     d(combined)/dS). The positive term is included in each denominator and
-    the sum ranges over the full batch.
+    the sum ranges over the full batch. dS is one fresh array, formed in
+    place with the same roundings as ``((P_rows - I) + (P_cols - I)) / 2B``.
     """
     b = s.shape[0]
-    lse_rows = logsumexp(s, axis=1)
-    lse_cols = logsumexp(s, axis=0)
+    lse_rows = _logsumexp(s, axis=1)
+    lse_cols = _logsumexp(s, axis=0)
     diag = np.diag(s)
     l_fwd = float(np.mean(lse_rows - diag))
     l_rev = float(np.mean(lse_cols - diag))
-    p_rows = np.exp(s - lse_rows[:, None])
-    p_cols = np.exp(s - lse_cols[None, :])
-    eye = np.eye(b)
-    ds = ((p_rows - eye) + (p_cols - eye)) / (2.0 * b)
+    on_diag = np.arange(b), np.arange(b)  # the identity's ones; p - 0 is p off them
+    ds = s - lse_rows[:, None]
+    np.exp(ds, out=ds)
+    ds[on_diag] -= 1.0
+    p_cols = s - lse_cols[None, :]
+    np.exp(p_cols, out=p_cols)
+    p_cols[on_diag] -= 1.0
+    ds += p_cols
+    ds /= 2.0 * b
     return 0.5 * (l_fwd + l_rev), l_fwd, l_rev, ds
 
 
@@ -113,7 +141,9 @@ def volume_contrastive(batch: Batch, anchor: Modality, active, tau: float = DEFA
     others, pv = _checked_pair_volumes(batch, anchor, active, tau)
     value, l_fwd, l_rev, ds = _info_nce(-pv.vol / tau)
 
-    g = pair_volume_coeffs(pv, -ds / tau)
+    np.negative(ds, out=ds)
+    ds /= tau  # -dS / tau, in dS's own array
+    g = pair_volume_coeffs(pv, ds)
     return LossOut(
         value=value,
         grads=dict(zip([anchor, *others], g)),
@@ -164,7 +194,8 @@ def ic50_loss(batch: Batch, logits, weights, smoothing: float = DEFAULT_SMOOTHIN
     labels = np.asarray(batch.ic50_labels)[mask].astype(int)
     w = np.asarray(weights.weights, dtype=np.float64)[labels]
     sel = logits[mask]
-    logp = sel - logsumexp(sel, axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # an Inf logit makes NaN here; the trainer raises
+        logp = sel - _logsumexp(sel, axis=1, keepdims=True)
     q = np.full((n_valid, NUM_IC50_CLASSES), smoothing / NUM_IC50_CLASSES)
     q[np.arange(n_valid), labels] += 1.0 - smoothing
     value = float(np.sum(w * -(q * logp).sum(axis=1)) / n_valid)

@@ -278,7 +278,8 @@ def alignment_volumes(model, tables, quads):
     evaluated tuple mixes four distinct samples.
     """
     raw, _, _ = _batch_from_rows(tables, quads, range(min(len(quads), ALIGNMENT_EVAL_CAP)))
-    feats = {m: project(model.projectors[m], raw[m], "eval")[0] for m in MODALITY_ORDER}
+    feats = {m: project(model.projectors[m], raw[m], "eval", record=False)[0]
+             for m in MODALITY_ORDER}
     pos = tuple_volumes([feats[m] for m in MODALITY_ORDER])
     mis = tuple_volumes([np.roll(feats[m], -k, axis=0) for k, m in enumerate(MODALITY_ORDER)])
     return float(np.mean(pos)), float(np.mean(mis))
@@ -520,8 +521,8 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
     # imported at call time so perfbench's tracer, which wraps these names, sees each call
     from .evaluation import auprc, auroc, classification_metrics
 
-    f_s, _ = project(model.projectors[Modality.SMILES], smiles_table.rows, "eval")
-    f_p, _ = project(model.projectors[Modality.PROTEIN], protein_table.rows, "eval")
+    f_s, _ = project(model.projectors[Modality.SMILES], smiles_table.rows, "eval", record=False)
+    f_p, _ = project(model.projectors[Modality.PROTEIN], protein_table.rows, "eval", record=False)
 
     def rows_of(pairs):
         drugs = np.array([smiles_table.index_of(d) for d, _, _ in pairs])
@@ -555,7 +556,7 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
                 adam_step(params, dict(mlp_tensor_items("dti", specs, grads)), adam, cfg.dti_lr)
 
         ts, tp, ty = rows_of(fold.test.pairs)
-        logits, _ = dti_forward(head, f_s[ts], f_p[tp], "eval")
+        logits, _ = dti_forward(head, f_s[ts], f_p[tp], "eval", record=False)
         scores = softmax(logits, axis=1)[:, 1]
         cls = classification_metrics(scores, ty)
         metrics = {

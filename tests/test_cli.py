@@ -203,6 +203,8 @@ BAD_CONFIGS = [
     ("[1]", "bad config: config must be a JSON object"),
     ('"x"', "bad config: config must be a JSON object"),
     ({"scheduler": 3}, "bad config: scheduler must be a JSON object"),
+    (["--res", "CHECKPOINT"], "unrecognized arguments: --res"),
+    (["--batch", "64"], "unrecognized arguments: --batch 64"),
 ]
 
 
@@ -218,7 +220,7 @@ BAD_CONFIGS = [
          "scheduler-sigma-inf", "synth-seed-negative", "synth-noise-nan", "synth-noise-inf",
          "batch-size-float", "epochs-bool", "seed-float", "scheduler-history-len-float",
          "lambda-vol-bool", "lr-int-beyond-float", "config-list", "config-string",
-         "scheduler-not-object"],
+         "scheduler-not-object", "resume-abbreviated", "batch-size-abbreviated"],
 )
 def test_bad_config_exits_2_with_one_line(tmp_path, synth_dir, pretrained, flags, message):
     """Out-of-range values are flag errors: exit 2, one stderr line, no traceback.

@@ -1,5 +1,7 @@
 """Tests for projectors, classifier heads, and the hand-rolled backward pass."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from gramalign.heads import (
     LayerSpec,
     backward,
     build_model,
+    cast_params,
     dti_forward,
     dti_specs,
     gelu,
@@ -76,7 +79,7 @@ PHI_GRID = np.array([0.0, 1e-300, -1e-300, 5.0, -5.0, 40.0, -40.0, *np.linspace(
 
 
 class TestPhiFromTape:
-    """The forward's cached Phi gives gelu() and gelu_grad() bit for bit."""
+    """The forward's Phi gives gelu(), and its recorded factor gelu_grad(), bit for bit."""
 
     def _identity_gelu(self):
         # one GELU layer whose pre-activation is its input exactly
@@ -85,9 +88,12 @@ class TestPhiFromTape:
         return p
 
     def test_forward_equals_gelu_on_grid(self):
-        h, tape = mlp_forward(self._identity_gelu(), PHI_GRID[None, :])
-        np.testing.assert_array_equal(tape.stages[0]["pre"][0], PHI_GRID)
+        p = self._identity_gelu()
+        layer = p.layers[0]
+        np.testing.assert_array_equal((PHI_GRID[None, :] @ layer.w + layer.b)[0], PHI_GRID)
+        h, tape = mlp_forward(p, PHI_GRID[None, :])
         assert h[0].tobytes() == gelu(PHI_GRID).tobytes()
+        assert tape.stages[0]["dact"][0].tobytes() == gelu_grad(PHI_GRID).tobytes()
 
     def test_backward_factor_equals_gelu_grad_on_grid(self):
         # with one row and upstream 1, the bias gradient is the GELU factor itself
@@ -97,14 +103,19 @@ class TestPhiFromTape:
 
 
 def reference_forward(params, x, mask_rng):
-    """The out-of-place forward formulas with gelu(), one list of stage caches."""
+    """The out-of-place forward formulas with gelu(), one list of stage caches.
+
+    Each activation's cache is its derivative at the pre-activation:
+    gelu_grad(pre) for GELU, the bool pre > 0 for ReLU.
+    """
     h, stages = np.asarray(x, dtype=np.float64), []
     for spec, layer in zip(params.specs, params.layers):
         cache = {"x": h}
         h = h @ np.asarray(layer.w, dtype=np.float64) + np.asarray(layer.b, dtype=np.float64)
-        if spec.activation is not None:
-            cache["pre"] = h
-            h = gelu(h) if spec.activation == "gelu" else np.maximum(h, 0.0)
+        if spec.activation == "gelu":
+            cache["dact"], h = gelu_grad(h), gelu(h)
+        elif spec.activation == "relu":
+            cache["dact"], h = h > 0.0, np.maximum(h, 0.0)
         if spec.layer_norm:
             mu = h.mean(axis=1, keepdims=True)
             inv = 1.0 / np.sqrt(h.var(axis=1, keepdims=True) + LN_EPS)
@@ -132,10 +143,8 @@ def reference_backward(params, stages, gy):
             dxhat = gy * np.asarray(layer.gamma, dtype=np.float64)
             gy = inv * (dxhat - dxhat.mean(axis=1, keepdims=True)
                         - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
-        if spec.activation == "gelu":
-            gy = gy * gelu_grad(cache["pre"])
-        elif spec.activation == "relu":
-            gy = gy * (cache["pre"] > 0.0)
+        if spec.activation is not None:
+            gy = gy * cache["dact"]
         grads.append((cache["x"].T @ gy, gy.sum(axis=0), dgamma, dbeta))
         gy = gy @ np.asarray(layer.w, dtype=np.float64).T
     return grads[::-1], gy
@@ -161,6 +170,7 @@ def test_forward_and_backward_equal_the_reference_formulas(specs, rows):
     ref_h, ref_stages = reference_forward(params, x, np.random.default_rng(2))
     assert h.tobytes() == ref_h.tobytes()
     for stage, ref in zip(tape.stages, ref_stages):
+        assert stage.keys() == ref.keys()
         for key, arr in ref.items():
             assert stage[key].tobytes() == arr.tobytes(), key
     gy = rng.standard_normal(h.shape)
@@ -190,6 +200,62 @@ def test_input_cached_as_given_with_unchanged_bits():
     for got, ref in zip(grads, ref_grads):
         for a, b in zip((got.w, got.b, got.gamma, got.beta), (ref.w, ref.b, ref.gamma, ref.beta)):
             assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+def tape_nbytes(tape):
+    arrays = [a for stage in tape.stages for a in stage.values()]
+    return sum(a.nbytes for a in arrays) + tape.unit_out.nbytes + tape.prenorm_norms.nbytes
+
+
+def test_train_tape_keeps_one_array_per_gelu_layer():
+    """Besides xhat and the next layer's input, a GELU stage keeps only its derivative factor."""
+    b, specs = 256, projector_specs(1280, 768, 512)  # paper widths
+    x = np.random.default_rng(1).standard_normal((b, 1280)).astype(np.float32)
+    out, tape = project(Head(init_params(specs, 0)), x, "train", np.random.default_rng(2))
+    expected = x.nbytes  # stage 0's input, as given
+    for spec in specs[:2]:  # GELU, LayerNorm, dropout
+        # float64 factor, xhat and next input; LayerNorm's inv; the bool dropout mask
+        expected += 3 * 8 * b * spec.out_dim + 8 * b + b * spec.out_dim
+    expected += out.nbytes + 8 * b  # the unit-norm output and its pre-normalization norms
+    assert tape_nbytes(tape) == expected
+
+
+@pytest.mark.parametrize("specs, forward", [
+    (projector_specs(12, 16, 8), project),
+    (ic50_specs(4, 8), mlp_forward),
+    (dti_specs(4, (8, 6)), mlp_forward),  # ReLU stages
+], ids=["projector", "ic50", "dti"])
+def test_forward_without_tape_gives_the_recording_bytes(specs, forward):
+    head = Head(init_params(specs, seed=3))
+    for layer in head.params.layers:
+        layer.b += 0.1  # so that ReLU units sit on both sides of zero
+    x = np.random.default_rng(4).standard_normal((9, head.in_dim))
+    arg = head if forward is project else head.params
+    ref, _ = forward(arg, x, "eval")
+    out, tape = forward(arg, x, "eval", record=False)
+    assert tape is None and out.tobytes() == ref.tobytes()
+
+
+def test_projection_without_tape_peaks_at_its_widest_layer():
+    """A paper-width eval projection that records nothing holds one layer's arrays at a time.
+
+    Its tracemalloc peak stays under the output plus the widest layer's GEMM:
+    the float64 input, weight and product of that layer.
+    """
+    n, specs = 1024, projector_specs(1280, 768, 512)
+    head = Head(init_params(specs, 3))
+    cast_params(head.params, np.float32)
+    x = np.random.default_rng(5).standard_normal((n, 1280)).astype(np.float32)
+    ref, _ = project(head, x, "eval")
+    tracemalloc.start()
+    try:
+        out, tape = project(head, x, "eval", record=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tape is None and out.tobytes() == ref.tobytes()
+    widest = max(8 * (n * s.in_dim + s.in_dim * s.out_dim + n * s.out_dim) for s in specs)
+    assert peak <= out.nbytes + widest
 
 
 class TestProject:

@@ -1,5 +1,7 @@
 """Batched pair volumes against the per-tuple reference and a high-precision oracle."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -115,9 +117,11 @@ def test_exactly_dependent_non_anchors_give_finite_gradients():
 
 def reference_coeffs(pv, weights):
     """``pair_volume_coeffs`` with every product formed out of place."""
-    b, d, m = pv.q.shape
+    b, m, d = pv.qt.shape
     c = np.asarray(weights, dtype=np.float64) * pv.det_s[:, None] / pv.vol
-    qt = pv.q.transpose(0, 2, 1)
+    # the transposed view of Q in the (B, d, m) layout np.linalg.qr returns, whose
+    # products must round like those of the C-contiguous pv.qt
+    qt = np.ascontiguousarray(pv.qt.transpose(0, 2, 1)).transpose(0, 2, 1)
     singular = pv.det_s == 0.0
     rinv = np.linalg.inv(np.where(singular[:, None, None], np.eye(m), pv.r))
     rinv[singular] = 0.0
@@ -144,6 +148,26 @@ def test_coeffs_equal_out_of_place_reference(k):
     assert np.flatnonzero(pv.det_s == 0.0).tolist() == [5]
     w = rng.standard_normal((64, 64))
     assert kernels.pair_volume_coeffs(pv, w).tobytes() == reference_coeffs(pv, w).tobytes()
+
+
+def test_coeffs_peak_under_their_live_work_arrays():
+    """At B=256, k=4 the coefficients hold no copy of Q and no product beside its buffer.
+
+    The bound is the (k, B, d) result, one (B, m, d) and one (B, m, B) work
+    array, and three B x B arrays.
+    """
+    b, d, m = 256, 512, 3
+    rng = np.random.default_rng(40)
+    anchor, others = make_inputs(rng, b, d, m)
+    pv = kernels.pair_volumes(anchor, others, EPS_VOL)
+    w = rng.standard_normal((b, b))
+    tracemalloc.start()
+    try:
+        grads = kernels.pair_volume_coeffs(pv, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= grads.nbytes + 8 * (b * m * d + b * m * b + 3 * b * b)
 
 
 def test_tuple_volumes_match_per_tuple_reference():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from gramalign.data import class_weights
 from gramalign.losses import (
@@ -11,6 +12,7 @@ from gramalign.losses import (
     Batch,
     LossOut,
     _info_nce,
+    _logsumexp,
     clip_bimodal,
     ic50_loss,
     total_loss,
@@ -191,6 +193,57 @@ class TestVolumeContrastive:
                 forward_loss(shrunk), base
             ), "forward loss must strictly decrease when a positive volume shrinks"
             assert forward_loss(shrunk) < base
+
+
+def lse_cases():
+    """(id, matrix): shapes from 1x1 to 1280x1280, tied maxima, magnitudes up to 1e3."""
+    rng = np.random.default_rng(20)
+    for shape in [(1, 1), (1, 7), (7, 1), (3, 5), (64, 64), (512, 5), (1280, 1280)]:
+        yield f"{shape[0]}x{shape[1]}", rng.standard_normal(shape) * 10.0
+    tied = rng.standard_normal((40, 30))
+    tied[3, [2, 9, 17]] = tied[3].max() + 1.0  # three maxima in row 3
+    tied[[1, 5, 30], 4] = tied[:, 4].max() + 1.0  # three maxima in column 4
+    tied[7] = 2.5  # a constant row: every entry is its maximum
+    yield "tied", tied
+    yield "magnitude-1e3", rng.uniform(-1e3, 1e3, (200, 300))
+    yield "grid", np.round(rng.standard_normal((100, 100)), 1)  # many exact ties
+    yield "transposed", rng.standard_normal((300, 200)).T  # a strided view
+
+
+LSE_CASES = dict(lse_cases())
+
+
+@pytest.mark.parametrize("keepdims", [False, True], ids=["squeezed", "keepdims"])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("case", list(LSE_CASES))
+def test_logsumexp_equals_scipy_bit_for_bit(case, axis, keepdims):
+    a = LSE_CASES[case]
+    got = _logsumexp(a, axis=axis, keepdims=keepdims)
+    want = logsumexp(a, axis=axis, keepdims=keepdims)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def reference_info_nce(s):
+    """``_info_nce`` with scipy's logsumexp, every array formed out of place and np.eye."""
+    b = s.shape[0]
+    lse_rows, lse_cols = logsumexp(s, axis=1), logsumexp(s, axis=0)
+    diag = np.diag(s)
+    l_fwd, l_rev = float(np.mean(lse_rows - diag)), float(np.mean(lse_cols - diag))
+    p_rows, p_cols = np.exp(s - lse_rows[:, None]), np.exp(s - lse_cols[None, :])
+    eye = np.eye(b)
+    ds = ((p_rows - eye) + (p_cols - eye)) / (2.0 * b)
+    return 0.5 * (l_fwd + l_rev), l_fwd, l_rev, ds
+
+
+@pytest.mark.parametrize("b", [1, 2, 9, 512])
+def test_info_nce_equals_out_of_place_reference(b):
+    rng = np.random.default_rng(b)
+    s = rng.standard_normal((b, b)) / 0.07
+    before = s.copy()
+    got, want = _info_nce(s), reference_info_nce(s)
+    assert got[:3] == want[:3]
+    assert got[3].tobytes() == want[3].tobytes()
+    np.testing.assert_array_equal(s, before)  # the caller's scores are not written to
 
 
 class TestInfoNceSymmetry:

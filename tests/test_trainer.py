@@ -217,6 +217,20 @@ class TestTrainStep:
         with pytest.raises(NonFiniteLoss, match="ic50"):
             train_step(model, raw, labels, mask, make_history(cfg.scheduler), weights, cfg, rngs)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_one_non_finite_ic50_logit_raises(self, monkeypatch, bad):
+        model, params, weights, raw, labels, mask, cfg, rngs = self._prepare()
+        row = int(np.flatnonzero(mask)[0])  # an annotated sample
+
+        def poisoned(*args, **kwargs):
+            logits, tape = heads.ic50_forward(*args, **kwargs)
+            logits[row, 1] = bad
+            return logits, tape
+
+        monkeypatch.setattr(trainer, "ic50_forward", poisoned)
+        with pytest.raises(NonFiniteLoss, match="ic50"):
+            train_step(model, raw, labels, mask, make_history(cfg.scheduler), weights, cfg, rngs)
+
 
 class TestTrain:
     def test_records_deterministic_across_runs(self):
