@@ -3,6 +3,12 @@
 Every metric here has a brute-force oracle in the test suite; implementations
 are rank-based for speed but must agree with exhaustive enumeration exactly
 (AUROC/AUPRC within 1e-12).
+
+Nothing here sorts a query-by-candidate matrix. Recall@k finds each query's
+best relevant candidate and counts the candidates ranked above it, in chunks
+of RECALL_CHUNK query rows, so its working memory is one chunk of rows.
+AUROC takes its mean ranks from one stable argsort and the ends of the tied
+blocks, as AUPRC does, so no scipy module is imported on this path.
 """
 
 import itertools
@@ -17,6 +23,7 @@ from .heads import project
 from .modality import Modality
 
 RECALL_KS = (1, 10, 100)
+RECALL_CHUNK = 256  # query rows whose scores recall_at_k holds at a time
 DEFAULT_THRESHOLD = 0.5
 
 
@@ -47,18 +54,28 @@ def cosine_matrix(queries, candidates):
     cn = np.linalg.norm(c, axis=1, keepdims=True)
     if np.any(qn <= 1e-12) or np.any(cn <= 1e-12):
         raise ZeroVector("cosine similarity is undefined for zero rows")
-    return np.clip((q / qn) @ (c / cn).T, -1.0, 1.0)
+    sim = (q / qn) @ (c / cn).T
+    return np.clip(sim, -1.0, 1.0, out=sim)
 
 
-def recall_at_k(scores, relevant, ks=RECALL_KS) -> dict:
+def recall_at_k(scores, relevant, ks=RECALL_KS, rows=None) -> dict:
     """Fraction of queries with any relevant candidate in the top min(k, C).
 
     Candidates are ranked by descending score; ties break toward the lower
     candidate index. ``relevant`` is one non-empty set of candidate indices
-    in [0, C) per query.
+    in [0, C) per query. Query i's scores are ``scores[rows[i]]``, or row i
+    of ``scores`` when ``rows`` is None, so callers pass a shared matrix
+    instead of a copy per query. A query's scores must be finite.
+
+    A query's first relevant hit is its best relevant candidate c*: the
+    highest score s*, ties to the lower index. Its rank is
+    #(s > s*) + #(s == s* and c < c*), the position a stable descending
+    sort would give it, so no row is sorted.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    n_q, n_c = scores.shape
+    n_c = scores.shape[1]
+    rows = np.arange(scores.shape[0]) if rows is None else np.asarray(rows, dtype=np.int64)
+    n_q = len(rows)
     if n_q == 0:
         raise NoRelevant("recall needs at least one query, got 0")
     if len(relevant) != n_q:
@@ -67,32 +84,62 @@ def recall_at_k(scores, relevant, ks=RECALL_KS) -> dict:
     for qi, r in enumerate(rel_sets):
         if not r:
             raise NoRelevant(f"query {qi} has no relevant candidates")
-    rel_q = np.repeat(np.arange(n_q), [len(r) for r in rel_sets])
+    sizes = [len(r) for r in rel_sets]
+    rel_q = np.repeat(np.arange(n_q), sizes)
     rel_c = np.fromiter(itertools.chain.from_iterable(rel_sets), dtype=np.int64, count=len(rel_q))
     outside = np.flatnonzero((rel_c < 0) | (rel_c >= n_c))
     if outside.size:
         i = outside[0]
         raise NoRelevant(f"query {rel_q[i]}: relevant index {rel_c[i]} outside [0, {n_c})")
-    relevance = np.zeros((n_q, n_c), dtype=bool)
-    relevance[rel_q, rel_c] = True
-    order = np.argsort(-scores, axis=1, kind="stable")
-    hit = np.take_along_axis(relevance, order, axis=1)
-    first = hit.argmax(axis=1)  # rank of each query's best relevant candidate
-    return {int(k): int(np.count_nonzero(first < min(int(k), n_c))) / n_q for k in ks}
+    finite = np.isfinite(scores.min(axis=1)) & np.isfinite(scores.max(axis=1))  # NaN propagates
+    bad = np.flatnonzero(~finite[rows])
+    if bad.size:
+        raise NoRelevant(f"query {bad[0]} has a non-finite score")
+    starts = np.cumsum([0, *sizes[:-1]])  # each query's first entry in rel_q / rel_c
+    rel_s = scores[rows[rel_q], rel_c]
+    best = np.maximum.reduceat(rel_s, starts)
+    best_c = np.minimum.reduceat(np.where(rel_s == best[rel_q], rel_c, n_c), starts)
+    # each chunk of rows is a temporary that dies with its call
+    rank = np.concatenate([
+        _rank_of(scores[rows[a : a + RECALL_CHUNK]], best[a : a + RECALL_CHUNK],
+                 best_c[a : a + RECALL_CHUNK])
+        for a in range(0, n_q, RECALL_CHUNK)
+    ])
+    return {int(k): int(np.count_nonzero(rank < min(int(k), n_c))) / n_q for k in ks}
+
+
+def _rank_of(chunk, s_star, c_star):
+    """Each row's 0-based rank of candidate c* with score s*: #(s > s*) + #(s == s*, c < c*)."""
+    s_star, c_star = s_star[:, None], c_star[:, None]
+    # bool sums: count_nonzero(..., axis) would cast each mask to a chunk of intp
+    above = (chunk > s_star).sum(axis=1)
+    tied = chunk == s_star
+    tied &= np.arange(chunk.shape[1]) < c_star
+    return above + tied.sum(axis=1)
 
 
 def auroc(scores, labels) -> float:
-    """Mann-Whitney AUROC with half credit for ties."""
+    """Mann-Whitney AUROC with half credit for ties; NaN if any score is NaN.
+
+    Tied scores share the mean of their block's 1-based ranks, an exact
+    half-integer, so the rank sum is exact and equals
+    ``scipy.stats.rankdata``'s bit for bit.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(int)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise SingleClass(f"need both classes, got {n_pos} positives / {n_neg} negatives")
-    from scipy.stats import rankdata  # imported here: scipy.stats adds ~45 MB to every process
-
-    ranks = rankdata(scores)  # 1-based, tied scores share the mean rank of their block
-    pos_rank_sum = float(ranks[labels == 1].sum())
+    if np.isnan(scores).any():
+        return float("nan")
+    order = np.argsort(scores, kind="stable")
+    s_sorted = scores[order]
+    ends = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))  # last of each block
+    starts = np.append(0, ends[:-1] + 1)
+    mean_rank = (starts + ends) / 2.0 + 1.0
+    pos_in_block = np.diff(np.cumsum(labels[order] == 1)[ends], prepend=0)
+    pos_rank_sum = float((mean_rank * pos_in_block).sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -167,6 +214,6 @@ def run_retrieval(model, smiles_table, protein_table, interactions):
     ):
         query_rows = [pair[side] for pair in rows]
         relevant = [partner_map[q] for q in query_rows]
-        recall = recall_at_k(mat[query_rows], relevant)
+        recall = recall_at_k(mat, relevant, rows=query_rows)
         results.append(RetrievalResult(direction=direction, recall_at=recall))
     return results

@@ -1,12 +1,21 @@
 """Metric tests against exhaustive oracles."""
 
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gramalign
 from gramalign.errors import NoPositives, NoRelevant, SingleClass, ZeroVector
 from gramalign.evaluation import (
+    RECALL_CHUNK,
     ConfusionCounts,
     Direction,
     auprc,
@@ -43,6 +52,17 @@ def auprc_oracle(scores, labels):
         area += (r - prev_r) * p
         prev_r = r
     return area
+
+
+def auroc_rankdata(scores, labels):
+    """The Mann-Whitney formula on ``scipy.stats.rankdata``'s mean ranks (scipy as a test oracle)."""
+    from scipy.stats import rankdata
+
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels).astype(int)
+    n_pos, n_neg = int((labels == 1).sum()), int((labels == 0).sum())
+    pos_rank_sum = float(rankdata(scores)[labels == 1].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def recall_oracle(scores, relevant, k):
@@ -131,6 +151,58 @@ class TestRecallAtK:
         with pytest.raises(NoRelevant, match="outside"):
             recall_at_k(np.ones((2, 3)), [{0}, {1, bad}])
 
+    @pytest.mark.parametrize(
+        "n_q, n_c",
+        [(1, 9), (5, 1), (RECALL_CHUNK - 1, 13), (RECALL_CHUNK, 13), (RECALL_CHUNK + 1, 13),
+         (2 * RECALL_CHUNK + 3, 7)],
+    )
+    def test_chunks_match_exhaustive_oracle(self, n_q, n_c):
+        """Query counts around the chunk size, one query and one candidate, heavy ties."""
+        rng = np.random.default_rng(n_q * 31 + n_c)
+        scores = rng.choice([-0.5, -0.0, 0.0, 0.25, 1.0], size=(n_q, n_c))
+        rel = [set(rng.choice(n_c, size=int(rng.integers(1, min(n_c, 4) + 1)), replace=False).tolist())
+               for _ in range(n_q)]
+        ks = (1, 2, 5, 10, 100)
+        out = recall_at_k(scores, rel, ks=ks)
+        assert out == {k: recall_oracle(scores, rel, k) for k in ks}
+
+    def test_rows_index_a_shared_matrix(self):
+        """``rows`` reads each query's scores from a shared matrix, transposed views included."""
+        rng = np.random.default_rng(8)
+        sim = rng.choice([0.1, 0.2, 0.3], size=(40, RECALL_CHUNK + 5))
+        rows = rng.integers(0, sim.shape[1], size=RECALL_CHUNK + 9)
+        rel = [set(rng.choice(40, size=int(rng.integers(1, 4)), replace=False).tolist())
+               for _ in rows]
+        ks = (1, 3, 10, 100)
+        out = recall_at_k(sim.T, rel, ks=ks, rows=rows)
+        assert out == recall_at_k(sim.T[rows], rel, ks=ks)
+        assert out == {k: recall_oracle(sim.T[rows], rel, k) for k in ks}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        scores = np.zeros((RECALL_CHUNK + 2, 4))
+        scores[RECALL_CHUNK + 1, 2] = bad
+        with pytest.raises(NoRelevant, match=f"query {RECALL_CHUNK + 1} has a non-finite score"):
+            recall_at_k(scores, [{0}] * len(scores))
+
+    def test_large_matrix_holds_one_chunk_at_a_time(self):
+        """Q = C = 2000 (32 MB of scores) peaks within twice one chunk's float64 rows.
+
+        One chunk and its masks take about 1.4 times that; a second live chunk
+        or a Q x C array breaks the bound.
+        """
+        n = 2000
+        rng = np.random.default_rng(9)
+        scores = rng.standard_normal((n, n))
+        rel = [{(7 * i) % n, (11 * i + 3) % n} for i in range(n)]
+        tracemalloc.start()
+        try:
+            recall_at_k(scores, rel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * RECALL_CHUNK * n * 8
+
 
 class TestAuroc:
     def test_perfect_separation(self):
@@ -169,6 +241,25 @@ class TestAuroc:
             labels[0] = 1 - labels[0]
         base = auroc(scores, labels)
         assert auroc(np.exp(2.0 * scores), labels) == pytest.approx(base, abs=1e-12)
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng, n: rng.standard_normal(n),
+        lambda rng, n: rng.choice([0.25, 0.75], size=n),
+        lambda rng, n: np.full(n, 0.5),
+        lambda rng, n: rng.choice([-0.0, 0.0, 1e-300, -1.0], size=n),
+    ], ids=["random", "two-valued", "all-tied", "signed-zeros"])
+    def test_equals_rankdata_reference_bit_for_bit(self, draw):
+        rng = np.random.default_rng(10)
+        for n in (2, 3, 17, 256, 4001):
+            scores = draw(rng, n)
+            labels = rng.integers(0, 2, size=n)
+            labels[:2] = (0, 1)
+            got, want = auroc(scores, labels), auroc_rankdata(scores, labels)
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_nan_score_gives_nan(self):
+        assert math.isnan(auroc([0.9, np.nan, 0.1, 0.4], [1, 0, 0, 1]))
+        assert math.isnan(auroc_rankdata([0.9, np.nan, 0.1, 0.4], [1, 0, 0, 1]))
 
     def test_negation_complements(self):
         rng = np.random.default_rng(5)
@@ -268,3 +359,32 @@ class TestRunRetrieval:
         res = run_retrieval(model, tables[Modality.SMILES], tables[Modality.PROTEIN], pairs)
         for r in res:
             assert r.recall_at[1] <= r.recall_at[10] <= r.recall_at[100]
+
+
+SCIPY_STATS_PROBE = """
+import sys
+import numpy as np
+from gramalign.data import SplitKind, make_split, synth_quadruplets
+from gramalign.evaluation import auroc
+from gramalign.heads import build_model
+from gramalign.modality import MODALITY_ORDER, Modality
+from gramalign.trainer import TrainConfig, train_dti
+
+auroc([0.1, 0.4, 0.4, 0.9], [0, 1, 0, 1])
+tables, quads = synth_quadruplets(24, (6, 6, 6, 6), 0.1, seed=0)
+s_tab, p_tab = tables[Modality.SMILES], tables[Modality.PROTEIN]
+pairs = sorted({(s_tab.ids[q.smiles_row], p_tab.ids[q.protein_row]) for q in quads})
+folds = make_split(pairs, SplitKind.WARM, 2, seed=0, drugs=s_tab.ids, proteins=p_tab.ids)[:1]
+model = build_model({m: 6 for m in MODALITY_ORDER}, 4, 6, 4, 0)
+train_dti(model, s_tab, p_tab, folds, TrainConfig(dti_epochs=1, batch_size=16))
+print(sorted(m for m in sys.modules if m.startswith("scipy.stats")))
+"""
+
+
+def test_scoring_a_fold_never_imports_scipy_stats():
+    """``auroc`` and a one-fold ``train_dti`` leave scipy.stats (about 45 MB of RSS) unloaded."""
+    src = str(Path(gramalign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_STATS_PROBE], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

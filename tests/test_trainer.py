@@ -1,6 +1,8 @@
 """Tests for Adam, the training loop, determinism/resume, and downstream DTI."""
 
+import ast
 import copy
+import inspect
 import json
 import os
 import subprocess
@@ -31,6 +33,7 @@ from gramalign.trainer import (
     TrainConfig,
     _batch_from_rows,
     _dataset_weights,
+    _softmax,
     adam_step,
     alignment_volumes,
     init_adam,
@@ -488,6 +491,22 @@ def test_paper_step_bytes_do_not_depend_on_blas_threads():
 
 
 class TestTrainDti:
+    @pytest.mark.parametrize("scale", [1.0, 1e3], ids=["unit", "1e3"])
+    @pytest.mark.parametrize("shape", [(1, 2), (7, 2), (512, 2), (33, 5)])
+    def test_softmax_equals_scipy_byte_for_byte(self, shape, scale):
+        from scipy.special import softmax
+
+        logits = np.random.default_rng(shape[0]).uniform(-scale, scale, size=shape)
+        logits[0, :2] = scale, -scale  # both ends of the range in one row
+        got, want = _softmax(logits), softmax(logits, axis=1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_trainer_imports_nothing_from_scipy(self):
+        tree = ast.parse(inspect.getsource(trainer))
+        modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+        modules += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        assert not [m for m in modules if m.split(".")[0] == "scipy"]
+
     def test_separable_pairs_high_auroc(self):
         model, smiles, protein, positives, cfg = separable_dti_setup()
         folds = make_split(

@@ -10,14 +10,15 @@ retrieve, dti and export reports, and ``stdout/<step>.txt`` with each
 command's stdout, in which OUT is replaced by a fixed token.
 
 ``OUT/paper`` holds one paper-width run (dims 768/768/768/1280, shared 512,
-hidden 768, one epoch of two B=256 steps) with a ``retrieve --csv`` and an
-``export`` on its checkpoint, whose GEMMs are large enough for BLAS to
-thread. Its checkpoints and tables, the exported ones included, are replaced
-by ``<name>.sha256`` files holding their SHA-256, so it adds kilobytes, not
-77 MB per checkpoint.
+hidden 768, one epoch of two B=256 steps) with a ``retrieve --csv``, a
+three-fold warm ``dti --csv`` of one head epoch and an ``export`` on its
+checkpoint, whose GEMMs are large enough for BLAS to thread. Its checkpoints
+and tables, the exported ones included, are replaced by ``<name>.sha256``
+files holding their SHA-256, so it adds kilobytes, not 77 MB per checkpoint.
 
 The wall-clock ``run.timing.jsonl`` files are deleted, so two trees with the
-same behaviour give the same bytes: compare the OUT of each with ``diff -r``.
+same behaviour give the same bytes, 95 files in all: compare the OUT of each
+with ``diff -r``.
 """
 
 import argparse
@@ -56,6 +57,8 @@ def steps(out):
                              "--proj-hidden", "768", "--seed", "3"]
     paper_ckpt = ["--checkpoint", paper / "run" / "final.ckpt", "--data", paper / "synth"]
     yield "paper-retrieve", ["retrieve", *paper_ckpt, "--out", paper / "retrieve", "--csv"]
+    yield "paper-dti", ["dti", *paper_ckpt, "--out", paper / "dti", "--split", "warm",
+                        "--folds", "3", "--epochs", "1", "--csv"]
     yield "paper-export", ["export", *paper_ckpt, "--out", paper / "export"]
 
 
