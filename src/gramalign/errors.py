@@ -5,7 +5,8 @@ class GramAlignError(Exception):
     """Base class for all package-specific errors."""
 
 
-# numerics
+# vectors and shapes: ZeroVector (heads, evaluation), DimensionMismatch (most modules),
+# NotNormalized (numerics)
 class ZeroVector(GramAlignError):
     pass
 
@@ -15,14 +16,6 @@ class DimensionMismatch(GramAlignError):
 
 
 class NotNormalized(GramAlignError):
-    pass
-
-
-class NotSymmetric(GramAlignError):
-    pass
-
-
-class SingularGram(GramAlignError):
     pass
 
 

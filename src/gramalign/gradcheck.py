@@ -2,8 +2,11 @@
 
 Each component reports the worst vector-level relative error
 max|a - f| / max(max|a|, max|f|, tiny) over the requested number of random
-seeds, using step h = 1e-5 in float64 with dropout disabled. Thresholds:
-1e-6 for the tuple-volume gradient, 1e-5 everywhere else.
+seeds, using step h = 1e-5 in float64 with dropout disabled. The two volume
+components check the kernel that training runs, ``pair_volume_coeffs``,
+against differences of ``pair_volumes`` with eps = 0: ``gram_volume_grad``
+on one tuple, ``pair_volume_coeffs`` on a weighted batch of all pairs.
+Thresholds: 1e-6 for those two, 1e-5 everywhere else.
 """
 
 from dataclasses import dataclass
@@ -11,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import NUM_IC50_CLASSES, class_weights
-from .errors import SingularGram
 from .heads import (
     Head,
     backward,
@@ -24,9 +26,9 @@ from .heads import (
     project,
     projector_specs,
 )
+from .kernels import pair_volume_coeffs, pair_volumes
 from .losses import Batch, clip_bimodal, ic50_loss, volume_contrastive
 from .modality import MODALITY_ORDER, Modality
-from .numerics import gram_volume_grad, volume_unclamped
 from .seeding import substream
 
 FD_STEP = 1e-5
@@ -95,17 +97,36 @@ def _head_worst(seed, stream, specs, forward, inputs=1):
     return max(_worst(fn, [(arr, grad) for (_, arr), (_, grad) in named]), _rel_err(gin, fd_in))
 
 
+def _unit_rows(x):
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def _pair_volumes_worst(x, weights):
+    """Worst error of the kernel's gradient of sum_ij w_ij V_ij, V taken with eps = 0.
+
+    ``x`` stacks the anchor and then the non-anchors, each (B, d).
+    """
+    anchor, others = x[0], x[1:]
+    grads = pair_volume_coeffs(pair_volumes(anchor, others, 0.0), weights)
+    return _worst(lambda: float(np.sum(weights * pair_volumes(anchor, others, 0.0).vol)),
+                  [(x, grads)])
+
+
 def check_gram_volume_grad(seed: int) -> float:
+    """One tuple of 2..4 unit vectors as a batch of one, the first vector the anchor."""
     rng = substream(seed, "gc-volume")
     n = int(rng.integers(2, 5))
     d = int(rng.integers(4, 9))
-    f = rng.standard_normal((n, d))
-    f /= np.linalg.norm(f, axis=1, keepdims=True)
-    try:
-        vg = gram_volume_grad(list(f))
-    except SingularGram:
-        return 0.0
-    return _worst(lambda: volume_unclamped(f), [(f, np.stack(vg.per_vector))])
+    f = _unit_rows(rng.standard_normal((n, d)))
+    return _pair_volumes_worst(f[:, None], np.ones((1, 1)))
+
+
+def check_pair_volume_coeffs(seed: int) -> float:
+    rng = substream(seed, "gc-vol-coeffs")
+    m = int(rng.integers(1, 4))
+    d = int(rng.integers(4, 9))
+    x = _unit_rows(rng.standard_normal((m + 1, 8, d)))
+    return _pair_volumes_worst(x, rng.standard_normal((8, 8)))
 
 
 def check_projector(seed: int) -> float:
@@ -123,8 +144,7 @@ def check_dti_head(seed: int) -> float:
 def _random_batch(rng, batch_size, dim, with_labels=False):
     emb = {}
     for m in MODALITY_ORDER:
-        f = rng.standard_normal((batch_size, dim))
-        emb[m] = f / np.linalg.norm(f, axis=1, keepdims=True)
+        emb[m] = _unit_rows(rng.standard_normal((batch_size, dim)))
     labels = mask = None
     if with_labels:
         labels = rng.integers(0, NUM_IC50_CLASSES, size=batch_size)
@@ -173,6 +193,7 @@ def check_ic50_loss(seed: int) -> float:
 
 COMPONENTS = (
     ("gram_volume_grad", check_gram_volume_grad, TOL_VOLUME),
+    ("pair_volume_coeffs", check_pair_volume_coeffs, TOL_VOLUME),
     ("projector", check_projector, TOL_DEFAULT),
     ("ic50_head", check_ic50_head, TOL_DEFAULT),
     ("dti_head", check_dti_head, TOL_DEFAULT),

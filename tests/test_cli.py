@@ -504,7 +504,8 @@ class TestGradcheckCommand:
 
     # patch point in gradcheck -> (the gradient in its output, the components that must fail)
     NEGATIVE_CONTROLS = {
-        "gram_volume_grad": (lambda out, args: out.per_vector[0], {"gram_volume_grad"}),
+        # the kernel's own gradient; volume_contrastive reaches it through losses' binding
+        "pair_volume_coeffs": (lambda out, args: out, {"gram_volume_grad", "pair_volume_coeffs"}),
         "backward": (lambda out, args: out[1], {"projector", "ic50_head", "dti_head"}),
         # args[1] is the anchor, which is always active
         "volume_contrastive": (lambda out, args: out.grads[args[1]], {"volume_contrastive"}),

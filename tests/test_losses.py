@@ -20,6 +20,7 @@ from gramalign.losses import (
     volume_similarity_forward,
 )
 from gramalign.modality import MODALITY_ORDER, Modality
+from oracles import cofactor_volume
 
 S, T, H, P = MODALITY_ORDER
 
@@ -29,27 +30,12 @@ S, T, H, P = MODALITY_ORDER
 # ---------------------------------------------------------------------------
 
 
-def oracle_det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    out = 0.0
-    for c in range(n):
-        minor = [row[:c] + row[c + 1 :] for row in m[1:]]
-        out += ((-1.0) ** c) * m[0][c] * oracle_det(minor)
-    return out
-
-
-def oracle_tuple_volume(vectors):
-    g = [[float(np.dot(a, b)) for b in vectors] for a in vectors]
-    return math.sqrt(max(oracle_det(g), 0.0) + EPS_VOL)
-
-
 def oracle_volume_matrix(emb, anchor, active):
     others = [m for m in MODALITY_ORDER if m in active and m != anchor]
     b = emb[anchor].shape[0]
     return [
-        [oracle_tuple_volume([emb[anchor][j]] + [emb[m][i] for m in others]) for j in range(b)]
+        [cofactor_volume([emb[anchor][j]] + [emb[m][i] for m in others], EPS_VOL)
+         for j in range(b)]
         for i in range(b)
     ]
 
@@ -96,7 +82,7 @@ class TestVolumeSimilarity:
         batch = unit_batch(np.random.default_rng(0), 1, 6)
         s = volume_similarity_forward(batch, P, MODALITY_ORDER, tau=0.07)
         assert s.shape == (1, 1)
-        vol = oracle_tuple_volume([batch.embeddings[m][0] for m in MODALITY_ORDER])
+        vol = cofactor_volume([batch.embeddings[m][0] for m in MODALITY_ORDER], EPS_VOL)
         assert s[0, 0] == pytest.approx(-vol / 0.07, abs=1e-9)
 
     def test_identical_samples_constant_matrix(self):
