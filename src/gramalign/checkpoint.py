@@ -1,10 +1,12 @@
 """GCKPT1 checkpoint format: bit-exact float32 tensor archive with JSON header.
 
 Layout: ASCII line "GCKPT1\\n", then a UTF-8 JSON object
-{"version", "config", "tensors": {name: [offset, rows, cols]}} terminated by
-"\\n\\0", then concatenated 32-bit little-endian float payloads in directory
-order. Offsets are bytes from the start of the payload section: each is the
-sum of the payload sizes before it, and the last payload ends the file.
+{"version", "config", "tensors": {name: [offset, rows, cols]}, "crc32"}
+terminated by "\\n\\0", then concatenated 32-bit little-endian float payloads
+in directory order. Offsets are bytes from the start of the payload section:
+each is the sum of the payload sizes before it, and the last payload ends the
+file. "crc32" is zlib's CRC-32 of the payload section; a header without it,
+written before it was added, is read unchecked.
 Vectors are stored as (1, n). Every float must be finite. A loaded file is one
 buffer: ``read_file`` and ``f4_blocks`` read GCKPT1 and GEMB1 as views of it.
 """
@@ -12,6 +14,7 @@ buffer: ``read_file`` and ``f4_blocks`` read GCKPT1 and GEMB1 as views of it.
 import json
 import os
 import shutil
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +72,7 @@ def save_checkpoint(path, tensors: dict, config: dict) -> None:
     directory = {}
     payloads = []
     offset = 0
+    crc = 0
     for name, arr in tensors.items():
         arr = np.asarray(arr, dtype="<f4")
         if arr.ndim == 1:
@@ -77,8 +81,9 @@ def save_checkpoint(path, tensors: dict, config: dict) -> None:
             raise ValueError(f"tensor {name!r} must be 1-d or 2-d, got shape {arr.shape}")
         directory[name] = [offset, int(arr.shape[0]), int(arr.shape[1])]
         payloads.append(np.ascontiguousarray(arr))  # written as a buffer, never copied to bytes
+        crc = zlib.crc32(payloads[-1], crc)
         offset += arr.nbytes
-    header = {"version": VERSION, "config": config, "tensors": directory}
+    header = {"version": VERSION, "config": config, "tensors": directory, "crc32": crc}
     blob = MAGIC + json.dumps(header, separators=(",", ":")).encode("utf-8") + TERMINATOR
     write_atomically(path, [blob, *payloads])
 
@@ -153,4 +158,10 @@ def load_checkpoint(path):
         offset += 4 * entry[1] * entry[2]
     if len(blob) > base + offset:
         raise FormatError(f"{len(blob) - base - offset} trailing bytes after the last payload")
-    return dict(zip(header["tensors"], f4_blocks(blob, base, shapes))), config
+    tensors = dict(zip(header["tensors"], f4_blocks(blob, base, shapes)))
+    if "crc32" in header:  # headers written before the CRC was added have none
+        crc = zlib.crc32(memoryview(blob)[base:])
+        if crc != header["crc32"]:
+            raise FormatError(f"{path}: payload CRC-32 is {crc}, its header says "
+                              f"{header['crc32']!r}")
+    return tensors, config

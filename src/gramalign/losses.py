@@ -1,8 +1,10 @@
 """Training objectives: volume contrastive, CLIP-style bimodal, weighted IC50 CE.
 
-Every loss returns its value plus exact gradients. The volume contrastive
-loss regularizes each pair volume as sqrt(det + 1e-10), so its value and
-gradients stay finite even when a tuple collapses to a singular Gram matrix.
+Every loss returns its value plus exact gradients. All of them are softmax
+cross-entropies, and ``softmax`` holds the one exponential they share. The
+volume contrastive loss regularizes each pair volume as sqrt(det + 1e-10), so
+its value and gradients stay finite even when a tuple collapses to a singular
+Gram matrix.
 """
 
 from dataclasses import dataclass, field
@@ -70,27 +72,36 @@ def _checked_pair_volumes(batch, anchor, active, tau):
     return others, pair_volumes(batch.embeddings[anchor], stack, EPS_VOL)
 
 
-def _logsumexp(a, axis, keepdims=False):
-    """``scipy.special.logsumexp(a, axis, keepdims=keepdims)`` bit for bit on finite 2-D ``a``.
+def softmax(a, axis):
+    """(p, lse): the softmax of 2-D ``a`` along ``axis`` and its log-sum-exp, kept 2-D.
 
-    scipy's operations in scipy's order: every maximum of the line is taken out
-    of the sum and counted, and the result is log1p(sum / count) + log(count)
-    + max. scipy's recomputation of non-finite results is left out, so a NaN
-    or an Inf in ``a`` gives a non-finite result, not necessarily scipy's.
+    One exponential, run in place on the shifted copy of ``a``, which
+    becomes p. Each line is shifted by its own maximum, so every line's sum
+    is at least 1 and neither p nor lse underflows, whatever the range of
+    ``a``. p equals ``scipy.special.softmax(a, axis)`` byte for byte.
     """
     a_max = a.max(axis=axis, keepdims=True)
-    top = a == a_max
-    count = top.sum(axis=axis, keepdims=True, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):  # as scipy's, for non-finite input
-        e = a - a_max
-        np.exp(e, out=e)
-        e[top] = 0.0  # scipy sets each maximum to -inf before the exponential
-        out = e.sum(axis=axis, keepdims=True)
-        out /= count
-        np.log1p(out, out=out)
-        out += np.log(count)
-        out += a_max
-    return out if keepdims else out.squeeze(axis)
+    p = a - a_max
+    np.exp(p, out=p)
+    total = p.sum(axis=axis, keepdims=True)
+    p /= total
+    return p, np.log(total) + a_max
+
+
+def cross_entropy(logits, labels, weights, smoothing):
+    """(value, dlogits) of the label-smoothed CE of the n rows of ``logits``, weighted per row.
+
+    Row i's target is q = (1 - smoothing) * onehot(labels[i]) + smoothing / C;
+    the value is sum_i weights[i] * CE_i / n and dlogits = weights * (p - q) / n.
+    """
+    n, c = logits.shape
+    p, lse = softmax(logits, axis=1)
+    logp = logits - lse
+    q = np.full((n, c), smoothing / c)
+    q[np.arange(n), labels] += 1.0 - smoothing
+    value = float(np.sum(weights * -(q * logp).sum(axis=1)) / n)
+    p -= q
+    return value, (weights[:, None] * p) / n
 
 
 def _info_nce(s):
@@ -98,21 +109,17 @@ def _info_nce(s):
 
     Returns (combined value, row-direction value, column-direction value,
     d(combined)/dS). The positive term is included in each denominator and
-    the sum ranges over the full batch. dS is one fresh array, formed in
-    place with the same roundings as ``((P_rows - I) + (P_cols - I)) / 2B``.
+    the sum ranges over the full batch. dS is the row softmax's array, formed
+    in place with the same roundings as ``((P_rows - I) + (P_cols - I)) / 2B``.
     """
     b = s.shape[0]
-    lse_rows = _logsumexp(s, axis=1)
-    lse_cols = _logsumexp(s, axis=0)
+    ds, lse_rows = softmax(s, axis=1)
+    p_cols, lse_cols = softmax(s, axis=0)
     diag = np.diag(s)
-    l_fwd = float(np.mean(lse_rows - diag))
-    l_rev = float(np.mean(lse_cols - diag))
+    l_fwd = float(np.mean(lse_rows[:, 0] - diag))
+    l_rev = float(np.mean(lse_cols[0] - diag))
     on_diag = np.arange(b), np.arange(b)  # the identity's ones; p - 0 is p off them
-    ds = s - lse_rows[:, None]
-    np.exp(ds, out=ds)
     ds[on_diag] -= 1.0
-    p_cols = s - lse_cols[None, :]
-    np.exp(p_cols, out=p_cols)
     p_cols[on_diag] -= 1.0
     ds += p_cols
     ds /= 2.0 * b
@@ -193,15 +200,10 @@ def ic50_loss(batch: Batch, logits, weights, smoothing: float = DEFAULT_SMOOTHIN
 
     labels = np.asarray(batch.ic50_labels)[mask].astype(int)
     w = np.asarray(weights.weights, dtype=np.float64)[labels]
-    sel = logits[mask]
     with np.errstate(invalid="ignore"):  # an Inf logit makes NaN here; the trainer raises
-        logp = sel - _logsumexp(sel, axis=1, keepdims=True)
-    q = np.full((n_valid, NUM_IC50_CLASSES), smoothing / NUM_IC50_CLASSES)
-    q[np.arange(n_valid), labels] += 1.0 - smoothing
-    value = float(np.sum(w * -(q * logp).sum(axis=1)) / n_valid)
-
+        value, dsel = cross_entropy(logits[mask], labels, w, smoothing)
     grad = np.zeros_like(logits)
-    grad[mask] = (w[:, None] * (np.exp(logp) - q)) / n_valid
+    grad[mask] = dsel
     return LossOut(value=value, logit_grad=grad, diagnostics={"ic50_n": float(n_valid)})
 
 

@@ -122,11 +122,12 @@ def decide(gbar, cfg: SchedulerConfig, rng) -> DropDecision:
     """One drop decision from the smoothed per-modality gradient norms.
 
     With probability 1 - p_drop no modality is dropped and the anchor stays
-    PROTEIN. Otherwise: if some modality's smoothed norm
-    exceeds mean + sigma_multiplier * population-std it is dropped
-    (dominance; at most one modality can exceed that threshold), else the
-    smallest contributor is dropped. The anchor is drawn uniformly from the
-    three remaining modalities.
+    PROTEIN. Otherwise: if the largest smoothed norm exceeds mean +
+    sigma_multiplier * population-std, its modality is dropped (dominance;
+    with sigma_multiplier >= 1 at most one norm can exceed that threshold,
+    below 1 several can and the largest goes), else the smallest
+    contributor is dropped. The anchor is drawn uniformly from the three
+    remaining modalities.
     """
     gbar = np.asarray(gbar, dtype=np.float64)
     if gbar.shape != (4,) or not np.all(np.isfinite(gbar)):
@@ -137,15 +138,11 @@ def decide(gbar, cfg: SchedulerConfig, rng) -> DropDecision:
     mu = float(gbar.mean())
     sigma = float(np.sqrt(np.mean((gbar - mu) ** 2)))
     threshold = mu + cfg.sigma_multiplier * sigma
-    dropped = None
-    branch = Branch.ARGMIN
-    for i, m in enumerate(MODALITY_ORDER):
-        if gbar[i] > threshold:
-            dropped = m
-            branch = Branch.DOMINANCE
-            break
-    if dropped is None:
-        dropped = MODALITY_ORDER[int(np.argmin(gbar))]
+    i = int(np.argmax(gbar))
+    if gbar[i] > threshold:
+        dropped, branch = MODALITY_ORDER[i], Branch.DOMINANCE
+    else:
+        dropped, branch = MODALITY_ORDER[int(np.argmin(gbar))], Branch.ARGMIN
     remaining = [m for m in MODALITY_ORDER if m is not dropped]
     anchor = remaining[int(rng.integers(0, len(remaining)))]
     return DropDecision(dropped, anchor, branch)

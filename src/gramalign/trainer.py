@@ -39,8 +39,8 @@ from .heads import (
     projector_specs,
 )
 from .kernels import tuple_volumes
-from .losses import (DEFAULT_SMOOTHING, DEFAULT_TAU, Batch, clip_bimodal, ic50_loss, total_loss,
-                     volume_contrastive)
+from .losses import (DEFAULT_SMOOTHING, DEFAULT_TAU, Batch, clip_bimodal, cross_entropy,
+                     ic50_loss, softmax, total_loss, volume_contrastive)
 from .modality import MODALITY_ORDER, Modality
 from .scheduler import SchedulerConfig, check_field_types, decide, make_history, record, smoothed
 from .seeding import substream
@@ -510,12 +510,6 @@ def write_jsonl(path, records) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _softmax(logits):
-    """``scipy.special.softmax(logits, axis=1)`` bit for bit: scipy's three operations."""
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
     """Train one DTI head per fold on frozen projected embeddings.
 
@@ -553,16 +547,13 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
             for start in range(0, n, bs):
                 rows = order[start : start + bs]
                 logits, tape = dti_forward(head, f_s[xs[rows]], f_p[xp[rows]], "train", rng)
-                yb = y[rows]
-                dlogits = _softmax(logits)
-                dlogits[np.arange(len(rows)), yb] -= 1.0
-                dlogits /= len(rows)
+                _, dlogits = cross_entropy(logits, y[rows], np.ones(len(rows)), 0.0)
                 grads, _ = backward(tape, dlogits, input_grad=False)
                 adam_step(params, dict(mlp_tensor_items("dti", specs, grads)), adam, cfg.dti_lr)
 
         ts, tp, ty = rows_of(fold.test.pairs)
         logits, _ = dti_forward(head, f_s[ts], f_p[tp], "eval", record=False)
-        scores = _softmax(logits)[:, 1]
+        scores = softmax(logits, axis=1)[0][:, 1]
         cls = classification_metrics(scores, ty)
         metrics = {
             "fold": fold.index,

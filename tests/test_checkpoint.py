@@ -1,12 +1,15 @@
 """GCKPT1 format tests."""
 
+import json
+import zlib
+
 import numpy as np
 import pytest
 
 from gramalign import cli
 from gramalign.checkpoint import load_checkpoint, save_checkpoint
 from gramalign.data import EmbeddingTable, synth_quadruplets, write_embedding_table, write_manifest
-from gramalign.errors import BadMagic, NonFiniteValue, TruncatedFile
+from gramalign.errors import BadMagic, FormatError, NonFiniteValue, TruncatedFile
 from gramalign.modality import Modality
 from gramalign.trainer import write_jsonl
 
@@ -78,6 +81,30 @@ def test_missing_terminator(tmp_path):
     path.write_bytes(b"GCKPT1\n" + b'{"version":1}')
     with pytest.raises(TruncatedFile):
         load_checkpoint(path)
+
+
+def test_flipped_payload_bit_fails_the_crc(tmp_path):
+    """A bit flip that leaves every float finite (1.0 reads as 1.0078125) is still an error."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"x": np.ones((4, 4), dtype=np.float32)}, {})
+    blob = bytearray(path.read_bytes())
+    want = json.loads(blob[7 : blob.index(b"\n\x00")])["crc32"]
+    blob[-2] ^= 0x01  # bit 16 of the last float, a mantissa bit
+    path.write_bytes(bytes(blob))
+    got = zlib.crc32(blob[blob.index(b"\n\x00") + 2 :])
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: payload CRC-32 is {got}, its header says {want}"
+
+
+def test_header_without_crc_loads_unchecked(tmp_path):
+    """A file written before the header carried ``crc32`` reads as it always did."""
+    x = np.arange(6, dtype="<f4").reshape(2, 3)
+    header = {"version": 1, "config": {"k": 1}, "tensors": {"x": [0, 2, 3]}}
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(b"GCKPT1\n" + json.dumps(header).encode() + b"\n\x00" + x.tobytes())
+    back, config = load_checkpoint(path)
+    assert config == {"k": 1} and back["x"].tobytes() == x.tobytes()
 
 
 def test_deterministic_bytes(tmp_path):

@@ -2,9 +2,9 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from gramalign.data import class_weights
 from gramalign.losses import (
@@ -12,9 +12,10 @@ from gramalign.losses import (
     Batch,
     LossOut,
     _info_nce,
-    _logsumexp,
     clip_bimodal,
+    cross_entropy,
     ic50_loss,
+    softmax,
     total_loss,
     volume_contrastive,
     volume_similarity_forward,
@@ -181,43 +182,17 @@ class TestVolumeContrastive:
             assert forward_loss(shrunk) < base
 
 
-def lse_cases():
-    """(id, matrix): shapes from 1x1 to 1280x1280, tied maxima, magnitudes up to 1e3."""
-    rng = np.random.default_rng(20)
-    for shape in [(1, 1), (1, 7), (7, 1), (3, 5), (64, 64), (512, 5), (1280, 1280)]:
-        yield f"{shape[0]}x{shape[1]}", rng.standard_normal(shape) * 10.0
-    tied = rng.standard_normal((40, 30))
-    tied[3, [2, 9, 17]] = tied[3].max() + 1.0  # three maxima in row 3
-    tied[[1, 5, 30], 4] = tied[:, 4].max() + 1.0  # three maxima in column 4
-    tied[7] = 2.5  # a constant row: every entry is its maximum
-    yield "tied", tied
-    yield "magnitude-1e3", rng.uniform(-1e3, 1e3, (200, 300))
-    yield "grid", np.round(rng.standard_normal((100, 100)), 1)  # many exact ties
-    yield "transposed", rng.standard_normal((300, 200)).T  # a strided view
-
-
-LSE_CASES = dict(lse_cases())
-
-
-@pytest.mark.parametrize("keepdims", [False, True], ids=["squeezed", "keepdims"])
-@pytest.mark.parametrize("axis", [0, 1])
-@pytest.mark.parametrize("case", list(LSE_CASES))
-def test_logsumexp_equals_scipy_bit_for_bit(case, axis, keepdims):
-    a = LSE_CASES[case]
-    got = _logsumexp(a, axis=axis, keepdims=keepdims)
-    want = logsumexp(a, axis=axis, keepdims=keepdims)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
 def reference_info_nce(s):
-    """``_info_nce`` with scipy's logsumexp, every array formed out of place and np.eye."""
+    """``_info_nce`` as the plain formulas: every array formed out of place, and np.eye."""
     b = s.shape[0]
-    lse_rows, lse_cols = logsumexp(s, axis=1), logsumexp(s, axis=0)
+    m_rows, m_cols = s.max(axis=1, keepdims=True), s.max(axis=0, keepdims=True)
+    e_rows, e_cols = np.exp(s - m_rows), np.exp(s - m_cols)
+    z_rows, z_cols = e_rows.sum(axis=1, keepdims=True), e_cols.sum(axis=0, keepdims=True)
+    lse_rows, lse_cols = np.log(z_rows) + m_rows, np.log(z_cols) + m_cols
     diag = np.diag(s)
-    l_fwd, l_rev = float(np.mean(lse_rows - diag)), float(np.mean(lse_cols - diag))
-    p_rows, p_cols = np.exp(s - lse_rows[:, None]), np.exp(s - lse_cols[None, :])
+    l_fwd, l_rev = float(np.mean(lse_rows[:, 0] - diag)), float(np.mean(lse_cols[0] - diag))
     eye = np.eye(b)
-    ds = ((p_rows - eye) + (p_cols - eye)) / (2.0 * b)
+    ds = ((e_rows / z_rows - eye) + (e_cols / z_cols - eye)) / (2.0 * b)
     return 0.5 * (l_fwd + l_rev), l_fwd, l_rev, ds
 
 
@@ -230,6 +205,70 @@ def test_info_nce_equals_out_of_place_reference(b):
     assert got[:3] == want[:3]
     assert got[3].tobytes() == want[3].tobytes()
     np.testing.assert_array_equal(s, before)  # the caller's scores are not written to
+
+
+def wide_scores(b=24, seed=0):
+    """Scores -V/tau with tau = 1e-3 whose range exceeds 745: some whole rows and some whole
+    columns lie more than 745 below the global maximum, where exp(s - s.max()) is 0."""
+    rng = np.random.default_rng(seed)
+    vol = rng.uniform(0.0, 0.05, (b, b))
+    vol[::3] += 0.8  # every third row...
+    vol[:, 1::4] += 0.8  # ...and every fourth column sits far from the top
+    s = -vol / 1e-3
+    assert np.ptp(s) > 745
+    assert not np.exp(s - s.max()).sum(axis=1).all() and not np.exp(s - s.max()).sum(axis=0).all()
+    return s
+
+
+def mp_softmax(s, axis):
+    """(p, lse) at 50 digits: a log of an exact sum of exact exponentials, shifted by nothing."""
+    lines = s if axis == 1 else s.T
+    with mpmath.workdps(50):
+        lse = [mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(float(x))) for x in line))
+               for line in lines]
+        p = [[float(mpmath.exp(mpmath.mpf(float(x)) - z)) for x in line]
+             for line, z in zip(lines, lse)]
+        lse = [float(z) for z in lse]
+    p, lse = np.array(p), np.array(lse)
+    return (p, lse[:, None]) if axis == 1 else (p.T, lse[None, :])
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_softmax_matches_mpmath_beyond_underflow_range(axis):
+    s = wide_scores()
+    p, lse = softmax(s, axis)
+    want_p, want_lse = mp_softmax(s, axis)
+    assert p.shape == s.shape and lse.shape == want_lse.shape
+    assert np.all(np.isfinite(lse))
+    np.testing.assert_allclose(lse, want_lse, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(p, want_p, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(p.sum(axis=axis), 1.0, rtol=0, atol=1e-12)
+
+
+def test_info_nce_matches_mpmath_beyond_underflow_range():
+    s = wide_scores()
+    b = len(s)
+    value, l_fwd, l_rev, ds = _info_nce(s)
+    (p_rows, lse_rows), (p_cols, lse_cols) = mp_softmax(s, 1), mp_softmax(s, 0)
+    want_fwd = math.fsum(lse_rows[:, 0] - np.diag(s)) / b
+    want_rev = math.fsum(lse_cols[0] - np.diag(s)) / b
+    assert np.isfinite([value, l_fwd, l_rev]).all()
+    assert l_fwd == pytest.approx(want_fwd, rel=1e-12)
+    assert l_rev == pytest.approx(want_rev, rel=1e-12)
+    want_ds = ((p_rows - np.eye(b)) + (p_cols - np.eye(b))) / (2.0 * b)
+    np.testing.assert_allclose(ds, want_ds, rtol=0, atol=1e-12)
+
+
+def test_cross_entropy_unit_weights_equals_in_place_onehot_gradient():
+    """Unweighted, unsmoothed CE (the DTI head's) rounds like ``p[y] -= 1; p /= n``."""
+    rng = np.random.default_rng(4)
+    logits = rng.standard_normal((33, 2)) * 5.0
+    labels = rng.integers(0, 2, 33)
+    _, got = cross_entropy(logits, labels, np.ones(33), 0.0)
+    want = softmax(logits, axis=1)[0]
+    want[np.arange(33), labels] -= 1.0
+    want /= 33
+    assert got.tobytes() == want.tobytes()
 
 
 class TestInfoNceSymmetry:

@@ -69,8 +69,8 @@ class TestSmoothed:
 
 
 class TestDecide:
-    def _cfg(self, p_drop=1.0):
-        return SchedulerConfig(p_drop=p_drop)
+    def _cfg(self, p_drop=1.0, sigma_multiplier=1.5):
+        return SchedulerConfig(p_drop=p_drop, sigma_multiplier=sigma_multiplier)
 
     def test_dominance_worked_example(self):
         # gbar (10,1,1,1): mu 3.25, sigma 3.897114, threshold 9.095671 < 10
@@ -114,15 +114,17 @@ class TestDecide:
         drops = sum(decide(gbar, cfg, rng).should_drop for _ in range(n))
         assert abs(drops / n - 0.8) < 0.02
 
-    def test_branch_predicate_matches_oracle(self):
+    @pytest.mark.parametrize("sigma_multiplier", [0.5, 1.5])
+    def test_branch_predicate_matches_oracle(self, sigma_multiplier):
+        """Dominance drops the largest norm, also where several exceed the threshold (< 1)."""
         rng = np.random.default_rng(3)
-        cfg = self._cfg(1.0)
+        cfg = self._cfg(1.0, sigma_multiplier)
         for _ in range(2000):
             gbar = rng.random(4) * rng.choice([0.1, 1.0, 100.0])
             d = decide(gbar, cfg, rng)
             mu = gbar.mean()
             sigma = np.sqrt(((gbar - mu) ** 2).mean())
-            dominance = bool(gbar.max() > mu + 1.5 * sigma)
+            dominance = bool(gbar.max() > mu + sigma_multiplier * sigma)
             assert d.should_drop
             assert (d.branch is Branch.DOMINANCE) == dominance
             if dominance:

@@ -23,7 +23,7 @@ from gramalign.losses import Batch, clip_bimodal, ic50_loss, volume_contrastive
 from gramalign.modality import MODALITY_ORDER, Modality
 from gramalign.scheduler import make_history
 from gramalign.seeding import substream
-from gramalign import heads, trainer
+from gramalign import heads, losses, trainer
 from gramalign.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -33,7 +33,6 @@ from gramalign.trainer import (
     TrainConfig,
     _batch_from_rows,
     _dataset_weights,
-    _softmax,
     adam_step,
     alignment_volumes,
     init_adam,
@@ -498,7 +497,7 @@ class TestTrainDti:
 
         logits = np.random.default_rng(shape[0]).uniform(-scale, scale, size=shape)
         logits[0, :2] = scale, -scale  # both ends of the range in one row
-        got, want = _softmax(logits), softmax(logits, axis=1)
+        got, want = losses.softmax(logits, axis=1)[0], softmax(logits, axis=1)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_trainer_imports_nothing_from_scipy(self):
