@@ -5,8 +5,8 @@ Layout: ASCII line "GCKPT1\\n", then a UTF-8 JSON object
 terminated by "\\n\\0", then concatenated 32-bit little-endian float payloads
 in directory order. Offsets are bytes from the start of the payload section:
 each is the sum of the payload sizes before it, and the last payload ends the
-file. "crc32" is zlib's CRC-32 of the payload section; a header without it,
-written before it was added, is read unchecked.
+file. "crc32" is zlib's CRC-32 of the payload section; a header without it
+is refused, so no flipped header bit can switch the check off.
 Vectors are stored as (1, n). Every float must be finite. A loaded file is one
 buffer: ``read_file`` and ``f4_blocks`` read GCKPT1 and GEMB1 as views of it.
 """
@@ -159,9 +159,9 @@ def load_checkpoint(path):
     if len(blob) > base + offset:
         raise FormatError(f"{len(blob) - base - offset} trailing bytes after the last payload")
     tensors = dict(zip(header["tensors"], f4_blocks(blob, base, shapes)))
-    if "crc32" in header:  # headers written before the CRC was added have none
-        crc = zlib.crc32(memoryview(blob)[base:])
-        if crc != header["crc32"]:
-            raise FormatError(f"{path}: payload CRC-32 is {crc}, its header says "
-                              f"{header['crc32']!r}")
+    if "crc32" not in header:
+        raise FormatError(f"{path}: header has no crc32, so its payload cannot be checked")
+    crc = zlib.crc32(memoryview(blob)[base:])
+    if crc != header["crc32"]:
+        raise FormatError(f"{path}: payload CRC-32 is {crc}, its header says {header['crc32']!r}")
     return tensors, config

@@ -4,11 +4,11 @@ Every metric here has a brute-force oracle in the test suite; implementations
 are rank-based for speed but must agree with exhaustive enumeration exactly
 (AUROC/AUPRC within 1e-12).
 
-Nothing here sorts a query-by-candidate matrix. Recall@k finds each query's
-best relevant candidate and counts the candidates ranked above it, in chunks
-of RECALL_CHUNK query rows, so its working memory is one chunk of rows.
-AUROC takes its mean ranks from one stable argsort and the ends of the tied
-blocks, as AUPRC does, so no scipy module is imported on this path.
+Nothing here sorts a query-by-candidate matrix. Recall@k finds each score
+row's best relevant candidate and counts the candidates ranked above it, once
+per distinct row however often it is queried, in chunks of RECALL_CHUNK rows,
+so its working memory is one chunk of rows. AUROC and AUPRC take their tied
+blocks from one stable argsort, so no scipy module is imported on this path.
 """
 
 import itertools
@@ -38,14 +38,6 @@ class RetrievalResult:
     recall_at: dict  # k -> fraction of queries with a relevant hit in top-k
 
 
-@dataclass
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-
 def cosine_matrix(queries, candidates):
     """(Q, C) cosine similarities; rows are normalized internally."""
     q = np.asarray(queries, dtype=np.float64)
@@ -62,49 +54,57 @@ def recall_at_k(scores, relevant, ks=RECALL_KS, rows=None) -> dict:
     """Fraction of queries with any relevant candidate in the top min(k, C).
 
     Candidates are ranked by descending score; ties break toward the lower
-    candidate index. ``relevant`` is one non-empty set of candidate indices
-    in [0, C) per query. Query i's scores are ``scores[rows[i]]``, or row i
-    of ``scores`` when ``rows`` is None, so callers pass a shared matrix
-    instead of a copy per query. A query's scores must be finite.
+    candidate index. Query i reads score row ``rows[i]``, or row i when
+    ``rows`` is None, so callers share one matrix and may query a row many
+    times. ``relevant[r]`` is score row r's non-empty set of candidate
+    indices in [0, C), a sequence or a mapping over the queried rows. A
+    queried row's scores must be finite.
 
-    A query's first relevant hit is its best relevant candidate c*: the
+    A row's first relevant hit is its best relevant candidate c*: the
     highest score s*, ties to the lower index. Its rank is
     #(s > s*) + #(s == s* and c < c*), the position a stable descending
-    sort would give it, so no row is sorted.
+    sort would give it, so no row is sorted, and each distinct row is
+    ranked once.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    n_c = scores.shape[1]
-    rows = np.arange(scores.shape[0]) if rows is None else np.asarray(rows, dtype=np.int64)
+    n_r, n_c = scores.shape
+    if rows is None:
+        if len(relevant) != n_r:
+            raise NoRelevant(f"{len(relevant)} relevance sets for {n_r} queries")
+        rows = np.arange(n_r)
+    rows = np.asarray(rows, dtype=np.int64)
     n_q = len(rows)
     if n_q == 0:
         raise NoRelevant("recall needs at least one query, got 0")
-    if len(relevant) != n_q:
-        raise NoRelevant(f"{len(relevant)} relevance sets for {n_q} queries")
-    rel_sets = [frozenset(int(i) for i in r) for r in relevant]
-    for qi, r in enumerate(rel_sets):
-        if not r:
-            raise NoRelevant(f"query {qi} has no relevant candidates")
+    uniq, inverse = np.unique(rows, return_inverse=True)
+    if not 0 <= uniq[0] <= uniq[-1] < n_r:
+        raise NoRelevant(f"queried score rows span [{uniq[0]}, {uniq[-1]}], outside [0, {n_r})")
+    rel_sets = [frozenset(int(i) for i in relevant[r]) for r in uniq.tolist()]
+    for r, rel in zip(uniq, rel_sets):
+        if not rel:
+            raise NoRelevant(f"score row {r} has no relevant candidates")
     sizes = [len(r) for r in rel_sets]
-    rel_q = np.repeat(np.arange(n_q), sizes)
-    rel_c = np.fromiter(itertools.chain.from_iterable(rel_sets), dtype=np.int64, count=len(rel_q))
+    rel_u = np.repeat(np.arange(len(uniq)), sizes)
+    rel_c = np.fromiter(itertools.chain.from_iterable(rel_sets), dtype=np.int64, count=len(rel_u))
     outside = np.flatnonzero((rel_c < 0) | (rel_c >= n_c))
     if outside.size:
         i = outside[0]
-        raise NoRelevant(f"query {rel_q[i]}: relevant index {rel_c[i]} outside [0, {n_c})")
+        raise NoRelevant(f"score row {uniq[rel_u[i]]}: relevant index {rel_c[i]} "
+                         f"outside [0, {n_c})")
     finite = np.isfinite(scores.min(axis=1)) & np.isfinite(scores.max(axis=1))  # NaN propagates
-    bad = np.flatnonzero(~finite[rows])
+    bad = np.flatnonzero(~finite[uniq])
     if bad.size:
-        raise NoRelevant(f"query {bad[0]} has a non-finite score")
-    starts = np.cumsum([0, *sizes[:-1]])  # each query's first entry in rel_q / rel_c
-    rel_s = scores[rows[rel_q], rel_c]
+        raise NoRelevant(f"score row {uniq[bad[0]]} has a non-finite score")
+    starts = np.cumsum([0, *sizes[:-1]])  # each row's first entry in rel_u / rel_c
+    rel_s = scores[uniq[rel_u], rel_c]
     best = np.maximum.reduceat(rel_s, starts)
-    best_c = np.minimum.reduceat(np.where(rel_s == best[rel_q], rel_c, n_c), starts)
+    best_c = np.minimum.reduceat(np.where(rel_s == best[rel_u], rel_c, n_c), starts)
     # each chunk of rows is a temporary that dies with its call
     rank = np.concatenate([
-        _rank_of(scores[rows[a : a + RECALL_CHUNK]], best[a : a + RECALL_CHUNK],
+        _rank_of(scores[uniq[a : a + RECALL_CHUNK]], best[a : a + RECALL_CHUNK],
                  best_c[a : a + RECALL_CHUNK])
-        for a in range(0, n_q, RECALL_CHUNK)
-    ])
+        for a in range(0, len(uniq), RECALL_CHUNK)
+    ])[inverse]
     return {int(k): int(np.count_nonzero(rank < min(int(k), n_c))) / n_q for k in ks}
 
 
@@ -116,6 +116,13 @@ def _rank_of(chunk, s_star, c_star):
     tied = chunk == s_star
     tied &= np.arange(chunk.shape[1]) < c_star
     return above + tied.sum(axis=1)
+
+
+def _tied_blocks(keys):
+    """The stable ascending argsort of ``keys``, and the last sorted position of each tied block."""
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
+    return order, np.flatnonzero(np.append(k[1:] != k[:-1], True))
 
 
 def auroc(scores, labels) -> float:
@@ -133,9 +140,7 @@ def auroc(scores, labels) -> float:
         raise SingleClass(f"need both classes, got {n_pos} positives / {n_neg} negatives")
     if np.isnan(scores).any():
         return float("nan")
-    order = np.argsort(scores, kind="stable")
-    s_sorted = scores[order]
-    ends = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))  # last of each block
+    order, ends = _tied_blocks(scores)
     starts = np.append(0, ends[:-1] + 1)
     mean_rank = (starts + ends) / 2.0 + 1.0
     pos_in_block = np.diff(np.cumsum(labels[order] == 1)[ends], prepend=0)
@@ -154,9 +159,7 @@ def auprc(scores, labels) -> float:
     n_pos = int((labels == 1).sum())
     if n_pos == 0:
         raise NoPositives("AUPRC needs at least one positive")
-    order = np.argsort(-scores, kind="stable")
-    s_sorted = scores[order]
-    ends = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))  # last of each block
+    order, ends = _tied_blocks(-scores)
     tp = np.cumsum(labels[order])[ends]
     recall = tp / n_pos
     precision = tp / (ends + 1)
@@ -165,7 +168,7 @@ def auprc(scores, labels) -> float:
 
 
 def classification_metrics(scores, labels) -> dict:
-    """Sensitivity/F1/accuracy at DEFAULT_THRESHOLD; zero denominators score 0."""
+    """{"sensitivity", "f1", "accuracy"} at DEFAULT_THRESHOLD; zero denominators score 0."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(int)
     pred = scores >= DEFAULT_THRESHOLD
@@ -184,7 +187,6 @@ def classification_metrics(scores, labels) -> dict:
         "sensitivity": _safe(tp, tp + fn, "sensitivity"),
         "f1": _safe(2 * tp, 2 * tp + fp + fn, "f1"),
         "accuracy": _safe(tp + tn, tp + fp + tn + fn, "accuracy"),
-        "confusion": ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn),
     }
 
 
@@ -192,9 +194,10 @@ def run_retrieval(model, smiles_table, protein_table, interactions):
     """Zero-shot retrieval in both directions over the full candidate pools.
 
     ``interactions`` are known (smiles_id, protein_id) pairs; each pair is one
-    query whose relevance set is the query entity's full set of known
-    partners. Embeddings are projected in eval mode and compared by cosine;
-    recall is reported at each of RECALL_KS.
+    query in each direction, and its relevance set is the query entity's full
+    set of known partners, so an entity with r partners is queried r times
+    and ranked once. Embeddings are projected in eval mode and compared by
+    cosine; recall is reported at each of RECALL_KS.
     """
     f_s, _ = project(model.projectors[Modality.SMILES], smiles_table.rows, "eval", record=False)
     f_p, _ = project(model.projectors[Modality.PROTEIN], protein_table.rows, "eval", record=False)
@@ -212,8 +215,6 @@ def run_retrieval(model, smiles_table, protein_table, interactions):
         (Direction.S_TO_P, sim, partners_of_drug, 0),
         (Direction.P_TO_S, sim.T, partners_of_protein, 1),
     ):
-        query_rows = [pair[side] for pair in rows]
-        relevant = [partner_map[q] for q in query_rows]
-        recall = recall_at_k(mat, relevant, rows=query_rows)
+        recall = recall_at_k(mat, partner_map, rows=[pair[side] for pair in rows])
         results.append(RetrievalResult(direction=direction, recall_at=recall))
     return results

@@ -6,7 +6,8 @@ the volume loss and which of the remaining ones anchors the negatives.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from collections import deque
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -74,17 +75,13 @@ class DropDecision:
         return self.dropped is not None
 
 
-@dataclass
-class GradHistory:
-    """Per-modality ring buffers of recent gradient norms, newest first."""
-
-    max_len: int
-    decay: float
-    buffers: dict = field(default_factory=lambda: {m: [] for m in MODALITY_ORDER})
+def make_history(cfg: SchedulerConfig) -> dict:
+    """One empty window of the last ``history_len`` gradient norms per modality, newest first."""
+    return {m: deque(maxlen=cfg.history_len) for m in MODALITY_ORDER}
 
 
-def record(history: GradHistory, norms) -> GradHistory:
-    """Push one norm per modality; entries beyond the window are evicted."""
+def record(history: dict, norms) -> None:
+    """Push one norm per modality; a full window evicts its oldest entry."""
     norms = [float(n) for n in norms]
     if len(norms) != 4:
         raise NegativeNorm(f"expected 4 norms, got {len(norms)}")
@@ -92,13 +89,10 @@ def record(history: GradHistory, norms) -> GradHistory:
         if not np.isfinite(n) or n < 0.0:
             raise NegativeNorm(f"gradient norms must be finite and >= 0, got {n}")
     for m, n in zip(MODALITY_ORDER, norms):
-        buf = history.buffers[m]
-        buf.insert(0, n)
-        del buf[history.max_len :]
-    return history
+        history[m].appendleft(n)
 
 
-def smoothed(history: GradHistory) -> np.ndarray:
+def smoothed(history: dict, decay: float) -> np.ndarray:
     """Decay-weighted means over the stored window, newest weighted highest.
 
     With entries g_0 (newest) .. g_{L-1} and decay a, returns
@@ -106,16 +100,12 @@ def smoothed(history: GradHistory) -> np.ndarray:
     """
     out = np.empty(4)
     for i, m in enumerate(MODALITY_ORDER):
-        buf = history.buffers[m]
+        buf = history[m]
         if not buf:
             raise EmptyHistory(f"no recorded norms for {m.name}")
-        w = history.decay ** np.arange(len(buf))
+        w = decay ** np.arange(len(buf))
         out[i] = float(np.dot(w, buf) / w.sum())
     return out
-
-
-def make_history(cfg: SchedulerConfig) -> GradHistory:
-    return GradHistory(max_len=cfg.history_len, decay=cfg.decay)
 
 
 def decide(gbar, cfg: SchedulerConfig, rng) -> DropDecision:

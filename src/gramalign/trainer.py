@@ -183,26 +183,26 @@ class TrainResult:
     checkpoint_path: Path | None = None
 
 
-def _dataset_weights(quads):
+def _manifest_index(quads):
+    """(index, labels): each quadruplet's table rows and IC50 class, derived once per run.
+
+    ``index`` is (n, 4) int64 with columns in MODALITY_ORDER, so a batch's rows
+    of table m are ``index[rows, m]``; ``labels`` is (n,) int64, -1 where unannotated.
+    """
+    index = np.array([[q.row_for(m) for m in MODALITY_ORDER] for q in quads], dtype=np.int64)
+    labels = np.array([-1 if q.ic50_class is None else q.ic50_class for q in quads],
+                      dtype=np.int64)
+    return index, labels
+
+
+def _dataset_weights(labels):
     try:
-        return class_weights([q.ic50_class for q in quads if q.ic50_class is not None])
+        return class_weights(labels[labels >= 0])
     except EmptyClass:  # a class without annotations: unweighted CE, every weight exactly 1.0
         return class_weights(range(NUM_IC50_CLASSES))
 
 
-def _batch_from_rows(tables, quads, rows):
-    raw = {}
-    for m in MODALITY_ORDER:
-        idx = [quads[r].row_for(m) for r in rows]
-        raw[m] = tables[m].rows[idx]
-    labels = np.array(
-        [quads[r].ic50_class if quads[r].ic50_class is not None else -1 for r in rows]
-    )
-    mask = labels >= 0
-    return raw, labels, mask
-
-
-def train_step(model, raw, labels, mask, history, weights, cfg: TrainConfig, rngs):
+def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs):
     """One optimization step following the pre-training algorithm exactly.
 
     Order: project all four modalities (train mode); compute the bimodal and
@@ -221,7 +221,7 @@ def train_step(model, raw, labels, mask, history, weights, cfg: TrainConfig, rng
     for m in MODALITY_ORDER:
         feats[m], tapes[m] = project(model.projectors[m], raw[m], "train", rngs["dropout"])
 
-    batch = Batch(embeddings=feats, ic50_labels=labels, ic50_mask=mask)
+    batch = Batch(embeddings=feats, ic50_labels=labels, ic50_mask=labels >= 0)
     bi = clip_bimodal(batch, cfg.tau)
     _require_finite("bimodal", bi.value)
 
@@ -243,7 +243,7 @@ def train_step(model, raw, labels, mask, history, weights, cfg: TrainConfig, rng
         norms.append(float(np.sqrt(np.square(g, out=g).sum())))
     del g
     record(history, norms)
-    gbar = smoothed(history)
+    gbar = smoothed(history, cfg.scheduler.decay)
     decision = decide(gbar, cfg.scheduler, rngs["scheduler"])
 
     active = tuple(m for m in MODALITY_ORDER if m is not decision.dropped)
@@ -270,14 +270,16 @@ def _require_finite(component: str, value: float) -> None:
         raise NonFiniteLoss(f"{component} loss is {value}")
 
 
-def alignment_volumes(model, tables, quads):
+def alignment_volumes(model, tables, index):
     """Mean matched-tuple and mismatched-tuple volumes in eval mode.
 
-    Mismatched tuples shift each modality by a different offset so every
-    evaluated tuple mixes four distinct samples.
+    The tuples are the first ALIGNMENT_EVAL_CAP rows of the manifest ``index``
+    that ``_manifest_index`` builds. Mismatched tuples shift modality k by k
+    rows, so each mixes four distinct quadruplets only when at least four are
+    evaluated; with fewer, the shifts wrap onto a repeat.
     """
-    raw, _, _ = _batch_from_rows(tables, quads, range(min(len(quads), ALIGNMENT_EVAL_CAP)))
-    feats = {m: project(model.projectors[m], raw[m], "eval", record=False)[0]
+    feats = {m: project(model.projectors[m], tables[m].rows[index[:ALIGNMENT_EVAL_CAP, m]],
+                        "eval", record=False)[0]
              for m in MODALITY_ORDER}
     pos = tuple_volumes([feats[m] for m in MODALITY_ORDER])
     mis = tuple_volumes([np.roll(feats[m], -k, axis=0) for k, m in enumerate(MODALITY_ORDER)])
@@ -291,7 +293,7 @@ def _model_config(cfg: TrainConfig, in_dims, epochs_done, adam_t, history):
         "in_dims": {m.short: int(in_dims[m]) for m in MODALITY_ORDER},
         "epochs_done": int(epochs_done),
         "adam_t": int(adam_t),
-        "sched_history": {m.short: list(history.buffers[m]) for m in MODALITY_ORDER},
+        "sched_history": {m.short: list(history[m]) for m in MODALITY_ORDER},
     }
 
 
@@ -333,7 +335,7 @@ def save_model_checkpoint(path, model, cfg, in_dims, epochs_done, adam, history)
 
 
 def _read_run_checkpoint(path):
-    """A checkpoint ``train`` wrote, as (tensors, config, TrainConfig, in_dims, GradHistory).
+    """A checkpoint ``train`` wrote, as (tensors, config, TrainConfig, in_dims, history).
 
     The config must be one ``_model_config`` writes, in keys and value types,
     with no negative count; any other GCKPT1 file raises one FormatError
@@ -345,7 +347,7 @@ def _read_run_checkpoint(path):
         in_dims = {Modality[k.upper()]: int(v) for k, v in config["in_dims"].items()}
         history = make_history(cfg.scheduler)
         for m in MODALITY_ORDER:
-            history.buffers[m][:] = [float(x) for x in config["sched_history"][m.short]]
+            history[m].extend(float(x) for x in config["sched_history"][m.short])
         saved = _model_config(cfg, in_dims, config["epochs_done"], config["adam_t"], history)
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path} is not a run checkpoint: {e!r}") from None
@@ -421,11 +423,12 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
             )
     out_dir = None if out_dir is None else Path(out_dir)
 
-    weights = _dataset_weights(quads)
+    index, ic50_labels = _manifest_index(quads)
+    weights = _dataset_weights(ic50_labels)
     records, timings = [], []
 
     def log_alignment(epochs_done, epoch_losses=None):
-        pos, mis = alignment_volumes(model, tables, quads)
+        pos, mis = alignment_volumes(model, tables, index)
         rec = {
             "kind": "alignment",
             "epochs_done": epochs_done,
@@ -453,11 +456,11 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
         epoch_losses = []
         for b in range(steps_per_epoch):
             rows = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            raw, labels, mask = _batch_from_rows(tables, quads, rows)
+            raw = {m: tables[m].rows[index[rows, m]] for m in MODALITY_ORDER}
             t0 = time.perf_counter()
             try:
                 losses, decision, gbar, norms, grads = train_step(
-                    model, raw, labels, mask, history, weights, cfg, rngs
+                    model, raw, ic50_labels[rows], history, weights, cfg, rngs
                 )
             except NonFiniteLoss as e:
                 raise NonFiniteLoss(f"step {step}: {e}") from None
@@ -554,14 +557,11 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
         ts, tp, ty = rows_of(fold.test.pairs)
         logits, _ = dti_forward(head, f_s[ts], f_p[tp], "eval", record=False)
         scores = softmax(logits, axis=1)[0][:, 1]
-        cls = classification_metrics(scores, ty)
         metrics = {
             "fold": fold.index,
             "auroc": auroc(scores, ty),
             "auprc": auprc(scores, ty),
-            "sensitivity": cls["sensitivity"],
-            "f1": cls["f1"],
-            "accuracy": cls["accuracy"],
+            **classification_metrics(scores, ty),
         }
         results.append((head, metrics))
     return results

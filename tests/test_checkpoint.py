@@ -97,14 +97,18 @@ def test_flipped_payload_bit_fails_the_crc(tmp_path):
     assert str(err.value) == f"{path}: payload CRC-32 is {got}, its header says {want}"
 
 
-def test_header_without_crc_loads_unchecked(tmp_path):
-    """A file written before the header carried ``crc32`` reads as it always did."""
-    x = np.arange(6, dtype="<f4").reshape(2, 3)
-    header = {"version": 1, "config": {"k": 1}, "tensors": {"x": [0, 2, 3]}}
-    path = tmp_path / "old.ckpt"
-    path.write_bytes(b"GCKPT1\n" + json.dumps(header).encode() + b"\n\x00" + x.tobytes())
-    back, config = load_checkpoint(path)
-    assert config == {"k": 1} and back["x"].tobytes() == x.tobytes()
+def test_header_without_crc_is_refused(tmp_path):
+    """One header bit turns the key "crc32" into "crc33"; with a payload bit flipped as well,
+    the file must still fail to load rather than load unchecked."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"x": np.ones((4, 4), dtype=np.float32)}, {})
+    blob = bytearray(path.read_bytes())
+    blob[blob.index(b'"crc32"') + 5] ^= 0x01  # bit 0 of the "2": 0x32 -> 0x33
+    blob[-2] ^= 0x01  # a mantissa bit of the last float, which stays finite
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: header has no crc32, so its payload cannot be checked"
 
 
 def test_deterministic_bytes(tmp_path):

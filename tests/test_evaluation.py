@@ -16,7 +16,7 @@ import gramalign
 from gramalign.errors import NoPositives, NoRelevant, SingleClass, ZeroVector
 from gramalign.evaluation import (
     RECALL_CHUNK,
-    ConfusionCounts,
+    RECALL_KS,
     Direction,
     auprc,
     auroc,
@@ -170,19 +170,60 @@ class TestRecallAtK:
         """``rows`` reads each query's scores from a shared matrix, transposed views included."""
         rng = np.random.default_rng(8)
         sim = rng.choice([0.1, 0.2, 0.3], size=(40, RECALL_CHUNK + 5))
-        rows = rng.integers(0, sim.shape[1], size=RECALL_CHUNK + 9)
         rel = [set(rng.choice(40, size=int(rng.integers(1, 4)), replace=False).tolist())
-               for _ in rows]
+               for _ in range(sim.shape[1])]  # one set per row of sim.T
+        rows = rng.integers(0, sim.shape[1], size=RECALL_CHUNK + 9)  # more queries than rows
+        per_query = [rel[r] for r in rows]
         ks = (1, 3, 10, 100)
         out = recall_at_k(sim.T, rel, ks=ks, rows=rows)
-        assert out == recall_at_k(sim.T[rows], rel, ks=ks)
-        assert out == {k: recall_oracle(sim.T[rows], rel, k) for k in ks}
+        assert out == recall_at_k(sim.T[rows], per_query, ks=ks)
+        assert out == {k: recall_oracle(sim.T[rows], per_query, k) for k in ks}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_repeated_rows_match_oracle(self, seed):
+        """Many-to-many: rows queried many times, relevance from a mapping of the queried rows."""
+        rng = np.random.default_rng(100 + seed)
+        n_r, n_c = int(rng.integers(1, 12)), int(rng.integers(1, 30))
+        scores = rng.choice([-1.0, 0.0, 0.5, 1.0], size=(n_r, n_c))
+        rows = rng.integers(0, n_r, size=int(rng.integers(1, 60)))
+        rel = {int(r): set(rng.choice(n_c, size=int(rng.integers(1, n_c + 1)),
+                                      replace=False).tolist())
+               for r in np.unique(rows)}
+        ks = (1, 2, 5, 100)
+        out = recall_at_k(scores, rel, ks=ks, rows=rows)
+        assert out == {k: recall_oracle(scores[rows], [rel[r] for r in rows], k) for k in ks}
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_queried_row_outside_scores_rejected(self, bad):
+        """A negative row would otherwise wrap to the last row's scores and relevance set."""
+        with pytest.raises(NoRelevant, match="outside \\[0, 3\\)"):
+            recall_at_k(np.ones((3, 4)), [{0}, {1}, {2}], rows=[0, bad])
+
+    def test_hub_is_ranked_once(self):
+        """One row queried 2000 times against 2000 relevant candidates stays small.
+
+        Expanding the queries into one relevance set each holds 2000 x 2000
+        entries, hundreds of MiB; ranking the row once needs a few arrays of
+        2000 entries.
+        """
+        r = 2000
+        rng = np.random.default_rng(12)
+        scores = rng.standard_normal((3, 2 * r))
+        partners = set(rng.choice(2 * r, size=r, replace=False).tolist())
+        tracemalloc.start()
+        try:
+            out = recall_at_k(scores, {1: partners}, ks=(1, 2, 3), rows=[1] * r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        assert out == {k: recall_oracle(scores[1:2], [partners], k) for k in (1, 2, 3)}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_rejected(self, bad):
         scores = np.zeros((RECALL_CHUNK + 2, 4))
         scores[RECALL_CHUNK + 1, 2] = bad
-        with pytest.raises(NoRelevant, match=f"query {RECALL_CHUNK + 1} has a non-finite score"):
+        with pytest.raises(NoRelevant, match=f"row {RECALL_CHUNK + 1} has a non-finite score"):
             recall_at_k(scores, [{0}] * len(scores))
 
     def test_large_matrix_holds_one_chunk_at_a_time(self):
@@ -297,8 +338,7 @@ class TestAuprc:
 class TestClassificationMetrics:
     def test_perfect(self):
         out = classification_metrics([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0])
-        assert out["sensitivity"] == out["f1"] == out["accuracy"] == 1.0
-        assert out["confusion"] == ConfusionCounts(tp=2, fp=0, tn=2, fn=0)
+        assert out == {"sensitivity": 1.0, "f1": 1.0, "accuracy": 1.0}
 
     def test_all_predicted_negative(self):
         out = classification_metrics([0.1, 0.2, 0.3, 0.4], [1, 0, 1, 0])
@@ -319,6 +359,7 @@ class TestClassificationMetrics:
         scores = [0.9, 0.9, 0.9, 0.9, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]
         labels = [1, 1, 1, 0, 1, 1, 0, 0, 0, 0]
         out = classification_metrics(scores, labels)
+        assert list(out) == ["sensitivity", "f1", "accuracy"]
         assert out["sensitivity"] == pytest.approx(0.6)
         assert out["f1"] == pytest.approx(6.0 / 9.0)
         assert out["accuracy"] == pytest.approx(0.7)
@@ -351,6 +392,34 @@ class TestRunRetrieval:
         for r in res:
             assert r.recall_at[1] <= 0.25  # chance is 1/40
             assert r.recall_at[100] == 1.0  # k clamps to the full pool
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_many_to_many_matches_oracle(self, seed):
+        """Entities with many partners: each pair is one query per direction, each scored
+        against the query entity's full partner set, as the brute-force oracle expands it."""
+        from gramalign.heads import project
+        from gramalign.modality import Modality
+
+        model, tables, _ = self._setup(seed=seed, n=24)
+        s_tab, p_tab = tables[Modality.SMILES], tables[Modality.PROTEIN]
+        rng = np.random.default_rng(seed)
+        drugs = rng.integers(0, 6, size=60)  # six hub drugs and ten proteins: heavy repeats
+        proteins = rng.integers(0, 10, size=60)
+        pairs = list(dict.fromkeys((s_tab.ids[d], p_tab.ids[p]) for d, p in zip(drugs, proteins)))
+        res = {r.direction: r.recall_at
+               for r in run_retrieval(model, s_tab, p_tab, pairs)}
+
+        f_s = project(model.projectors[Modality.SMILES], s_tab.rows, "eval")[0]
+        f_p = project(model.projectors[Modality.PROTEIN], p_tab.rows, "eval")[0]
+        sim = cosine_matrix(f_s, f_p)
+        s_rows = [s_tab.index_of(d) for d, _ in pairs]
+        p_rows = [p_tab.index_of(p) for _, p in pairs]
+        for direction, mat, queries, partners in (
+            (Direction.S_TO_P, sim, s_rows, p_rows),
+            (Direction.P_TO_S, sim.T, p_rows, s_rows),
+        ):
+            rel = [{b for a, b in zip(queries, partners) if a == q} for q in queries]
+            assert res[direction] == {k: recall_oracle(mat[queries], rel, k) for k in RECALL_KS}
 
     def test_recall_monotone_in_k(self):
         from gramalign.modality import Modality

@@ -7,7 +7,6 @@ from gramalign.errors import EmptyHistory, NegativeNorm
 from gramalign.modality import MODALITY_ORDER, Modality
 from gramalign.scheduler import (
     Branch,
-    GradHistory,
     SchedulerConfig,
     decide,
     make_history,
@@ -20,22 +19,22 @@ class TestRecord:
     def test_first_record(self):
         h = make_history(SchedulerConfig())
         record(h, (1.0, 2.0, 3.0, 4.0))
-        assert all(len(h.buffers[m]) == 1 for m in MODALITY_ORDER)
-        assert h.buffers[Modality.SMILES] == [1.0]
+        assert all(len(h[m]) == 1 for m in MODALITY_ORDER)
+        assert list(h[Modality.SMILES]) == [1.0]
 
     def test_ring_eviction(self):
         h = make_history(SchedulerConfig())  # K = 5
         for k in range(6):
             record(h, (float(k), 0.0, 0.0, 0.0))
-        buf = h.buffers[Modality.SMILES]
+        buf = h[Modality.SMILES]
         assert len(buf) == 5
-        assert buf == [5.0, 4.0, 3.0, 2.0, 1.0]  # newest first; 0.0 evicted
+        assert list(buf) == [5.0, 4.0, 3.0, 2.0, 1.0]  # newest first; 0.0 evicted
 
     def test_newest_first_order(self):
         h = make_history(SchedulerConfig())
         record(h, (1.0, 1, 1, 1))
         record(h, (2.0, 1, 1, 1))
-        assert h.buffers[Modality.SMILES] == [2.0, 1.0]
+        assert list(h[Modality.SMILES]) == [2.0, 1.0]
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_invalid_norms_rejected(self, bad):
@@ -49,23 +48,23 @@ class TestSmoothed:
         h = make_history(SchedulerConfig())
         for _ in range(5):
             record(h, (1.0, 1.0, 1.0, 1.0))
-        np.testing.assert_allclose(smoothed(h), 1.0)
+        np.testing.assert_allclose(smoothed(h, 0.9), 1.0)
 
     def test_single_entry(self):
         h = make_history(SchedulerConfig())
         record(h, (2.0, 3.0, 4.0, 5.0))
-        np.testing.assert_allclose(smoothed(h), [2, 3, 4, 5])
+        np.testing.assert_allclose(smoothed(h, 0.9), [2, 3, 4, 5])
 
     def test_two_entry_hand_value(self):
         # newest-first (2, 1) with decay 0.9: (2 + 0.9) / 1.9
         h = make_history(SchedulerConfig())
         record(h, (1.0, 1, 1, 1))
         record(h, (2.0, 1, 1, 1))
-        assert smoothed(h)[0] == pytest.approx(1.526316, abs=1e-6)
+        assert smoothed(h, 0.9)[0] == pytest.approx(1.526316, abs=1e-6)
 
     def test_empty_history(self):
         with pytest.raises(EmptyHistory):
-            smoothed(make_history(SchedulerConfig()))
+            smoothed(make_history(SchedulerConfig()), 0.9)
 
 
 class TestDecide:
@@ -152,6 +151,6 @@ def test_config_validation():
 
 
 def test_history_buffers_independent():
-    h = GradHistory(max_len=3, decay=0.5)
+    h = make_history(SchedulerConfig(history_len=3))
     record(h, (1.0, 2.0, 3.0, 4.0))
-    assert [h.buffers[m][0] for m in MODALITY_ORDER] == [1.0, 2.0, 3.0, 4.0]
+    assert [list(h[m]) for m in MODALITY_ORDER] == [[1.0], [2.0], [3.0], [4.0]]

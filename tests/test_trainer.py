@@ -16,7 +16,8 @@ import pytest
 
 import gramalign
 from gramalign.checkpoint import load_checkpoint, save_checkpoint
-from gramalign.data import EmbeddingTable, SplitKind, make_split, synth_quadruplets
+from gramalign.data import (EmbeddingTable, Quadruplet, SplitKind, class_weights, make_split,
+                            synth_quadruplets)
 from gramalign.errors import EmptyDataset, MissingTensor, NonFiniteLoss, ShapeMismatch
 from gramalign.heads import build_model, cast_params, named_tensors, project, ic50_forward
 from gramalign.losses import Batch, clip_bimodal, ic50_loss, volume_contrastive
@@ -31,8 +32,8 @@ from gramalign.trainer import (
     ADAM_EPS,
     AdamState,
     TrainConfig,
-    _batch_from_rows,
     _dataset_weights,
+    _manifest_index,
     adam_step,
     alignment_volumes,
     init_adam,
@@ -125,9 +126,9 @@ def small_setup(n=16, dim=8, seed=0, **cfg_kwargs):
     return tables, quads, TrainConfig(**defaults)
 
 
-def eval_total_loss(model, raw, labels, mask, weights, cfg):
+def eval_total_loss(model, raw, labels, weights, cfg):
     feats = {m: project(model.projectors[m], raw[m], "eval")[0] for m in MODALITY_ORDER}
-    batch = Batch(embeddings=feats, ic50_labels=labels, ic50_mask=mask)
+    batch = Batch(embeddings=feats, ic50_labels=labels, ic50_mask=labels >= 0)
     bi = clip_bimodal(batch, cfg.tau)
     fused = np.concatenate([feats[m] for m in MODALITY_ORDER], axis=1)
     logits, _ = ic50_forward(model.ic50_head, fused, "eval")
@@ -144,49 +145,50 @@ class TestTrainStep:
             cast_params(model.projectors[m].params, np.float32)
         cast_params(model.ic50_head.params, np.float32)
         params = dict(named_tensors(model))
-        weights = _dataset_weights(quads)
-        raw, labels, mask = _batch_from_rows(tables, quads, list(range(8)))
+        index, labels = _manifest_index(quads)
+        weights = _dataset_weights(labels)
+        raw = {m: tables[m].rows[index[:, m]] for m in MODALITY_ORDER}
         rngs = {
             "dropout": substream(cfg.seed, "dropout", 0),
             "scheduler": substream(cfg.seed, "scheduler", 0),
         }
-        return model, params, weights, raw, labels, mask, cfg, rngs
+        return model, params, weights, raw, labels, cfg, rngs
 
     def test_zero_lambdas_leave_params(self):
-        model, params, weights, raw, labels, mask, cfg, rngs = self._prepare(
+        model, params, weights, raw, labels, cfg, rngs = self._prepare(
             lambda_vol=0.0, lambda_bi=0.0, lambda_ic50=0.0
         )
         before = {k: v.copy() for k, v in params.items()}
         history = make_history(cfg.scheduler)
-        _, _, _, _, grads = train_step(model, raw, labels, mask, history, weights, cfg, rngs)
+        _, _, _, _, grads = train_step(model, raw, labels, history, weights, cfg, rngs)
         adam_step(params, grads, init_adam(params), cfg.lr)
         for k in params:
             np.testing.assert_array_equal(params[k], before[k])
 
     def test_one_step_decreases_total_loss(self):
-        model, params, weights, raw, labels, mask, cfg, rngs = self._prepare()
-        before = eval_total_loss(model, raw, labels, mask, weights, cfg)
+        model, params, weights, raw, labels, cfg, rngs = self._prepare()
+        before = eval_total_loss(model, raw, labels, weights, cfg)
         history = make_history(cfg.scheduler)
-        _, _, _, _, grads = train_step(model, raw, labels, mask, history, weights, cfg, rngs)
+        _, _, _, _, grads = train_step(model, raw, labels, history, weights, cfg, rngs)
         adam_step(params, grads, init_adam(params), cfg.lr)
-        after = eval_total_loss(model, raw, labels, mask, weights, cfg)
+        after = eval_total_loss(model, raw, labels, weights, cfg)
         assert after < before
 
     def test_grad_norms_source_excludes_volume_loss(self):
         # with lambda_bi = lambda_ic50 = 0 the recorded norms must be exactly
         # zero even though the volume objective is active
-        model, params, weights, raw, labels, mask, cfg, rngs = self._prepare(
+        model, params, weights, raw, labels, cfg, rngs = self._prepare(
             lambda_vol=1.0, lambda_bi=0.0, lambda_ic50=0.0
         )
         history = make_history(cfg.scheduler)
-        _, _, _, norms, grads = train_step(model, raw, labels, mask, history, weights, cfg, rngs)
+        _, _, _, norms, grads = train_step(model, raw, labels, history, weights, cfg, rngs)
         assert norms == [0.0, 0.0, 0.0, 0.0]
         # the volume gradients still update the projectors
         assert any(np.abs(g).max() > 0 for g in grads.values())
 
     def test_each_tape_released_after_its_backward(self, monkeypatch):
         """When a projector's backward runs, the IC50 tape and every earlier projector's are gone."""
-        model, params, weights, raw, labels, mask, cfg, rngs = self._prepare()
+        model, params, weights, raw, labels, cfg, rngs = self._prepare()
         made, alive = [], []  # weakrefs to each tape in creation order; liveness at each backward
 
         def tracked(forward):
@@ -203,7 +205,7 @@ class TestTrainStep:
         monkeypatch.setattr(trainer, "project", tracked(trainer.project))
         monkeypatch.setattr(trainer, "ic50_forward", tracked(trainer.ic50_forward))
         monkeypatch.setattr(trainer, "backward", checked_backward)
-        train_step(model, raw, labels, mask, make_history(cfg.scheduler), weights, cfg, rngs)
+        train_step(model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs)
         # tapes: the four projectors, then IC50; backward: IC50, then the projectors in order
         assert alive == [
             [True, True, True, True, True],
@@ -214,15 +216,15 @@ class TestTrainStep:
         ]
 
     def test_non_finite_loss_raises(self):
-        model, params, weights, raw, labels, mask, cfg, rngs = self._prepare()
+        model, params, weights, raw, labels, cfg, rngs = self._prepare()
         model.ic50_head.params.layers[0].w[0, 0] = np.nan
         with pytest.raises(NonFiniteLoss, match="ic50"):
-            train_step(model, raw, labels, mask, make_history(cfg.scheduler), weights, cfg, rngs)
+            train_step(model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_one_non_finite_ic50_logit_raises(self, monkeypatch, bad):
-        model, params, weights, raw, labels, mask, cfg, rngs = self._prepare()
-        row = int(np.flatnonzero(mask)[0])  # an annotated sample
+        model, params, weights, raw, labels, cfg, rngs = self._prepare()
+        row = int(np.flatnonzero(labels >= 0)[0])  # an annotated sample
 
         def poisoned(*args, **kwargs):
             logits, tape = heads.ic50_forward(*args, **kwargs)
@@ -231,7 +233,7 @@ class TestTrainStep:
 
         monkeypatch.setattr(trainer, "ic50_forward", poisoned)
         with pytest.raises(NonFiniteLoss, match="ic50"):
-            train_step(model, raw, labels, mask, make_history(cfg.scheduler), weights, cfg, rngs)
+            train_step(model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs)
 
 
 class TestTrain:
@@ -453,16 +455,17 @@ from gramalign.data import synth_quadruplets
 from gramalign.modality import MODALITY_ORDER
 from gramalign.scheduler import make_history
 from gramalign.seeding import substream
-from gramalign.trainer import (TrainConfig, _batch_from_rows, _dataset_weights, _new_model,
+from gramalign.trainer import (TrainConfig, _dataset_weights, _manifest_index, _new_model,
                                train_step)
 
 tables, quads = synth_quadruplets(256, (768, 768, 768, 1280), 0.05, seed=11)
 cfg = TrainConfig(batch_size=256, shared_dim=512, proj_hidden=768, seed=3)
 model = _new_model({m: tables[m].dim for m in MODALITY_ORDER}, cfg)
-raw, labels, mask = _batch_from_rows(tables, quads, range(256))
+index, labels = _manifest_index(quads)
+raw = {m: tables[m].rows[index[:, m]] for m in MODALITY_ORDER}
 rngs = {k: substream(cfg.seed, k, 0) for k in ("dropout", "scheduler")}
-_, _, _, norms, grads = train_step(model, raw, labels, mask, make_history(cfg.scheduler),
-                                   _dataset_weights(quads), cfg, rngs)
+_, _, _, norms, grads = train_step(model, raw, labels, make_history(cfg.scheduler),
+                                   _dataset_weights(labels), cfg, rngs)
 digest = hashlib.sha256()
 for name in sorted(grads):
     digest.update(name.encode())
@@ -542,10 +545,74 @@ class TestTrainDti:
         assert abs(mean_auroc - 0.5) <= 0.1
 
 
+def test_batches_follow_a_many_to_many_manifest(monkeypatch):
+    """Every batch and alignment evaluation reads the rows a per-Quadruplet walk reads.
+
+    ``synth`` pairs quadruplet i with row i of every table, so a column mix-up
+    in the manifest index would pass on it. Here the four columns are
+    independent permutations, each table has fewer entities than a batch has
+    rows, and some quadruplets carry no IC50 value.
+    """
+    rng = np.random.default_rng(5)
+    n = 24
+    sizes = {Modality.SMILES: 5, Modality.TEXT: 7, Modality.HTA: 4, Modality.PROTEIN: 9}
+    tables = {m: EmbeddingTable(modality=m, ids=[f"{m.short}-{i}" for i in range(k)],
+                                rows=rng.standard_normal((k, 6)))
+              for m, k in sizes.items()}
+    cols = {m: rng.permutation(np.arange(n) % k) for m, k in sizes.items()}
+    ic50 = [[1.0, 100.0, 5000.0, None][i] for i in rng.integers(0, 4, size=n)]
+    quads = [Quadruplet(*(int(cols[m][i]) for m in MODALITY_ORDER), ic50_um=ic50[i])
+             for i in range(n)]
+    annotated = [q.ic50_class for q in quads if q.ic50_class is not None]
+    assert set(annotated) == {0, 1, 2} and len(annotated) < n
+    cfg = TrainConfig(lr=1e-3, batch_size=8, epochs=2, shared_dim=4, proj_hidden=8,
+                      ic50_hidden=8, seed=2)
+
+    def walk(rows):
+        """Each modality's table rows and the IC50 labels of quadruplets ``rows``, one by one."""
+        raw = {m: np.stack([tables[m].rows[getattr(quads[r], f"{m.short}_row")] for r in rows])
+               for m in MODALITY_ORDER}
+        return raw, [-1 if quads[r].ic50_class is None else quads[r].ic50_class for r in rows]
+
+    steps, evals = [], []
+
+    def step_spy(model, raw, labels, history, weights, cfg, rngs):
+        steps.append((raw, labels.tolist(), weights))
+        return train_step(model, raw, labels, history, weights, cfg, rngs)
+
+    def project_spy(head, x, mode, *args, **kwargs):
+        if mode == "eval":
+            evals.append((head, x))
+        return project(head, x, mode, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "train_step", step_spy)
+    monkeypatch.setattr(trainer, "project", project_spy)
+    model = train(tables, quads, cfg).model
+
+    want_weights = class_weights(annotated)
+    per_epoch = n // cfg.batch_size
+    assert len(steps) == cfg.epochs * per_epoch
+    for step, (raw, labels, weights) in enumerate(steps):
+        epoch, b = divmod(step, per_epoch)
+        bs = cfg.batch_size
+        rows = substream(cfg.seed, "shuffle", epoch).permutation(n)[b * bs : (b + 1) * bs]
+        want_raw, want_labels = walk(rows)
+        assert all(raw[m].tobytes() == want_raw[m].tobytes() for m in MODALITY_ORDER)
+        assert labels == want_labels
+        assert weights.counts == want_weights.counts
+        assert weights.weights.tobytes() == want_weights.weights.tobytes()
+
+    want_raw, _ = walk(range(n))  # n < ALIGNMENT_EVAL_CAP: every quadruplet is evaluated
+    assert len(evals) == 4 * (cfg.epochs + 1)
+    for head, x in evals:
+        (m,) = [m for m in MODALITY_ORDER if model.projectors[m] is head]
+        assert x.tobytes() == want_raw[m].tobytes()
+
+
 def test_alignment_volumes_mismatch_uses_distinct_samples():
     tables, quads, cfg = small_setup(n=12)
     model = build_model({m: 8 for m in MODALITY_ORDER}, 8, 8, 8, 0)
-    pos, mis = alignment_volumes(model, tables, quads)
+    pos, mis = alignment_volumes(model, tables, _manifest_index(quads)[0])
     assert 0.0 <= pos <= 1.0
     assert 0.0 <= mis <= 1.0
 
@@ -566,11 +633,11 @@ def test_dataset_weights_fallback_uniform():
     for q in quads:
         q.ic50_um = None
         q.ic50_class = None
-    cw = _dataset_weights(quads)
+    cw = _dataset_weights(_manifest_index(quads)[1])
     np.testing.assert_array_equal(cw.weights, [1.0, 1.0, 1.0])
 
     _, quads = synth_quadruplets(30, (4, 4, 4, 4), 0.1, seed=0)
     quads = [q for q in quads if q.ic50_class != 2]
     assert {q.ic50_class for q in quads} == {None, 0, 1}
-    cw = _dataset_weights(quads)
+    cw = _dataset_weights(_manifest_index(quads)[1])
     np.testing.assert_array_equal(cw.weights, [1.0, 1.0, 1.0])
