@@ -42,6 +42,7 @@ from .kernels import tuple_volumes
 from .losses import (DEFAULT_SMOOTHING, DEFAULT_TAU, Batch, clip_bimodal, cross_entropy,
                      ic50_loss, softmax, total_loss, volume_contrastive)
 from .modality import MODALITY_ORDER, Modality
+from .parallel import pinned_map
 from .scheduler import SchedulerConfig, check_field_types, decide, make_history, record, smoothed
 from .seeding import substream
 
@@ -142,7 +143,8 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
     dtype, so float32 masters stay exactly what a checkpoint would hold.
     Each tensor is walked in flat blocks of ADAM_BLOCK elements, every block
     running the same element-wise operations in the same order, so the result
-    is bit-equal to one pass over the whole tensor.
+    is bit-equal to one pass over the whole tensor. The blocks' float64 work
+    lives in one buffer per call, so concurrent calls share nothing.
     """
     if set(params) != set(grads):
         raise ShapeMismatch(
@@ -151,6 +153,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
+    buf = np.empty((4, ADAM_BLOCK))
     for name, theta in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
         if g.size != theta.size:
@@ -161,10 +164,18 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
         for a in range(0, th.size, ADAM_BLOCK):
             blk = slice(a, a + ADAM_BLOCK)
             gb = g[blk]
-            m = ADAM_BETA1 * ms[blk].astype(np.float64) + (1 - ADAM_BETA1) * gb
-            v = ADAM_BETA2 * vs[blk].astype(np.float64) + (1 - ADAM_BETA2) * gb * gb
-            step = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            th[blk] = th[blk].astype(np.float64) - step
+            m, v, t, u = buf[:, : gb.size]
+            # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g * g, in float64
+            np.multiply(ms[blk], ADAM_BETA1, out=m, dtype=np.float64)
+            m += np.multiply(gb, 1 - ADAM_BETA1, out=t)
+            np.multiply(vs[blk], ADAM_BETA2, out=v, dtype=np.float64)
+            np.multiply(gb, 1 - ADAM_BETA2, out=t)
+            v += np.multiply(t, gb, out=t)
+            # step = lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.multiply(np.divide(m, bc1, out=t), lr, out=t)
+            np.add(np.sqrt(np.divide(v, bc2, out=u), out=u), ADAM_EPS, out=u)
+            t /= u
+            th[blk] = np.subtract(th[blk], t, out=u, dtype=np.float64)
             ms[blk] = m
             vs[blk] = v
     return params, state
@@ -519,6 +530,12 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
     The projectors are never updated here; only the two-layer-hidden binary
     head learns, with Adam on unweighted cross-entropy. Returns one
     (head, metrics dict) pair per fold, metrics computed on the test fold.
+
+    The folds' heads train concurrently through ``pinned_map``. Each fold
+    draws its init, shuffle and dropout from its own substreams, so its head's
+    bytes do not depend on which thread trains it or when. The test folds are
+    then scored one after another on the calling thread, so only one test-fold
+    forward is held at a time.
     """
     # imported at call time so perfbench's tracer, which wraps these names, sees each call
     from .evaluation import auprc, auroc, classification_metrics
@@ -531,8 +548,7 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
         proteins = np.array([protein_table.index_of(p) for _, p, _ in pairs])
         return drugs, proteins, np.array([lab for _, _, lab in pairs], dtype=int)
 
-    results = []
-    for fold in folds:
+    def train_head(fold):
         head = build_dti_head(
             model.shared_dim, int(substream(cfg.seed, "dti-init", fold.index).integers(2**63))
         )
@@ -553,7 +569,10 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
                 _, dlogits = cross_entropy(logits, y[rows], np.ones(len(rows)), 0.0)
                 grads, _ = backward(tape, dlogits, input_grad=False)
                 adam_step(params, dict(mlp_tensor_items("dti", specs, grads)), adam, cfg.dti_lr)
+        return head
 
+    results = []
+    for fold, head in zip(folds, pinned_map(train_head, folds)):
         ts, tp, ty = rows_of(fold.test.pairs)
         logits, _ = dti_forward(head, f_s[ts], f_p[tp], "eval", record=False)
         scores = softmax(logits, axis=1)[0][:, 1]

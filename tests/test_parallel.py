@@ -1,0 +1,120 @@
+"""Tests for ``pinned_map``, the thread map that trains DTI folds concurrently."""
+
+import sys
+import threading
+import time
+
+import pytest
+
+from gramalign import parallel
+from gramalign.parallel import blas_thread_controls, pinned_map
+
+CONTROLS = blas_thread_controls()
+needs_openblas = pytest.mark.skipif(CONTROLS is None, reason="no OpenBLAS found beside numpy")
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Report ``n`` CPUs to the map, so it starts n - 1 workers whatever the machine has."""
+
+    def report(n):
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    return report
+
+
+@pytest.fixture
+def blas_at_two():
+    """OpenBLAS at two threads for the test, and at its old count after it."""
+    get, set_ = CONTROLS
+    saved = get()
+    set_(2)
+    yield get
+    set_(saved)
+
+
+@needs_openblas
+def test_every_item_once_results_in_item_order(cpus, blas_at_two):
+    """More workers than cores and a short switch interval: no item is lost or run twice."""
+    cpus(8)
+    calls, seen = [], []
+
+    def square(x):
+        calls.append(x)
+        seen.append((threading.get_ident(), blas_at_two()))
+        time.sleep(0.001 * (x % 3))
+        return x * x
+
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = pinned_map(square, range(64))
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [x * x for x in range(64)]
+    assert sorted(calls) == list(range(64))
+    assert len({ident for ident, _ in seen}) > 1
+    assert {threads for _, threads in seen} == {1}  # BLAS pinned while the items ran
+    assert blas_at_two() == 2
+    assert threading.active_count() == before
+
+
+@needs_openblas
+def test_first_exception_raised_after_every_thread_stops(cpus, blas_at_two):
+    cpus(4)
+    started, finished = [], []
+
+    def work(x):
+        started.append(x)
+        if x == 5:
+            raise ValueError("item 5")
+        time.sleep(0.05)
+        if x == 6:
+            raise KeyError("item 6, which fails after item 5")
+        finished.append(x)
+        return x
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="item 5"):
+        pinned_map(work, range(100))
+    assert sorted(finished) == sorted(set(started) - {5, 6})  # every started item ran to its end
+    assert len(started) < 100  # no item was taken after the failure
+    assert blas_at_two() == 2
+    assert threading.active_count() == before
+
+
+@needs_openblas
+def test_blas_thread_count_restored(cpus, blas_at_two):
+    cpus(2)
+    assert pinned_map(lambda x: blas_at_two(), range(4)) == [1, 1, 1, 1]
+    assert blas_at_two() == 2
+
+    def fail(x):
+        raise RuntimeError(x)
+
+    with pytest.raises(RuntimeError):
+        pinned_map(fail, range(4))
+    assert blas_at_two() == 2
+
+
+@pytest.mark.parametrize("why", ["one-cpu", "no-openblas"])
+def test_plain_loop_starts_no_thread(monkeypatch, cpus, why):
+    cpus(1 if why == "one-cpu" else 4)
+    if why == "no-openblas":
+        monkeypatch.setattr(parallel, "blas_thread_controls", lambda: None)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(parallel.threading, "Thread", no_thread)
+    main = threading.get_ident()
+    out = pinned_map(lambda x: (x, threading.get_ident()), range(5))
+    assert out == [(x, main) for x in range(5)]
+    with pytest.raises(ZeroDivisionError):
+        pinned_map(lambda x: 1 / x, [1, 0, 2])
+
+
+def test_empty_items():
+    assert pinned_map(lambda x: x, []) == []
+

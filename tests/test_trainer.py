@@ -2,11 +2,13 @@
 
 import ast
 import copy
+import hashlib
 import inspect
 import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -24,7 +26,7 @@ from gramalign.losses import Batch, clip_bimodal, ic50_loss, volume_contrastive
 from gramalign.modality import MODALITY_ORDER, Modality
 from gramalign.scheduler import make_history
 from gramalign.seeding import substream
-from gramalign import heads, losses, trainer
+from gramalign import heads, losses, parallel, trainer
 from gramalign.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -490,6 +492,84 @@ def test_paper_step_bytes_do_not_depend_on_blas_threads():
         return json.loads(proc.stdout)
 
     assert step(1) == step(2)
+
+
+def dti_fold_bytes():
+    """SHA-256 of each fold's head tensors and metric row, for a 5-fold warm ``train_dti``.
+
+    Each fold's 211 training pairs make three batches of 64 and a partial one of 19.
+    """
+    model, smiles, protein, positives, cfg = separable_dti_setup()
+    cfg.dti_epochs = 2
+    folds = make_split(positives, SplitKind.WARM, 5, seed=1, drugs=smiles.ids,
+                       proteins=protein.ids)
+    assert all(len(f.train.pairs) % cfg.batch_size for f in folds)
+    out = []
+    for head, metrics in train_dti(model, smiles, protein, folds, cfg):
+        digest = hashlib.sha256(json.dumps(metrics, sort_keys=True).encode())
+        for name, a in heads.mlp_tensor_items("dti", head.params.specs, head.params.layers):
+            digest.update(name.encode())
+            digest.update(a.tobytes())
+        out.append(digest.hexdigest())
+    return out
+
+
+DTI_FOLDS = """
+import json, os, sys
+if sys.argv[1] == "one-cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path.insert(0, sys.argv[2])
+from test_trainer import dti_fold_bytes
+print(json.dumps([len(os.sched_getaffinity(0)), dti_fold_bytes()]))
+"""
+
+
+def test_dti_fold_bytes_do_not_depend_on_threads(monkeypatch):
+    """Every head tensor and metric row is the same bytes pooled, inline and at any BLAS count.
+
+    Pooled, four workers and the calling thread share five folds under a short
+    switch interval; inline, no OpenBLAS is found. The children run at 1 and 2
+    OpenBLAS threads, and one pins itself to one CPU, so its map is a plain loop.
+    """
+    src = str(Path(gramalign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    children = {
+        (mode, threads): subprocess.Popen(
+            [sys.executable, "-c", DTI_FOLDS, mode, str(Path(__file__).parent)],
+            stdout=subprocess.PIPE, text=True, env=dict(env, OPENBLAS_NUM_THREADS=threads))
+        for mode, threads in [("all-cpus", "1"), ("all-cpus", "2"), ("one-cpu", "2")]
+    }
+
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(5)))
+        patch.setattr(parallel.threading, "Thread", CountedThread)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pooled = dti_fold_bytes()
+        finally:
+            sys.setswitchinterval(interval)
+    with monkeypatch.context() as patch:
+        patch.setattr(parallel, "blas_thread_controls", lambda: None)
+        inline = dti_fold_bytes()
+    if parallel.blas_thread_controls() is not None:
+        assert len(started) == 4
+    assert pooled == inline
+
+    for (mode, threads), child in children.items():
+        out, _ = child.communicate(timeout=300)
+        assert child.returncode == 0, (mode, threads)
+        cpus, fold_bytes = json.loads(out)
+        assert fold_bytes == pooled, (mode, threads)
+        if mode == "one-cpu":
+            assert cpus == 1
 
 
 class TestTrainDti:
