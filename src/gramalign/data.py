@@ -46,6 +46,15 @@ IC50_MODERATE_MAX_UM = 1000.0
 NEGATIVE_RATIO = 10
 
 
+def _row_index(ids):
+    """id -> position in ``ids``; a repeated id would make its row ambiguous."""
+    index = {}
+    for i, e in enumerate(ids):
+        if index.setdefault(e, i) != i:
+            raise FormatError(f"duplicate entity id {e!r} in rows {index[e]} and {i}")
+    return index
+
+
 @dataclass
 class EmbeddingTable:
     """Dense per-modality embedding matrix keyed by entity id."""
@@ -64,10 +73,7 @@ class EmbeddingTable:
             )
         if self.rows.shape[1] < 2:
             raise DimensionMismatch(f"embedding dim must be >= 2, got {self.rows.shape[1]}")
-        self._index = {}
-        for i, e in enumerate(self.ids):
-            if self._index.setdefault(e, i) != i:
-                raise FormatError(f"duplicate entity id {e!r} in rows {self._index[e]} and {i}")
+        self._index = _row_index(self.ids)
         if not checked_finite and first_non_finite(self.rows) >= 0:
             raise NonFiniteValue("table contains NaN/Inf entries")
 
@@ -115,18 +121,20 @@ class ClassWeights:
 
 @dataclass
 class PairDataset:
-    """Labeled (drug, protein) pairs at a fixed 10:1 negative:positive ratio."""
+    """Labeled (drug, protein) pairs at a fixed 10:1 negative:positive ratio.
 
-    pairs: list  # (drug_id, protein_id, label in {0, 1})
+    ``pairs`` is one (n, 3) uint32 array: drug row, protein row, label in
+    {0, 1}. The rows index the universes ``make_split`` was given, and
+    ``drug_ids`` and ``protein_ids`` return the distinct rows of each side.
+    """
+
+    pairs: np.ndarray
 
     def drug_ids(self):
-        return {d for d, _, _ in self.pairs}
+        return set(self.pairs[:, 0].tolist())
 
     def protein_ids(self):
-        return {p for _, p, _ in self.pairs}
-
-    def positives(self):
-        return [(d, p) for d, p, y in self.pairs if y == 1]
+        return set(self.pairs[:, 1].tolist())
 
 
 @dataclass
@@ -205,11 +213,11 @@ def load_manifest(path, tables: dict):
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise FormatError(f"manifest is not UTF-8 at byte offset {e.start}") from None
-    lines = [ln for ln in text.split("\n") if ln != ""]
-    if not lines or lines[0] != MANIFEST_HEADER:
-        raise FormatError(f"manifest header mismatch: {lines[0] if lines else '(empty)'!r}")
+    lines = [(ln_no, ln) for ln_no, ln in enumerate(text.split("\n"), start=1) if ln != ""]
+    if not lines or lines[0][1] != MANIFEST_HEADER:
+        raise FormatError(f"manifest header mismatch: {lines[0][1] if lines else '(empty)'!r}")
     quads = []
-    for ln_no, ln in enumerate(lines[1:], start=2):
+    for ln_no, ln in lines[1:]:
         cells = ln.split("\t")
         if len(cells) != 5:
             raise FormatError(f"line {ln_no}: expected 5 tab-separated cells, got {len(cells)}")
@@ -269,36 +277,25 @@ def class_weights(labels) -> ClassWeights:
 # ---------------------------------------------------------------------------
 
 
-def _chunks(items, folds):
-    """Partition into `folds` contiguous chunks, sizes differing by at most 1."""
-    n = len(items)
-    base, extra = divmod(n, folds)
-    out, start = [], 0
-    for f in range(folds):
-        size = base + (1 if f < extra else 0)
-        out.append(items[start : start + size])
-        start += size
-    return out
+def _positions(grid, rows):
+    """Position of each of ``rows`` in the distinct ``grid``, -1 where it is absent."""
+    by_row = np.argsort(grid)
+    at = by_row[np.minimum(np.searchsorted(grid, rows, sorter=by_row), len(grid) - 1)]
+    return np.where(grid[at] == rows, at, -1)
 
 
-def _draw_negatives(rows, cols, pos_set, count, rng):
-    """``count`` pairs drawn without replacement from ``rows`` x ``cols`` minus ``pos_set``.
+def _draw_negatives(rows, cols, pos, count, rng):
+    """(count, 2) pairs drawn without replacement from ``rows`` x ``cols`` minus ``pos``.
 
-    ``rows`` and ``cols`` are sorted id lists, so their row-major product is
-    the lexicographic pair grid. The pool (grid minus positives) stays
-    implicit: pool index i is grid index i plus the number of positives at
-    or before it, found by one ``searchsorted`` over the positives' grid
-    indices.
+    ``rows`` and ``cols`` are in id order, so their row-major product is the
+    lexicographic pair grid of the ids. The pool (grid minus positives) stays
+    implicit: pool index i is grid index i plus the number of positives at or
+    before it, found by one ``searchsorted`` over the positives' grid indices.
     """
-    r_index = {r: i for i, r in enumerate(rows)}
-    c_index = {c: j for j, c in enumerate(cols)}
     n_cols = len(cols)
-    taken = np.array(
-        sorted(
-            r_index[d] * n_cols + c_index[p] for d, p in pos_set if d in r_index and p in c_index
-        ),
-        dtype=np.int64,
-    )
+    i, j = _positions(rows, pos[:, 0]), _positions(cols, pos[:, 1])
+    inside = (i >= 0) & (j >= 0)
+    taken = np.sort(i[inside] * n_cols + j[inside])
     n_pool = len(rows) * n_cols - len(taken)
     if n_pool < count:
         raise InsufficientEntities(
@@ -306,7 +303,7 @@ def _draw_negatives(rows, cols, pos_set, count, rng):
         )
     idx = np.sort(rng.choice(n_pool, size=count, replace=False))
     grid = idx + np.searchsorted(taken - np.arange(len(taken)), idx, side="right")
-    return [(rows[g // n_cols], cols[g % n_cols]) for g in grid.tolist()]
+    return np.stack([rows[grid // n_cols], cols[grid % n_cols]], axis=1)
 
 
 def make_split(positives, kind: SplitKind, folds: int, seed: int, drugs=None, proteins=None):
@@ -318,76 +315,76 @@ def make_split(positives, kind: SplitKind, folds: int, seed: int, drugs=None, pr
     sub-seed. Cold splits partition entities so train and test never share a
     drug (DRUG_COLD) or protein (TARGET_COLD). The grid spans ``drugs`` x
     ``proteins`` when given (a dataset may carry entities with no known
-    interaction); otherwise the entities appearing in positives.
+    interaction); otherwise the sorted distinct entities of the positives.
+
+    Ids are mapped to rows once, on entry: a pair's drug row is the position
+    of its id in ``drugs`` as given, and likewise for proteins, so with a
+    table's ids as the universe the rows are that table's rows. Every draw
+    and layout follows id order, whatever order the universes are given in.
     """
-    positives = list(dict.fromkeys(tuple(p) for p in positives))
-    known_d = {d for d, _ in positives}
-    known_p = {p for _, p in positives}
-    drugs = known_d if drugs is None else set(drugs)
-    proteins = known_p if proteins is None else set(proteins)
-    if not known_d <= drugs or not known_p <= proteins:
+    positives = list(positives)
+    drugs = sorted({d for d, _ in positives}) if drugs is None else drugs
+    proteins = sorted({p for _, p in positives}) if proteins is None else proteins
+    d_row, p_row = _row_index(drugs), _row_index(proteins)
+    try:
+        pos = np.array([(d_row[d], p_row[p]) for d, p in positives], dtype=np.int64).reshape(-1, 2)
+    except KeyError:
         raise InsufficientEntities("positives reference entities outside the given universe")
-    drugs, proteins = sorted(drugs), sorted(proteins)
-    if len(drugs) < 2 or len(proteins) < 2:
+    _, first = np.unique(pos[:, 0] * len(p_row) + pos[:, 1], return_index=True)
+    pos = pos[np.sort(first)]  # distinct pairs, first appearance wins
+    if len(d_row) < 2 or len(p_row) < 2:
         raise InsufficientEntities("need at least 2 distinct drugs and proteins")
     if folds < 2:
         raise InsufficientEntities(f"folds must be >= 2, got {folds}")
 
+    by_id = [np.array([ix[e] for e in sorted(ix)]) for ix in (d_row, p_row)]  # rows in id order
     layout_rng = substream(seed, "split-layout", kind.value)
-    pos_set = set(positives)
     out = []
 
     if kind is SplitKind.WARM:
-        order = [positives[i] for i in layout_rng.permutation(len(positives))]
-        test_chunks = _chunks(order, folds)
+        chunks = np.array_split(pos[layout_rng.permutation(len(pos))], folds)
         for f in range(folds):
-            test_pos = test_chunks[f]
-            train_pos = [p for c in range(folds) if c != f for p in test_chunks[c]]
-            if not test_pos:
+            test_pos = chunks[f]
+            train_pos = np.concatenate(chunks[:f] + chunks[f + 1 :])
+            if not len(test_pos):
                 raise InsufficientEntities(f"fold {f} has no test positives")
             neg_rng = substream(seed, "negatives", kind.value, f)
-            negs = _draw_negatives(
-                drugs, proteins, pos_set, NEGATIVE_RATIO * (len(train_pos) + len(test_pos)), neg_rng
-            )
-            train_negs = negs[: NEGATIVE_RATIO * len(train_pos)]
-            test_negs = negs[NEGATIVE_RATIO * len(train_pos) :]
-            out.append(_fold(f, train_pos, train_negs, test_pos, test_negs))
+            negs = _draw_negatives(*by_id, pos, NEGATIVE_RATIO * len(pos), neg_rng)
+            n_train = NEGATIVE_RATIO * len(train_pos)
+            out.append(SplitFold(f, _dataset(train_pos, negs[:n_train]),
+                                 _dataset(test_pos, negs[n_train:])))
         return out
 
     # cold splits: partition the held-out entity kind; only entities with at
     # least one positive can be held out, or a test fold would be empty
-    entities = sorted(known_d) if kind is SplitKind.DRUG_COLD else sorted(known_p)
-    if len(entities) < folds:
-        raise InsufficientEntities(
-            f"{kind.value} split needs >= {folds} distinct entities, got {len(entities)}"
-        )
-    order = [entities[i] for i in layout_rng.permutation(len(entities))]
-    groups = _chunks(order, folds)
     side = 0 if kind is SplitKind.DRUG_COLD else 1
+    known = by_id[side][np.isin(by_id[side], pos[:, side])]
+    if len(known) < folds:
+        raise InsufficientEntities(
+            f"{kind.value} split needs >= {folds} distinct entities, got {len(known)}"
+        )
+    groups = np.array_split(known[layout_rng.permutation(len(known))], folds)
     for f in range(folds):
-        test_entities = set(groups[f])
-        test_pos = [p for p in positives if p[side] in test_entities]
-        train_pos = [p for p in positives if p[side] not in test_entities]
-        if not test_pos:
+        in_test = np.isin(pos[:, side], groups[f])
+        test_pos, train_pos = pos[in_test], pos[~in_test]
+        if not len(test_pos):
             raise InsufficientEntities(f"fold {f} has no test positives")
         neg_rng = substream(seed, "negatives", kind.value, f)
-        held = sorted(test_entities)
-        if kind is SplitKind.DRUG_COLD:
-            kept = [d for d in drugs if d not in test_entities]
-            test_grid, train_grid = (held, proteins), (kept, proteins)
-        else:
-            kept = [p for p in proteins if p not in test_entities]
-            test_grid, train_grid = (drugs, held), (drugs, kept)
-        test_negs = _draw_negatives(*test_grid, pos_set, NEGATIVE_RATIO * len(test_pos), neg_rng)
-        train_negs = _draw_negatives(*train_grid, pos_set, NEGATIVE_RATIO * len(train_pos), neg_rng)
-        out.append(_fold(f, train_pos, train_negs, test_pos, test_negs))
+        held = np.isin(by_id[side], groups[f])
+        test_grid, train_grid = list(by_id), list(by_id)
+        test_grid[side], train_grid[side] = by_id[side][held], by_id[side][~held]
+        test_negs = _draw_negatives(*test_grid, pos, NEGATIVE_RATIO * len(test_pos), neg_rng)
+        train_negs = _draw_negatives(*train_grid, pos, NEGATIVE_RATIO * len(train_pos), neg_rng)
+        out.append(SplitFold(f, _dataset(train_pos, train_negs), _dataset(test_pos, test_negs)))
     return out
 
 
-def _fold(f, train_pos, train_negs, test_pos, test_negs):
-    train = [(d, p, 1) for d, p in train_pos] + [(d, p, 0) for d, p in train_negs]
-    test = [(d, p, 1) for d, p in test_pos] + [(d, p, 0) for d, p in test_negs]
-    return SplitFold(index=f, train=PairDataset(pairs=train), test=PairDataset(pairs=test))
+def _dataset(pos, negs):
+    """The positives labeled 1, then the negatives labeled 0, in one (n, 3) uint32 array."""
+    pairs = np.zeros((len(pos) + len(negs), 3), dtype=np.uint32)
+    pairs[: len(pos), :2], pairs[len(pos) :, :2] = pos, negs
+    pairs[: len(pos), 2] = 1
+    return PairDataset(pairs)
 
 
 # ---------------------------------------------------------------------------

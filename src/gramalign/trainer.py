@@ -530,6 +530,8 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
     The projectors are never updated here; only the two-layer-hidden binary
     head learns, with Adam on unweighted cross-entropy. Returns one
     (head, metrics dict) pair per fold, metrics computed on the test fold.
+    The folds' pairs hold table rows: split with the two tables' ids as
+    ``make_split``'s universes.
 
     The folds' heads train concurrently through ``pinned_map``. Each fold
     draws its init, shuffle and dropout from its own substreams, so its head's
@@ -543,11 +545,6 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
     f_s, _ = project(model.projectors[Modality.SMILES], smiles_table.rows, "eval", record=False)
     f_p, _ = project(model.projectors[Modality.PROTEIN], protein_table.rows, "eval", record=False)
 
-    def rows_of(pairs):
-        drugs = np.array([smiles_table.index_of(d) for d, _, _ in pairs])
-        proteins = np.array([protein_table.index_of(p) for _, p, _ in pairs])
-        return drugs, proteins, np.array([lab for _, _, lab in pairs], dtype=int)
-
     def train_head(fold):
         head = build_dti_head(
             model.shared_dim, int(substream(cfg.seed, "dti-init", fold.index).integers(2**63))
@@ -557,7 +554,7 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
         params = dict(mlp_tensor_items("dti", specs, head.params.layers))
         adam = init_adam(params)
 
-        xs, xp, y = rows_of(fold.train.pairs)
+        xs, xp, y = fold.train.pairs.T
         n = len(y)
         bs = min(cfg.batch_size, n)
         for epoch in range(cfg.dti_epochs):
@@ -573,7 +570,7 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
 
     results = []
     for fold, head in zip(folds, pinned_map(train_head, folds)):
-        ts, tp, ty = rows_of(fold.test.pairs)
+        ts, tp, ty = fold.test.pairs.T
         logits, _ = dti_forward(head, f_s[ts], f_p[tp], "eval", record=False)
         scores = softmax(logits, axis=1)[0][:, 1]
         metrics = {

@@ -395,6 +395,15 @@ def _manifest_not_utf8(data):
     return f"manifest is not UTF-8 at byte offset {offset}"
 
 
+def _blank_line_before_bad_ic50(data):
+    path = data / "manifest.tsv"
+    lines = path.read_text().split("\n")
+    cells = lines[2].split("\t")
+    lines[2] = "\t".join(cells[:4] + ["abc"])
+    path.write_text("\n".join([lines[0], "", *lines[1:]]))  # the bad cell moves to line 4
+    return "line 4: ic50_um 'abc' is not a number"
+
+
 def _retrieve_on_copy(edit):
     """Retrieve with the pretrained model on a copy of the synth data that ``edit`` rewrites."""
     def argv(tmp_path, synth_dir, pretrained):
@@ -444,6 +453,7 @@ BAD_FILES = [
     _pretrain_on_copy(_text_id_not_utf8),
     _pretrain_on_copy(_manifest_not_utf8),
     _pretrain_on_copy(_duplicate_text_id),
+    _pretrain_on_copy(_blank_line_before_bad_ic50),
     _retrieve_on_copy(_manifest_without_rows),
     _retrieve(_raw_checkpoint({"x": [0, -1, 2]}, 16, "tensor 'x': directory entry [0, -1, 2] is")),
     _retrieve(_raw_checkpoint({"x": "abc"}, 0, "tensor 'x': directory entry 'abc' is")),
@@ -460,7 +470,8 @@ BAD_FILES = [
                          ids=["retrieve-foreign-checkpoint", "resume-foreign-checkpoint",
                               "resume-epochs-done-not-int", "header-not-utf8", "header-not-json",
                               "header-without-tensors", "gemb-id-not-utf8", "manifest-not-utf8",
-                              "gemb-duplicate-id", "retrieve-empty-manifest", "ckpt-entry-negative",
+                              "gemb-duplicate-id", "manifest-blank-line-before-bad-cell",
+                              "retrieve-empty-manifest", "ckpt-entry-negative",
                               "ckpt-entry-not-list", "ckpt-entry-short", "ckpt-offset-gap",
                               "ckpt-trailing-bytes", "retrieve-nan-weight", "resume-nan-moment"])
 def test_bad_file_exits_1_with_one_line(tmp_path, synth_dir, pretrained, build):

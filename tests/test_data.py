@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramalign import data
 from gramalign.checkpoint import load_checkpoint, save_checkpoint
 from gramalign.data import (
     EmbeddingTable,
@@ -36,6 +35,7 @@ from gramalign.errors import (
     WrongModality,
 )
 from gramalign.modality import MODALITY_ORDER, Modality
+from oracles import split_by_ids
 
 
 def traced_peak(fn):
@@ -238,33 +238,28 @@ class TestClassWeights:
             class_weights([0, 1, 0, 1])
 
 
-def brute_force_negatives(rows, cols, pos_set, count, rng):
-    """The negative sampler written out: materialised grid, sorted set difference, same draw."""
-    pool = sorted({(r, c) for r in rows for c in cols} - set(pos_set))
-    if len(pool) < count:
-        raise InsufficientEntities(
-            f"need {count} negative pairs but only {len(pool)} non-positive pairs exist"
-        )
-    idx = rng.choice(len(pool), size=count, replace=False)
-    return [pool[i] for i in sorted(idx.tolist())]
+def _labeled(ds, label):
+    """The (drug row, protein row) pairs of ``ds`` carrying ``label``, as tuples."""
+    return [tuple(r) for r in ds.pairs[ds.pairs[:, 2] == label, :2].tolist()]
 
 
 def _check_fold_invariants(folds, kind):
     all_test_positives = []
     for fold in folds:
         for ds in (fold.train, fold.test):
-            pos = [(d, p) for d, p, y in ds.pairs if y == 1]
-            neg = [(d, p) for d, p, y in ds.pairs if y == 0]
+            assert ds.pairs.dtype == np.uint32 and ds.pairs.shape[1] == 3
+            pos, neg = _labeled(ds, 1), _labeled(ds, 0)
+            assert len(pos) + len(neg) == len(ds.pairs)
             assert len(neg) == 10 * len(pos)
-            assert len(set(ds.pairs)) == len(ds.pairs)
-        train_pairs = {(d, p) for d, p, _ in fold.train.pairs}
-        test_pairs = {(d, p) for d, p, _ in fold.test.pairs}
+            assert len(set(pos + neg)) == len(ds.pairs)
+        train_pairs = {(d, p) for d, p, _ in fold.train.pairs.tolist()}
+        test_pairs = {(d, p) for d, p, _ in fold.test.pairs.tolist()}
         assert not train_pairs & test_pairs
         if kind is SplitKind.DRUG_COLD:
             assert not fold.train.drug_ids() & fold.test.drug_ids()
         if kind is SplitKind.TARGET_COLD:
             assert not fold.train.protein_ids() & fold.test.protein_ids()
-        all_test_positives.extend(fold.test.positives())
+        all_test_positives.extend(_labeled(fold.test, 1))
     # each positive lands in exactly one test fold
     assert len(all_test_positives) == len(set(all_test_positives))
 
@@ -285,8 +280,8 @@ class TestMakeSplit:
         folds = make_split(self._positives(n_extra=0), SplitKind.WARM, 5, seed=3)
         assert len(folds) == 5
         for fold in folds:
-            assert len(fold.test.positives()) == 4
-            assert len([p for p in fold.test.pairs if p[2] == 0]) == 40
+            assert len(_labeled(fold.test, 1)) == 4
+            assert len(_labeled(fold.test, 0)) == 40
         _check_fold_invariants(folds, SplitKind.WARM)
 
     def test_drug_cold_disjointness(self):
@@ -300,13 +295,15 @@ class TestMakeSplit:
     def test_same_seed_identical(self):
         a = make_split(self._positives(), SplitKind.WARM, 5, seed=9)
         b = make_split(self._positives(), SplitKind.WARM, 5, seed=9)
-        assert [f.train.pairs for f in a] == [f.train.pairs for f in b]
-        assert [f.test.pairs for f in a] == [f.test.pairs for f in b]
+        assert len(a) == len(b) == 5
+        for x, y in zip(a, b):
+            assert np.array_equal(x.train.pairs, y.train.pairs)
+            assert np.array_equal(x.test.pairs, y.test.pairs)
 
     def test_different_seed_differs(self):
         a = make_split(self._positives(), SplitKind.WARM, 5, seed=9)
         b = make_split(self._positives(), SplitKind.WARM, 5, seed=10)
-        assert [f.test.pairs for f in a] != [f.test.pairs for f in b]
+        assert not all(np.array_equal(x.test.pairs, y.test.pairs) for x, y in zip(a, b))
 
     def test_insufficient_entities(self):
         pos = [("d0", "p0"), ("d0", "p1"), ("d1", "p0"), ("d1", "p1")]
@@ -317,39 +314,65 @@ class TestMakeSplit:
         with pytest.raises(InsufficientEntities):
             make_split(self._positives(), SplitKind.WARM, 1, seed=0)
 
-    @pytest.mark.parametrize("universe", [False, True], ids=["positive-entities", "universe"])
+    UNIVERSES = ["positive-entities", "universe", "reversed", "permuted"]
+
+    @pytest.mark.parametrize("universe", UNIVERSES)
     @pytest.mark.parametrize("kind", list(SplitKind), ids=lambda k: k.value)
-    def test_matches_brute_force_sampler(self, monkeypatch, kind, universe):
-        """Folds equal those drawn from the materialised pool, on random sparse grids."""
-        rng = np.random.default_rng([11, list(SplitKind).index(kind), int(universe)])
+    def test_matches_brute_force_sampler(self, kind, universe):
+        """Folds mapped back through the universes equal the id-tuple split on random sparse grids.
+
+        Positives are many-to-many with repeated pairs. Given universes
+        carry entities with no positive, in numeric, reversed or permuted
+        order; the ids are unpadded, so none of these orders is id order and
+        a mix-up between a row and its id's sort rank shows.
+        """
+        rng = np.random.default_rng([11, list(SplitKind).index(kind),
+                                     self.UNIVERSES.index(universe)])
         drawn = 0
         for _ in range(25):
             n_d, n_p = (int(n) for n in rng.integers(12, 40, size=2))
-            # every entity in some positive, plus a few random pairs; unpadded
-            # ids, so lexicographic order differs from numeric order
+            # every entity in some positive, plus a few random and repeated pairs
             m = max(n_d, n_p)
             rows = np.concatenate([np.arange(m) % n_d, rng.integers(0, n_d, size=5)])
             cols = np.concatenate([rng.permutation(m) % n_p, rng.integers(0, n_p, size=5)])
             pos = [(f"d{i}", f"p{j}") for i, j in zip(rows, cols)]
-            kwargs = {}
-            if universe:
-                kwargs = {"drugs": [f"d{i}" for i in range(n_d + 4)],
-                          "proteins": [f"p{j}" for j in range(n_p + 3)]}
+            pos += [pos[k] for k in rng.integers(0, len(pos), size=4)]
+            drugs = [f"d{i}" for i in range(n_d + 4)]
+            proteins = [f"p{j}" for j in range(n_p + 3)]
+            if universe == "reversed":
+                drugs, proteins = drugs[::-1], proteins[::-1]
+            elif universe == "permuted":
+                drugs = [drugs[i] for i in rng.permutation(len(drugs))]
+                proteins = [proteins[j] for j in rng.permutation(len(proteins))]
+            kwargs = {"drugs": drugs, "proteins": proteins}
+            if universe == "positive-entities":  # rows index the sorted distinct entities
+                kwargs = {}
+                drugs, proteins = sorted({d for d, _ in pos}), sorted({p for _, p in pos})
             folds, seed = int(rng.integers(2, 5)), int(rng.integers(1000))
 
-            def split():
-                try:
-                    out = make_split(pos, kind, folds, seed, **kwargs)
-                except InsufficientEntities as e:
-                    return str(e)
-                return [(f.train.pairs, f.test.pairs) for f in out]
-
-            fast = split()
-            with monkeypatch.context() as mp:
-                mp.setattr(data, "_draw_negatives", brute_force_negatives)
-                assert split() == fast
+            try:
+                fast = [tuple([(drugs[d], proteins[p], y) for d, p, y in ds.pairs.tolist()]
+                              for ds in (f.train, f.test))
+                        for f in make_split(pos, kind, folds, seed, **kwargs)]
+            except InsufficientEntities as e:
+                fast = str(e)
+            try:
+                slow = split_by_ids(pos, kind, folds, seed, **kwargs)
+            except InsufficientEntities as e:
+                slow = str(e)
+            assert fast == slow
             drawn += not isinstance(fast, str)
         assert drawn >= 15  # most cases draw folds rather than raise
+
+    @pytest.mark.parametrize("side", ["drugs", "proteins"])
+    def test_repeated_universe_id_refused(self, side):
+        """A universe id given twice would make its row ambiguous."""
+        universes = {"drugs": [f"d{i}" for i in range(20)],
+                     "proteins": [f"p{i}" for i in range(20)]}
+        repeated = universes[side][3]
+        universes[side].append(repeated)
+        with pytest.raises(FormatError, match=f"duplicate entity id '{repeated}' in rows 3 and 20"):
+            make_split(self._positives(), SplitKind.WARM, 5, seed=0, **universes)
 
     @pytest.mark.parametrize("kind", list(SplitKind), ids=lambda k: k.value)
     def test_large_universe_never_builds_the_grid(self, kind):
@@ -425,7 +448,6 @@ def test_quadruplet_rejects_non_positive_ic50(ic50_um):
 
 
 def test_pair_dataset_helpers():
-    ds = PairDataset(pairs=[("d0", "p0", 1), ("d1", "p1", 0)])
-    assert ds.drug_ids() == {"d0", "d1"}
-    assert ds.protein_ids() == {"p0", "p1"}
-    assert ds.positives() == [("d0", "p0")]
+    ds = PairDataset(pairs=np.array([[0, 2, 1], [1, 3, 0], [1, 2, 0]], dtype=np.uint32))
+    assert ds.drug_ids() == {0, 1}
+    assert ds.protein_ids() == {2, 3}

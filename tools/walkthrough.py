@@ -9,6 +9,11 @@ synthetic data, the training run, a run resumed from its tenth epoch, the
 retrieve, dti and export reports, and ``stdout/<step>.txt`` with each
 command's stdout, in which OUT is replaced by a fixed token.
 
+``OUT/m2m`` holds a many-to-many dataset: the desk tables, copied byte for
+byte, beside a manifest whose quadruplet i takes SMILES row i mod 64 and
+protein row 7i mod 48, so entities and whole pairs repeat. The desk
+checkpoint runs ``retrieve --csv`` and the three ``dti`` splits on it.
+
 ``OUT/paper`` holds one paper-width run (dims 768/768/768/1280, shared 512,
 hidden 768, one epoch of two B=256 steps) with a ``retrieve --csv``, a
 three-fold warm ``dti --csv`` of one head epoch and an ``export`` on its
@@ -17,13 +22,14 @@ and tables, the exported ones included, are replaced by ``<name>.sha256``
 files holding their SHA-256, so it adds kilobytes, not 77 MB per checkpoint.
 
 The wall-clock ``run.timing.jsonl`` files are deleted, so two trees with the
-same behaviour give the same bytes, 95 files in all: compare the OUT of each
+same behaviour give the same bytes, 116 files in all: compare the OUT of each
 with ``diff -r``.
 """
 
 import argparse
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +37,20 @@ from pathlib import Path
 OUT_TOKEN = "<OUT>"
 TRAIN_FLAGS = ["--epochs", "20", "--batch-size", "64", "--shared-dim", "16",
                "--proj-hidden", "32", "--lr", "1e-3", "--seed", "3"]
+
+
+def many_to_many(data, dest):
+    """Copy the tables in ``data`` to ``dest`` beside a manifest that reuses entities."""
+    dest.mkdir()
+    for table in data.glob("*.gemb"):
+        shutil.copyfile(table, dest / table.name)
+    header, *rows = (data / "manifest.tsv").read_text().splitlines()
+    cells = [row.split("\t") for row in rows]
+    lines = [header]
+    for i, (_, text, hta, _, ic50) in enumerate(cells):
+        smiles, protein = cells[i % 64][0], cells[7 * i % 48][3]
+        lines.append("\t".join([smiles, text, hta, protein, ic50]))
+    (dest / "manifest.tsv").write_text("\n".join(lines) + "\n")
 
 
 def steps(out):
@@ -47,6 +67,11 @@ def steps(out):
         yield f"dti-{split}", ["dti", *ckpt, "--out", out / f"dti-{split}", "--split", split,
                                "--folds", "3", "--epochs", "3", "--csv"]
     yield "export", ["export", *ckpt, "--out", out / "export"]
+    m2m = ["--checkpoint", run / "final.ckpt", "--data", out / "m2m"]
+    yield "m2m-retrieve", ["retrieve", *m2m, "--out", out / "m2m-retrieve", "--csv"]
+    for split in ("warm", "drug-cold", "target-cold"):
+        yield f"m2m-dti-{split}", ["dti", *m2m, "--out", out / f"m2m-dti-{split}",
+                                   "--split", split, "--folds", "3", "--epochs", "3", "--csv"]
     yield "gradcheck", ["gradcheck", "--seed", "0", "--trials", "50"]
     yield "pretrain-help", ["pretrain", "--help"]
     paper = out / "paper"
@@ -75,6 +100,8 @@ def main(argv=None) -> int:
     (out / "stdout").mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     for name, cmd in steps(out):
+        if name == "m2m-retrieve":
+            many_to_many(out / "synth", out / "m2m")
         proc = subprocess.run([sys.executable, "-m", "gramalign.cli", *map(str, cmd)],
                               capture_output=True, text=True, env=env, cwd=out)
         if proc.returncode != 0:
