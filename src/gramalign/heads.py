@@ -5,7 +5,13 @@ a ForwardTape, one dict per stage: the layer input ``x``; the activation's
 derivative ``dact``, for GELU the float64 factor Phi(pre) + pre * phi(pre)
 (computed once, in the forward, by the operations ``gelu_grad`` runs) and
 for ReLU the bool ``pre > 0``; LayerNorm's ``xhat`` and ``inv``; and the
-dropout ``mask``. Gradients are exact (erf-form GELU, full LayerNorm
+dropout ``mask``. A stage whose input is the previous stage's LayerNorm
+output (a projector's layers 1 and 2) keeps no ``x``: backward() re-forms
+it just before that layer's weight-gradient GEMM, and frees it after, from
+the previous stage's ``xhat``, gamma, beta and mask by the forward's own
+operations in the same order, so it has the same bits. backward() reads the
+head's current W, gamma and beta, so the parameters must not change between
+a forward and its backward. Gradients are exact (erf-form GELU, full LayerNorm
 Jacobian, inverted-dropout masks, L2-normalization Jacobian) and are
 verified against central finite differences in the test suite and the
 gradcheck command. Training calls backward with ``input_grad=False``
@@ -82,7 +88,10 @@ class ForwardTape:
     """Per-call cache consumed by backward() for exactly that call.
 
     ``stages[0]["x"]`` is the caller's input array itself, in its own dtype,
-    so writing to that array before backward() changes the gradients.
+    so writing to that array before backward() changes the gradients. A stage
+    after a LayerNorm stage has no ``x``; backward() re-forms it from the
+    previous stage's cache and ``params``' current gamma and beta, so the
+    parameters must not change before backward() either.
     """
 
     params: MlpParams
@@ -198,8 +207,11 @@ def mlp_forward(params: MlpParams, x, mode="eval", rng=None, record=True):
     # Each in-place step below acts on an array made in this loop and not cached,
     # and rounds exactly like its out-of-place form. Stage 0 caches the input as
     # given; the float64 upcast, which is exact, is made where a GEMM reads it.
+    # A LayerNorm stage's output is not cached: backward re-forms it.
+    keep_x = True
     for spec, layer in zip(params.specs, params.layers):
-        cache = {"x": h} if record else {}
+        cache = {"x": h} if record and keep_x else {}
+        keep_x = not spec.layer_norm
         h = np.asarray(h, dtype=np.float64) @ np.asarray(layer.w, dtype=np.float64)
         h += layer.b
         if spec.activation == "gelu":
@@ -239,6 +251,16 @@ def mlp_forward(params: MlpParams, x, mode="eval", rng=None, record=True):
     return h, ForwardTape(params=params, out_shape=h.shape, stages=stages)
 
 
+def _layer_norm_output(spec, layer, cache):
+    """A LayerNorm stage's output, re-formed from its cache by the forward's operations."""
+    h = np.multiply(cache["xhat"], layer.gamma)
+    h += layer.beta
+    if "mask" in cache:
+        h *= cache["mask"]
+        h /= 1.0 - spec.dropout
+    return h
+
+
 def backward(tape: ForwardTape, upstream_grad, input_grad=True):
     """Exact parameter gradients, and the input gradient, for one recorded forward call.
 
@@ -276,7 +298,12 @@ def backward(tape: ForwardTape, upstream_grad, input_grad=True):
             gy = dxhat  # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         if "dact" in cache:
             gy = gy * cache["dact"]
-        dw = np.asarray(cache["x"], dtype=np.float64).T @ gy
+        x = cache.get("x")
+        if x is None:  # the previous stage's LayerNorm output, held only for this GEMM
+            x = _layer_norm_output(tape.params.specs[i - 1], tape.params.layers[i - 1],
+                                   tape.stages[i - 1])
+        dw = np.asarray(x, dtype=np.float64).T @ gy
+        del x
         db = gy.sum(axis=0)
         gy = gy @ np.asarray(layer.w, dtype=np.float64).T if i or input_grad else None
         grads.append(LayerParams(w=dw, b=db, gamma=dgamma, beta=dbeta))

@@ -11,6 +11,7 @@ byte-deterministic.
 """
 
 import json
+import resource
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -213,7 +214,11 @@ def _dataset_weights(labels):
         return class_weights(range(NUM_IC50_CLASSES))
 
 
-def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs):
+def _ms_since(t0):
+    return 1000.0 * (time.perf_counter() - t0)
+
+
+def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, times=None):
     """One optimization step following the pre-training algorithm exactly.
 
     Order: project all four modalities (train mode); compute the bimodal and
@@ -222,20 +227,29 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs):
     get the drop decision; compute the volume loss over the surviving
     modalities; combine; backprop. Returns the loss values, the decision, gbar,
     the norms and every trainable tensor's gradient; ``train`` applies Adam.
+    The wall milliseconds of five stages go into the dict ``times`` if one is
+    given: ``proj_forward``, ``bimodal``, ``ic50`` (forward, loss and
+    backward), ``volume`` and ``proj_backward``.
 
     Each array is released once its last reader has used it: the IC50 tape
     after the IC50 backward, the per-loss gradients once combined, and each
     projector's tape and combined embedding gradient after that projector's
     backward.
     """
+    times = {} if times is None else times
+    t0 = time.perf_counter()
     feats, tapes = {}, {}
     for m in MODALITY_ORDER:
         feats[m], tapes[m] = project(model.projectors[m], raw[m], "train", rngs["dropout"])
+    times["proj_forward"] = _ms_since(t0)
 
+    t0 = time.perf_counter()
     batch = Batch(embeddings=feats, ic50_labels=labels, ic50_mask=labels >= 0)
     bi = clip_bimodal(batch, cfg.tau)
     _require_finite("bimodal", bi.value)
+    times["bimodal"] = _ms_since(t0)
 
+    t0 = time.perf_counter()
     fused = np.concatenate([feats[m] for m in MODALITY_ORDER], axis=1)
     logits, ic50_tape = ic50_forward(model.ic50_head, fused, "train", rngs["dropout"])
     ic50 = ic50_loss(batch, logits, weights, cfg.label_smoothing)
@@ -243,6 +257,7 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs):
     head_grads, dfused = backward(ic50_tape, ic50.logit_grad)
     ic50.grads = dict(zip(MODALITY_ORDER, np.split(dfused, 4, axis=1)))
     del ic50_tape, fused, logits, dfused
+    times["ic50"] = _ms_since(t0)
 
     # modality importance comes from the bimodal + IC50 objectives only; the norm is a
     # numpy sum, not np.linalg.norm's BLAS dot, whose rounding depends on the thread count
@@ -258,18 +273,22 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs):
     decision = decide(gbar, cfg.scheduler, rngs["scheduler"])
 
     active = tuple(m for m in MODALITY_ORDER if m is not decision.dropped)
+    t0 = time.perf_counter()
     vol = volume_contrastive(batch, decision.anchor, active, cfg.tau)
     _require_finite("volume", vol.value)
+    times["volume"] = _ms_since(t0)
 
     total = total_loss(vol, bi, ic50, cfg.lambda_vol, cfg.lambda_bi, cfg.lambda_ic50)
     del vol, bi, ic50
     _require_finite("total", total.value)
 
+    t0 = time.perf_counter()
     grads = {}
     for m in MODALITY_ORDER:
         proj_grads, _ = backward(tapes.pop(m), total.grads.pop(m), input_grad=False)
         specs = model.projectors[m].params.specs
         grads.update(mlp_tensor_items(f"proj.{m.short}", specs, proj_grads))
+    times["proj_backward"] = _ms_since(t0)
     for name, g in mlp_tensor_items("ic50", model.ic50_head.params.specs, head_grads):
         grads[name] = cfg.lambda_ic50 * g
 
@@ -396,7 +415,8 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
     With ``out_dir`` set, writes epoch-NNNN.ckpt after every epoch, final.ckpt
     at the end (a hard link to the last epoch's file, which holds the same
     bytes; serialized only when no epoch ran), run.log.jsonl (deterministic
-    records) and run.timing.jsonl (wall times). ``resume`` restarts from an
+    records) and run.timing.jsonl (per step: wall times, whole and by stage,
+    and the process's peak RSS so far). ``resume`` restarts from an
     epoch-boundary checkpoint and reproduces the uninterrupted run exactly.
     """
     if not quads:
@@ -469,14 +489,17 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
             rows = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             raw = {m: tables[m].rows[index[rows, m]] for m in MODALITY_ORDER}
             t0 = time.perf_counter()
+            stage_ms = {}
             try:
                 losses, decision, gbar, norms, grads = train_step(
-                    model, raw, ic50_labels[rows], history, weights, cfg, rngs
+                    model, raw, ic50_labels[rows], history, weights, cfg, rngs, stage_ms
                 )
             except NonFiniteLoss as e:
                 raise NonFiniteLoss(f"step {step}: {e}") from None
+            t_adam = time.perf_counter()
             adam_step(params, grads, adam, cfg.lr)
-            wall_ms = 1000.0 * (time.perf_counter() - t0)
+            stage_ms["adam"] = _ms_since(t_adam)
+            wall_ms = _ms_since(t0)
             del grads  # not held through the next step
             epoch_losses.append(losses)
             records.append(
@@ -494,7 +517,10 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
                     "grad_norms": norms,
                 }
             )
-            timings.append({"kind": "step", "step": step, "wall_ms": wall_ms})
+            # ru_maxrss is in KiB on Linux
+            peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+            timings.append({"kind": "step", "step": step, "wall_ms": wall_ms,
+                            "stage_ms": stage_ms, "peak_rss_mb": peak_rss_mb})
             step += 1
         log_alignment(epoch + 1, epoch_losses)
         if out_dir is not None:

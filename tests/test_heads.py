@@ -106,7 +106,8 @@ def reference_forward(params, x, mask_rng):
     """The out-of-place forward formulas with gelu(), one list of stage caches.
 
     Each activation's cache is its derivative at the pre-activation:
-    gelu_grad(pre) for GELU, the bool pre > 0 for ReLU.
+    gelu_grad(pre) for GELU, the bool pre > 0 for ReLU. Every stage keeps its
+    input ``x``. With ``mask_rng`` None, the eval forward: no dropout.
     """
     h, stages = np.asarray(x, dtype=np.float64), []
     for spec, layer in zip(params.specs, params.layers):
@@ -122,7 +123,7 @@ def reference_forward(params, x, mask_rng):
             cache["xhat"], cache["inv"] = (h - mu) * inv, inv
             h = cache["xhat"] * np.asarray(layer.gamma, dtype=np.float64) + np.asarray(
                 layer.beta, dtype=np.float64)
-        if spec.dropout > 0.0:
+        if spec.dropout > 0.0 and mask_rng is not None:
             cache["mask"] = mask_rng.random(h.shape) >= spec.dropout
             h = h * cache["mask"] / (1.0 - spec.dropout)
         stages.append(cache)
@@ -150,14 +151,19 @@ def reference_backward(params, stages, gy):
     return grads[::-1], gy
 
 
-@pytest.mark.parametrize("specs, rows", [
-    (projector_specs(12, 16, 8), 9),
-    (projector_specs(1280, 768, 512), 256),  # paper widths, where BLAS threads
-    (ic50_specs(512, 512), 256),
-    (dti_specs(16), 64),
-], ids=["projector-desk", "projector-paper", "ic50-paper", "dti"])
-def test_forward_and_backward_equal_the_reference_formulas(specs, rows):
-    """The tape-reusing, in-place forward and backward round exactly like the plain formulas."""
+@pytest.mark.parametrize("specs, rows, mode, no_x", [
+    (projector_specs(12, 16, 8), 9, "train", {1, 2}),
+    (projector_specs(12, 16, 8), 9, "eval", {1, 2}),  # the unmasked re-form gradcheck runs
+    (projector_specs(1280, 768, 512), 256, "train", {1, 2}),  # paper widths, where BLAS threads
+    (ic50_specs(512, 512), 256, "train", set()),
+    (dti_specs(16), 64, "train", set()),
+], ids=["projector-desk", "projector-desk-eval", "projector-paper", "ic50-paper", "dti"])
+def test_forward_and_backward_equal_the_reference_formulas(specs, rows, mode, no_x):
+    """The tape-reusing, in-place forward and backward round exactly like the plain formulas.
+
+    The stages in ``no_x`` follow a LayerNorm stage and keep no input; the
+    backward re-forms it, and its weight gradient still has the reference's bits.
+    """
     params = init_params(specs, seed=rows)
     for layer in params.layers:  # float32 masters with non-trivial LayerNorm parameters
         layer.w, layer.b = layer.w.astype(np.float32), (layer.b + 0.1).astype(np.float32)
@@ -166,13 +172,14 @@ def test_forward_and_backward_equal_the_reference_formulas(specs, rows):
             layer.beta = (layer.beta - 0.2).astype(np.float32)
     rng = np.random.default_rng(1)
     x = rng.standard_normal((rows, specs[0].in_dim))
-    h, tape = mlp_forward(params, x, "train", np.random.default_rng(2))
-    ref_h, ref_stages = reference_forward(params, x, np.random.default_rng(2))
+    h, tape = mlp_forward(params, x, mode, np.random.default_rng(2))
+    ref_h, ref_stages = reference_forward(
+        params, x, np.random.default_rng(2) if mode == "train" else None)
     assert h.tobytes() == ref_h.tobytes()
-    for stage, ref in zip(tape.stages, ref_stages):
-        assert stage.keys() == ref.keys()
-        for key, arr in ref.items():
-            assert stage[key].tobytes() == arr.tobytes(), key
+    for i, (stage, ref) in enumerate(zip(tape.stages, ref_stages)):
+        assert stage.keys() == ref.keys() - ({"x"} if i in no_x else set())
+        for key, arr in stage.items():
+            assert arr.tobytes() == ref[key].tobytes(), key
     gy = rng.standard_normal(h.shape)
     before = gy.copy()
     grads, gin = backward(tape, gy)
@@ -208,14 +215,18 @@ def tape_nbytes(tape):
 
 
 def test_train_tape_keeps_one_array_per_gelu_layer():
-    """Besides xhat and the next layer's input, a GELU stage keeps only its derivative factor."""
+    """Besides xhat, a GELU stage keeps only its derivative factor, and not the next input.
+
+    The next layer's input, xhat * gamma + beta under the dropout mask, is
+    re-formed by the backward, so no float64 copy of it is kept.
+    """
     b, specs = 256, projector_specs(1280, 768, 512)  # paper widths
     x = np.random.default_rng(1).standard_normal((b, 1280)).astype(np.float32)
     out, tape = project(Head(init_params(specs, 0)), x, "train", np.random.default_rng(2))
     expected = x.nbytes  # stage 0's input, as given
     for spec in specs[:2]:  # GELU, LayerNorm, dropout
-        # float64 factor, xhat and next input; LayerNorm's inv; the bool dropout mask
-        expected += 3 * 8 * b * spec.out_dim + 8 * b + b * spec.out_dim
+        # float64 factor and xhat; LayerNorm's inv; the bool dropout mask
+        expected += 2 * 8 * b * spec.out_dim + 8 * b + b * spec.out_dim
     expected += out.nbytes + 8 * b  # the unit-norm output and its pre-normalization norms
     assert tape_nbytes(tape) == expected
 

@@ -401,6 +401,21 @@ class TestTrain:
         assert all("wall_ms" not in r for r in result.records)
         assert all("wall_ms" in t for t in result.timings if t["kind"] == "step")
 
+    def test_step_timings_carry_stage_times_and_peak_rss(self):
+        """Each step's stages are timed inside its wall time; RSS is the peak so far."""
+        tables, quads, cfg = small_setup(epochs=1)
+        timings = train(tables, quads, cfg).timings
+        assert timings and all(t["kind"] == "step" for t in timings)
+        stages = {"proj_forward", "bimodal", "ic50", "volume", "proj_backward", "adam"}
+        for t in timings:
+            assert t.keys() == {"kind", "step", "wall_ms", "stage_ms", "peak_rss_mb"}
+            assert t["stage_ms"].keys() == stages
+            assert all(ms >= 0.0 for ms in t["stage_ms"].values())
+            assert sum(t["stage_ms"].values()) <= t["wall_ms"]
+            assert t["peak_rss_mb"] > 0.0
+        rss = [t["peak_rss_mb"] for t in timings]
+        assert rss == sorted(rss)
+
 
 def separable_dti_setup(seed=0, n_drugs=12):
     """Two protein clusters; positives are every pair with a '+' protein."""
@@ -447,6 +462,37 @@ class TestStepMemory:
 
         one, three = peak(1), peak(3)  # 128 quadruplets at B=128: one step per epoch
         assert three <= 1.02 * one, f"3-step peak {three / one:.3f}x the 1-step peak"
+
+    def test_paper_step_keeps_no_next_layer_inputs(self, monkeypatch):
+        """A paper-width B=256 step's peak through the volume loss, where all four tapes live.
+
+        The step's own allocations peak there at 54.4 MiB of ``tracemalloc``;
+        the bound leaves 1.6 MiB of margin. Tapes that also kept each
+        projector's two next-layer inputs, 4 * 256 * (768 + 512) float64
+        (10 MiB), peaked at 64.4 MiB.
+        """
+        tables, quads = synth_quadruplets(256, (768, 768, 768, 1280), 0.05, seed=0)
+        cfg = TrainConfig(batch_size=256)
+        model = trainer._new_model({m: tables[m].dim for m in MODALITY_ORDER}, cfg)
+        index, labels = _manifest_index(quads)
+        raw = {m: tables[m].rows[index[:, m]] for m in MODALITY_ORDER}
+        rngs = {k: substream(cfg.seed, k, 0) for k in ("dropout", "scheduler")}
+        peaks = []
+
+        def volume_spy(*args, **kwargs):
+            out = volume_contrastive(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return out
+
+        monkeypatch.setattr(trainer, "volume_contrastive", volume_spy)
+        tracemalloc.start()
+        try:
+            train_step(model, raw, labels, make_history(cfg.scheduler),
+                       _dataset_weights(labels), cfg, rngs)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1
+        assert peaks[0] <= 56 * 2**20, f"volume-loss peak {peaks[0] / 2**20:.1f} MiB"
 
 
 # one paper-width B=256 step; prints its recorded norms and a digest of every parameter gradient
@@ -654,9 +700,9 @@ def test_batches_follow_a_many_to_many_manifest(monkeypatch):
 
     steps, evals = [], []
 
-    def step_spy(model, raw, labels, history, weights, cfg, rngs):
+    def step_spy(model, raw, labels, history, weights, cfg, rngs, times):
         steps.append((raw, labels.tolist(), weights))
-        return train_step(model, raw, labels, history, weights, cfg, rngs)
+        return train_step(model, raw, labels, history, weights, cfg, rngs, times)
 
     def project_spy(head, x, mode, *args, **kwargs):
         if mode == "eval":
