@@ -1,19 +1,20 @@
 """Trainable networks: modality projectors, IC50 classifier, DTI classifier.
 
-A recording forward pass caches what the hand-rolled backward pass needs in
-a ForwardTape, one dict per stage: the layer input ``x``; the activation's
-derivative ``dact``, for GELU the float64 factor Phi(pre) + pre * phi(pre)
-(computed once, in the forward, by the operations ``gelu_grad`` runs) and
-for ReLU the bool ``pre > 0``; LayerNorm's ``xhat`` and ``inv``; and the
-dropout ``mask``. A stage whose input is the previous stage's LayerNorm
-output (a projector's layers 1 and 2) keeps no ``x``: backward() re-forms
-it just before that layer's weight-gradient GEMM, and frees it after, from
-the previous stage's ``xhat``, gamma, beta and mask by the forward's own
-operations in the same order, so it has the same bits. backward() reads the
-head's current W, gamma and beta, so the parameters must not change between
-a forward and its backward. Gradients are exact (erf-form GELU, full LayerNorm
-Jacobian, inverted-dropout masks, L2-normalization Jacobian) and are
-verified against central finite differences in the test suite and the
+A recording forward pass caches what the hand-rolled backward pass needs
+in a ForwardTape, one dict per stage: the layer input ``x``; the
+activation's derivative ``dact``, for GELU the float64 factor Phi(pre) +
+pre * phi(pre) (computed once, in the forward, by the operations
+``gelu_grad`` runs) and for ReLU the bool ``pre > 0``; LayerNorm's
+``xhat`` and ``inv``; and the dropout ``mask``. A stage whose input is the
+previous stage's LayerNorm output (a projector's layers 1 and 2) keeps no
+``x``: backward() re-forms it just before that layer's weight-gradient
+GEMM, and frees it after, from the previous stage's ``xhat``, gamma, beta
+and mask through ``_stage_output``, the function the forward forms every
+stage's output with, so it has the same bits. backward() reads the head's
+current W, gamma and beta, so the parameters must not change between a
+forward and its backward. Gradients are exact (erf-form GELU, full
+LayerNorm Jacobian, inverted-dropout masks, L2-normalization Jacobian) and
+are verified against central finite differences in the test suite and the
 gradcheck command. Training calls backward with ``input_grad=False``
 wherever the gradient with respect to the head's input is discarded, which
 skips the first layer's ``gy @ W.T``. A forward whose tape nobody reads
@@ -195,6 +196,22 @@ def _gelu_factor(x, phi):
     return d
 
 
+def _stage_output(spec, layer, h, mask, out=None):
+    """A stage's output from ``h``, its activation or, with LayerNorm, its ``xhat``.
+
+    Gamma and beta where the stage has LayerNorm, then ``mask`` and 1/(1 - p)
+    where a mask is given, into ``out`` (which may be ``h``) or a new array.
+    The forward and backward()'s re-form both call it, so their bits match.
+    """
+    if spec.layer_norm:
+        h = out = np.multiply(h, layer.gamma, out=out)
+        h += layer.beta
+    if mask is not None:
+        h = np.multiply(h, mask, out=out)
+        h /= 1.0 - spec.dropout
+    return h
+
+
 def mlp_forward(params: MlpParams, x, mode="eval", rng=None, record=True):
     """The head's output and the tape backward() reads, or None for the tape if not ``record``."""
     if mode not in ("train", "eval"):
@@ -229,6 +246,11 @@ def mlp_forward(params: MlpParams, x, mode="eval", rng=None, record=True):
             if record:
                 cache["dact"] = h > 0.0
             np.maximum(h, 0.0, out=h)
+        mask = None
+        if spec.dropout > 0.0 and mode == "train":
+            if rng is None:
+                raise ValueError("train-mode dropout needs an rng")
+            mask = cache["mask"] = rng.random(h.shape) >= spec.dropout
         if spec.layer_norm:
             # h.var's own sum of squared deviations, the deviations then reused for xhat
             xhat = np.subtract(h, h.mean(axis=1, keepdims=True), out=None if record else h)
@@ -236,29 +258,12 @@ def mlp_forward(params: MlpParams, x, mode="eval", rng=None, record=True):
             xhat *= inv
             if record:
                 cache["xhat"], cache["inv"] = xhat, inv
-            h = np.multiply(xhat, layer.gamma, out=None if record else xhat)
-            h += layer.beta
-        if spec.dropout > 0.0 and mode == "train":
-            if rng is None:
-                raise ValueError("train-mode dropout needs an rng")
-            mask = rng.random(h.shape) >= spec.dropout
-            cache["mask"] = mask
-            h *= mask
-            h /= 1.0 - spec.dropout
+            h = xhat
+        h = _stage_output(spec, layer, h, mask, out=None if "xhat" in cache else h)
         stages.append(cache)
     if not record:
         return h, None
     return h, ForwardTape(params=params, out_shape=h.shape, stages=stages)
-
-
-def _layer_norm_output(spec, layer, cache):
-    """A LayerNorm stage's output, re-formed from its cache by the forward's operations."""
-    h = np.multiply(cache["xhat"], layer.gamma)
-    h += layer.beta
-    if "mask" in cache:
-        h *= cache["mask"]
-        h /= 1.0 - spec.dropout
-    return h
 
 
 def backward(tape: ForwardTape, upstream_grad, input_grad=True):
@@ -300,8 +305,9 @@ def backward(tape: ForwardTape, upstream_grad, input_grad=True):
             gy = gy * cache["dact"]
         x = cache.get("x")
         if x is None:  # the previous stage's LayerNorm output, held only for this GEMM
-            x = _layer_norm_output(tape.params.specs[i - 1], tape.params.layers[i - 1],
-                                   tape.stages[i - 1])
+            prev = tape.stages[i - 1]
+            x = _stage_output(tape.params.specs[i - 1], tape.params.layers[i - 1], prev["xhat"],
+                              prev.get("mask"))
         dw = np.asarray(x, dtype=np.float64).T @ gy
         del x
         db = gy.sum(axis=0)

@@ -2,6 +2,9 @@
 
 Every loss returns its value plus exact gradients. All of them are softmax
 cross-entropies, and ``softmax`` holds the one exponential they share. The
+volume and bimodal losses return a gradient block only for the modalities
+they reach, and the IC50 loss the gradient of its logits; the trainer weights
+and sums the blocks into each modality's embedding gradient. The
 volume contrastive loss regularizes each pair volume as sqrt(det + 1e-10), so
 its value and gradients stay finite even when a tuple collapses to a singular
 Gram matrix.
@@ -205,18 +208,3 @@ def ic50_loss(batch: Batch, logits, weights, smoothing: float = DEFAULT_SMOOTHIN
     grad = np.zeros_like(logits)
     grad[mask] = dsel
     return LossOut(value=value, logit_grad=grad, diagnostics={"ic50_n": float(n_valid)})
-
-
-def total_loss(vol: LossOut, bi: LossOut, ic50: LossOut, lambda_vol, lambda_bi, lambda_ic50):
-    """Weighted sum of the three objectives over the modalities each part reaches."""
-    value = 0.0
-    grads = {}
-    for lam, part in ((lambda_vol, vol), (lambda_bi, bi), (lambda_ic50, ic50)):
-        value += lam * part.value
-        for m, g in part.grads.items():
-            if m in grads:  # into the fresh array ``lam * g`` made; rounds like ``a + b``
-                grads[m] += lam * g
-            else:
-                grads[m] = lam * g
-    diagnostics = {"volume": vol.value, "bimodal": bi.value, "ic50": ic50.value, "total": value}
-    return LossOut(value=value, grads=grads, diagnostics=diagnostics)

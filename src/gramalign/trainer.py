@@ -41,7 +41,7 @@ from .heads import (
 )
 from .kernels import tuple_volumes
 from .losses import (DEFAULT_SMOOTHING, DEFAULT_TAU, Batch, clip_bimodal, cross_entropy,
-                     ic50_loss, softmax, total_loss, volume_contrastive)
+                     ic50_loss, softmax, volume_contrastive)
 from .modality import MODALITY_ORDER, Modality
 from .parallel import pinned_map
 from .scheduler import SchedulerConfig, check_field_types, decide, make_history, record, smoothed
@@ -222,19 +222,21 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, tim
     """One optimization step following the pre-training algorithm exactly.
 
     Order: project all four modalities (train mode); compute the bimodal and
-    IC50 losses and their embedding gradients; record gradient norms from
-    lambda_bi * L_bi + lambda_ic50 * L_IC50 only (never the volume loss) and
-    get the drop decision; compute the volume loss over the surviving
-    modalities; combine; backprop. Returns the loss values, the decision, gbar,
-    the norms and every trainable tensor's gradient; ``train`` applies Adam.
-    The wall milliseconds of five stages go into the dict ``times`` if one is
-    given: ``proj_forward``, ``bimodal``, ``ic50`` (forward, loss and
-    backward), ``volume`` and ``proj_backward``.
+    IC50 losses and backprop the IC50 head; form each modality's embedding
+    gradient once, lambda_ic50 * its IC50 input-gradient block plus, for SMILES
+    and protein, lambda_bi * its bimodal block; record those arrays' norms (so
+    never the volume loss) and get the drop decision; compute the volume loss
+    over the surviving modalities and add lambda_vol * its blocks in place;
+    backprop. Returns the loss values, the decision, gbar, the norms and every
+    trainable tensor's gradient; ``train`` applies Adam. The wall milliseconds
+    of five stages go into the dict ``times`` if one is given: ``proj_forward``,
+    ``bimodal``, ``ic50`` (forward, loss and backward), ``volume`` and
+    ``proj_backward``.
 
     Each array is released once its last reader has used it: the IC50 tape
-    after the IC50 backward, the per-loss gradients once combined, and each
-    projector's tape and combined embedding gradient after that projector's
-    backward.
+    after the IC50 backward, each loss's gradient blocks once added into the
+    embedding gradients, and each projector's tape and embedding gradient
+    after that projector's backward.
     """
     times = {} if times is None else times
     t0 = time.perf_counter()
@@ -255,19 +257,17 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, tim
     ic50 = ic50_loss(batch, logits, weights, cfg.label_smoothing)
     _require_finite("ic50", ic50.value)
     head_grads, dfused = backward(ic50_tape, ic50.logit_grad)
-    ic50.grads = dict(zip(MODALITY_ORDER, np.split(dfused, 4, axis=1)))
-    del ic50_tape, fused, logits, dfused
+    del ic50_tape, fused, logits
     times["ic50"] = _ms_since(t0)
 
+    emb_grads = {m: cfg.lambda_ic50 * g
+                 for m, g in zip(MODALITY_ORDER, np.split(dfused, 4, axis=1))}
+    del dfused
+    for m in list(bi.grads):
+        emb_grads[m] += cfg.lambda_bi * bi.grads.pop(m)
     # modality importance comes from the bimodal + IC50 objectives only; the norm is a
     # numpy sum, not np.linalg.norm's BLAS dot, whose rounding depends on the thread count
-    norms = []
-    for m in MODALITY_ORDER:
-        g = cfg.lambda_ic50 * ic50.grads[m]
-        if m in bi.grads:
-            g += cfg.lambda_bi * bi.grads[m]
-        norms.append(float(np.sqrt(np.square(g, out=g).sum())))
-    del g
+    norms = [float(np.sqrt(np.square(emb_grads[m]).sum())) for m in MODALITY_ORDER]
     record(history, norms)
     gbar = smoothed(history, cfg.scheduler.decay)
     decision = decide(gbar, cfg.scheduler, rngs["scheduler"])
@@ -277,22 +277,24 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, tim
     vol = volume_contrastive(batch, decision.anchor, active, cfg.tau)
     _require_finite("volume", vol.value)
     times["volume"] = _ms_since(t0)
+    for m in list(vol.grads):
+        emb_grads[m] += cfg.lambda_vol * vol.grads.pop(m)
 
-    total = total_loss(vol, bi, ic50, cfg.lambda_vol, cfg.lambda_bi, cfg.lambda_ic50)
-    del vol, bi, ic50
-    _require_finite("total", total.value)
+    total = cfg.lambda_vol * vol.value + cfg.lambda_bi * bi.value + cfg.lambda_ic50 * ic50.value
+    _require_finite("total", total)
+    losses = {"volume": vol.value, "bimodal": bi.value, "ic50": ic50.value, "total": total}
 
     t0 = time.perf_counter()
     grads = {}
     for m in MODALITY_ORDER:
-        proj_grads, _ = backward(tapes.pop(m), total.grads.pop(m), input_grad=False)
+        proj_grads, _ = backward(tapes.pop(m), emb_grads.pop(m), input_grad=False)
         specs = model.projectors[m].params.specs
         grads.update(mlp_tensor_items(f"proj.{m.short}", specs, proj_grads))
     times["proj_backward"] = _ms_since(t0)
     for name, g in mlp_tensor_items("ic50", model.ic50_head.params.specs, head_grads):
         grads[name] = cfg.lambda_ic50 * g
 
-    return total.diagnostics, decision, gbar, norms, grads
+    return losses, decision, gbar, norms, grads
 
 
 def _require_finite(component: str, value: float) -> None:

@@ -10,13 +10,11 @@ from gramalign.data import class_weights
 from gramalign.losses import (
     EPS_VOL,
     Batch,
-    LossOut,
     _info_nce,
     clip_bimodal,
     cross_entropy,
     ic50_loss,
     softmax,
-    total_loss,
     volume_contrastive,
     volume_similarity_forward,
 )
@@ -387,62 +385,3 @@ class TestIc50Loss:
             q[full.ic50_labels[i]] += 0.9
             per.append(-(q * lp).sum())
         assert out.value == pytest.approx(np.mean(per), abs=1e-12)
-
-
-class TestTotalLoss:
-    def _parts(self, rng):
-        g = lambda: {m: rng.standard_normal((2, 3)) for m in MODALITY_ORDER}
-        return (
-            LossOut(value=0.5, grads=g()),
-            LossOut(value=0.25, grads=g()),
-            LossOut(value=0.125, grads=g()),
-        )
-
-    def test_single_component(self):
-        vol, bi, ic = self._parts(np.random.default_rng(0))
-        out = total_loss(vol, bi, ic, 1.0, 0.0, 0.0)
-        assert out.value == pytest.approx(0.5)
-        for m in MODALITY_ORDER:
-            np.testing.assert_allclose(out.grads[m], vol.grads[m])
-
-    def test_all_zero(self):
-        zero = LossOut(value=0.0, grads={})
-        assert total_loss(zero, zero, zero, 1.0, 1.0, 1.0).value == 0.0
-
-    def test_weighted_sum(self):
-        vol, bi, ic = self._parts(np.random.default_rng(1))
-        out = total_loss(vol, bi, ic, 1.0, 1.0, 1.0)
-        assert out.value == pytest.approx(0.875)
-        for m in MODALITY_ORDER:
-            np.testing.assert_allclose(
-                out.grads[m], vol.grads[m] + bi.grads[m] + ic.grads[m]
-            )
-
-    def test_lambda_scaling(self):
-        vol, bi, ic = self._parts(np.random.default_rng(2))
-        out = total_loss(vol, bi, ic, 2.0, 0.5, 3.0)
-        assert out.value == pytest.approx(2 * 0.5 + 0.5 * 0.25 + 3 * 0.125)
-
-    @pytest.mark.parametrize("lams", [(1.0, 1.0, 1.0), (2.0, 0.5, 3.0)])
-    def test_sparse_parts_sum_present_terms_in_order(self, lams):
-        """Each modality sums only the parts that reach it, bit-equal to (lv*v + lb*b) + li*i."""
-        rng = np.random.default_rng(3)
-        g = lambda ms: {m: rng.standard_normal((2, 3)) for m in ms}
-        vol = LossOut(value=0.5, grads=g((S, T, P)))  # HTA dropped
-        bi = LossOut(value=0.25, grads=g((S, P)))
-        ic = LossOut(value=0.125, grads=g(MODALITY_ORDER))
-        before = [{m: a.copy() for m, a in part.grads.items()} for part in (vol, bi, ic)]
-        out = total_loss(vol, bi, ic, *lams)
-        assert set(out.grads) == set(MODALITY_ORDER)
-        for m in MODALITY_ORDER:
-            terms = [lam * part.grads[m] for lam, part in zip(lams, (vol, bi, ic))
-                     if m in part.grads]
-            expected = terms[0]
-            for t in terms[1:]:
-                expected = expected + t
-            assert out.grads[m].tobytes() == expected.tobytes()
-            assert not any(np.shares_memory(out.grads[m], part.grads[m])
-                           for part in (vol, bi, ic) if m in part.grads)
-        for part, saved in zip((vol, bi, ic), before):
-            for m, a in part.grads.items():
-                assert a.tobytes() == saved[m].tobytes()

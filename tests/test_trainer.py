@@ -24,7 +24,7 @@ from gramalign.errors import EmptyDataset, MissingTensor, NonFiniteLoss, ShapeMi
 from gramalign.heads import build_model, cast_params, named_tensors, project, ic50_forward
 from gramalign.losses import Batch, clip_bimodal, ic50_loss, volume_contrastive
 from gramalign.modality import MODALITY_ORDER, Modality
-from gramalign.scheduler import make_history
+from gramalign.scheduler import SchedulerConfig, make_history
 from gramalign.seeding import substream
 from gramalign import heads, losses, parallel, trainer
 from gramalign.trainer import (
@@ -187,6 +187,60 @@ class TestTrainStep:
         assert norms == [0.0, 0.0, 0.0, 0.0]
         # the volume gradients still update the projectors
         assert any(np.abs(g).max() > 0 for g in grads.values())
+
+    @pytest.mark.parametrize("p_drop, n_active", [(0.0, 4), (1.0, 3)])
+    def test_step_is_the_weighted_sum_of_its_parts(self, p_drop, n_active):
+        """Losses, norms and every gradient equal a step composed here from its parts.
+
+        The oracle replays the dropout substream through ``project``,
+        ``ic50_forward``, the three losses and ``heads.backward``, with the
+        anchor and dropped modality ``train_step`` returns. The three lambdas
+        are distinct and none is 1, so a misplaced or doubled weight shows, and
+        the batch holds unannotated rows. Each embedding gradient is summed as
+        (IC50 + bimodal) + volume, so the loss values and gradients are the
+        same bits.
+        """
+        lam_vol, lam_bi, lam_ic50 = 0.7, 1.3, 0.4
+        model, params, weights, raw, labels, cfg, rngs = self._prepare(
+            lambda_vol=lam_vol, lambda_bi=lam_bi, lambda_ic50=lam_ic50,
+            scheduler=SchedulerConfig(p_drop=p_drop))
+        assert (labels < 0).any() and (labels >= 0).any()
+        values, decision, _, norms, grads = train_step(
+            model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs)
+        active = [m for m in MODALITY_ORDER if m is not decision.dropped]
+        assert len(active) == n_active
+
+        rng = substream(cfg.seed, "dropout", 0)
+        feats, tapes = {}, {}
+        for m in MODALITY_ORDER:
+            feats[m], tapes[m] = project(model.projectors[m], raw[m], "train", rng)
+        batch = Batch(embeddings=feats, ic50_labels=labels, ic50_mask=labels >= 0)
+        bi = clip_bimodal(batch, cfg.tau)
+        fused = np.concatenate([feats[m] for m in MODALITY_ORDER], axis=1)
+        logits, ic50_tape = ic50_forward(model.ic50_head, fused, "train", rng)
+        ic = ic50_loss(batch, logits, weights, cfg.label_smoothing)
+        head_grads, dfused = heads.backward(ic50_tape, ic.logit_grad)
+        vol = volume_contrastive(batch, decision.anchor, active, cfg.tau)
+
+        expected = {"volume": vol.value, "bimodal": bi.value, "ic50": ic.value,
+                    "total": lam_vol * vol.value + lam_bi * bi.value + lam_ic50 * ic.value}
+        assert list(values.items()) == list(expected.items())
+        want = {}
+        for m, block, norm in zip(MODALITY_ORDER, np.split(dfused, 4, axis=1), norms):
+            g = lam_ic50 * block
+            if m in bi.grads:
+                g = g + lam_bi * bi.grads[m]
+            assert norm == pytest.approx(np.linalg.norm(g), rel=1e-12)
+            if m in active:
+                g = g + lam_vol * vol.grads[m]
+            proj_grads, _ = heads.backward(tapes[m], g)
+            want.update(heads.mlp_tensor_items(f"proj.{m.short}",
+                                               model.projectors[m].params.specs, proj_grads))
+        for name, g in heads.mlp_tensor_items("ic50", model.ic50_head.params.specs, head_grads):
+            want[name] = lam_ic50 * g
+        assert grads.keys() == want.keys()
+        for name, g in want.items():
+            np.testing.assert_array_equal(grads[name], g, err_msg=name)
 
     def test_each_tape_released_after_its_backward(self, monkeypatch):
         """When a projector's backward runs, the IC50 tape and every earlier projector's are gone."""
@@ -501,7 +555,7 @@ import hashlib, json
 import numpy as np
 from gramalign.data import synth_quadruplets
 from gramalign.modality import MODALITY_ORDER
-from gramalign.scheduler import make_history
+from gramalign.scheduler import SchedulerConfig, make_history
 from gramalign.seeding import substream
 from gramalign.trainer import (TrainConfig, _dataset_weights, _manifest_index, _new_model,
                                train_step)
