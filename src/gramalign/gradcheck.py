@@ -107,7 +107,8 @@ def _pair_volumes_worst(x, weights):
     ``x`` stacks the anchor and then the non-anchors, each (B, d).
     """
     anchor, others = x[0], x[1:]
-    grads = pair_volume_coeffs(pair_volumes(anchor, others, 0.0), weights)
+    # the kernel forms its coefficients in the weights' array; the sum below reads them again
+    grads = pair_volume_coeffs(pair_volumes(anchor, others, 0.0), weights.copy())
     return _worst(lambda: float(np.sum(weights * pair_volumes(anchor, others, 0.0).vol)),
                   [(x, grads)])
 

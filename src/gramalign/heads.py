@@ -12,10 +12,13 @@ GEMM, and frees it after, from the previous stage's ``xhat``, gamma, beta
 and mask through ``_stage_output``, the function the forward forms every
 stage's output with, so it has the same bits. backward() reads the head's
 current W, gamma and beta, so the parameters must not change between a
-forward and its backward. Gradients are exact (erf-form GELU, full
-LayerNorm Jacobian, inverted-dropout masks, L2-normalization Jacobian) and
-are verified against central finite differences in the test suite and the
-gradcheck command. Training calls backward with ``input_grad=False``
+forward and its backward. A tape is read once: backward() drops each
+cached array at its last read, so a stage's arrays go as its gradient is
+formed, and a second backward() on the same tape raises TapeMismatch.
+Gradients are exact (erf-form GELU, full LayerNorm Jacobian,
+inverted-dropout masks, L2-normalization Jacobian) and are verified
+against central finite differences in the test suite and the gradcheck
+command. Training calls backward with ``input_grad=False``
 wherever the gradient with respect to the head's input is discarded, which
 skips the first layer's ``gy @ W.T``. A forward whose tape nobody reads
 passes ``record=False``: it caches nothing, returns None for the tape and
@@ -92,7 +95,10 @@ class ForwardTape:
     so writing to that array before backward() changes the gradients. A stage
     after a LayerNorm stage has no ``x``; backward() re-forms it from the
     previous stage's cache and ``params``' current gamma and beta, so the
-    parameters must not change before backward() either.
+    parameters must not change before backward() either. backward() empties
+    the tape as it reads it: ``stages``, ``unit_out`` and ``prenorm_norms``
+    are None afterwards, and stage 0's input is freed after its weight
+    gradient when the caller holds no other reference to it.
     """
 
     params: MlpParams
@@ -273,25 +279,34 @@ def backward(tape: ForwardTape, upstream_grad, input_grad=True):
     unit-normalized output and is chained through the normalization Jacobian
     (I/||u|| - u u^T/||u||^3) before the MLP stages. With ``input_grad=False``
     the first layer's ``gy @ W.T`` is not formed and None is returned in its
-    place; the parameter gradients are unchanged.
+    place; the parameter gradients are unchanged. The tape is consumed: each
+    cached array is dropped once read, a stage's before the next GEMM.
     """
+    if tape.stages is None:
+        raise TapeMismatch("this tape was already read by backward(); a tape is read once")
     gy = np.asarray(upstream_grad, dtype=np.float64)
     if gy.shape != tape.out_shape:
         raise TapeMismatch(f"upstream grad shape {gy.shape} != forward output {tape.out_shape}")
+    stages, tape.stages = tape.stages, None
     if tape.unit_out is not None:
         u, norms = tape.unit_out, tape.prenorm_norms
+        tape.unit_out = tape.prenorm_norms = None
         gy = (gy - u * (u * gy).sum(axis=1, keepdims=True)) / norms
+        del u, norms
+    specs, layers = tape.params.specs, tape.params.layers
     grads = []
-    stages = zip(tape.params.specs, tape.params.layers, tape.stages)
-    for i, (spec, layer, cache) in reversed(list(enumerate(stages))):
+    for i in reversed(range(len(stages))):
+        spec, layer = specs[i], layers[i]
+        # stage i's cache leaves the list here; stage i - 1's stays for re-forming x below
+        cache = stages.pop()
         # gy may be the caller's array until a step below makes a new one; in-place
         # steps act only on arrays made here and round like their out-of-place forms
         if "mask" in cache:
-            gy = gy * cache["mask"]
+            gy = gy * cache.pop("mask")
             gy /= 1.0 - spec.dropout
         dgamma = dbeta = None
         if spec.layer_norm:
-            xhat, inv = cache["xhat"], cache["inv"]
+            xhat, inv = cache.pop("xhat"), cache.pop("inv")
             dgamma = (gy * xhat).sum(axis=0)
             dbeta = gy.sum(axis=0)
             dxhat = gy * layer.gamma
@@ -301,13 +316,13 @@ def backward(tape: ForwardTape, upstream_grad, input_grad=True):
             dxhat -= radial
             dxhat *= inv
             gy = dxhat  # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+            del xhat, inv, radial, dxhat
         if "dact" in cache:
-            gy = gy * cache["dact"]
-        x = cache.get("x")
+            gy = gy * cache.pop("dact")
+        x = cache.pop("x", None)
         if x is None:  # the previous stage's LayerNorm output, held only for this GEMM
-            prev = tape.stages[i - 1]
-            x = _stage_output(tape.params.specs[i - 1], tape.params.layers[i - 1], prev["xhat"],
-                              prev.get("mask"))
+            prev = stages[-1]
+            x = _stage_output(specs[i - 1], layers[i - 1], prev["xhat"], prev.get("mask"))
         dw = np.asarray(x, dtype=np.float64).T @ gy
         del x
         db = gy.sum(axis=0)

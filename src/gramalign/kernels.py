@@ -24,15 +24,20 @@ their Gram matrix keeps near-collapsed tuples accurate: forming G squares
 the condition number, the QR does not.
 """
 
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
 
 
-class PairVolumes(NamedTuple):
-    """V_ij = sqrt(max(det G_ij, 0) + eps), plus the factors the backward reuses."""
+@dataclass
+class PairVolumes:
+    """V_ij = sqrt(max(det G_ij, 0) + eps), plus the factors the backward reuses.
+
+    ``pair_volume_coeffs`` consumes it: it sets ``vol`` and ``rho2`` to None
+    once it has read them.
+    """
 
     vol: np.ndarray  # (B, B), row i = non-anchors of sample i, column j = anchor of sample j
     anchor: np.ndarray  # (B, d)
@@ -76,9 +81,21 @@ def pair_volume_coeffs(pv: PairVolumes, weights) -> np.ndarray:
 
     dV_ij = d(det G_ij) / (2 V_ij), so every pair contributes through the
     single coefficient c_ij = w_ij det S_i / V_ij.
+
+    Both arguments are consumed. c is formed in ``weights``' own array when
+    that is float64, and ``pv.vol`` and ``pv.rho2`` are set to None once read,
+    so each of the three B x B arrays is freed at its last read when the
+    caller keeps no other reference to it. A caller that reads ``weights`` or
+    ``pv.vol`` afterwards passes a copy or reads it first.
     """
     b, m, d = pv.qt.shape
-    c = np.asarray(weights, dtype=np.float64) * pv.det_s[:, None] / pv.vol
+    c = np.asarray(weights, dtype=np.float64)
+    del weights
+    c *= pv.det_s[:, None]
+    c /= pv.vol
+    pv.vol = None
+    crho = (c * pv.rho2).sum(axis=1)
+    pv.rho2 = None
     qt = pv.qt
     # samples whose non-anchors are exactly dependent have det S_i = 0, hence c_i. = 0
     singular = pv.det_s == 0.0
@@ -87,15 +104,17 @@ def pair_volume_coeffs(pv: PairVolumes, weights) -> np.ndarray:
 
     grads = np.empty((m + 1, b, d))
     ct = c[:, None, :] * pv.t
-    grads[0] = c.sum(axis=0)[:, None] * pv.anchor - ct.reshape(b * m, b).T @ qt.reshape(b * m, d)
+    np.subtract(c.sum(axis=0)[:, None] * pv.anchor, ct.reshape(b * m, b).T @ qt.reshape(b * m, d),
+                out=grads[0])
 
     # Each product below goes into a buffer nobody reads any more: cy into ct's, the
     # two (B*m, d) products into grads[1:], which the final transpose then fills.
     # Scaled in place: x * c rounds like c * x.
     cy = np.matmul(rinv, pv.t, out=ct)
     cy *= c[:, None, :]  # (B, m, B): c_ij y_ij^u
+    del c
     g = rinv @ qt  # (B, m, d): e_i^u
-    g *= (c * pv.rho2).sum(axis=1)[:, None, None]
+    g *= crho[:, None, None]
     scratch = grads[1:].reshape(b, m, d)
     np.matmul(cy.reshape(b * m, b), pv.anchor, out=scratch.reshape(b * m, d))
     g -= scratch

@@ -139,6 +139,19 @@ def volume_similarity_forward(batch: Batch, anchor: Modality, active, tau: float
     return -pv.vol / tau
 
 
+def _volume_weights(out: LossOut, vol, tau):
+    """-dS/tau of the volume InfoNCE over S = -vol/tau, in dS's own array.
+
+    The loss value and its diagnostics go into ``out``.
+    """
+    out.value, l_fwd, l_rev, ds = _info_nce(-vol / tau)
+    out.diagnostics = {"volume_forward": l_fwd, "volume_reverse": l_rev,
+                       "mean_positive_volume": float(np.mean(np.diag(vol)))}
+    np.negative(ds, out=ds)
+    ds /= tau
+    return ds
+
+
 def volume_contrastive(batch: Batch, anchor: Modality, active, tau: float = DEFAULT_TAU):
     """Symmetric volume InfoNCE: 0.5 * (anchor-permuted + tuple-permuted).
 
@@ -149,20 +162,12 @@ def volume_contrastive(batch: Batch, anchor: Modality, active, tau: float = DEFA
     one (k, B, d) array; a dropped modality has no entry.
     """
     others, pv = _checked_pair_volumes(batch, anchor, active, tau)
-    value, l_fwd, l_rev, ds = _info_nce(-pv.vol / tau)
-
-    np.negative(ds, out=ds)
-    ds /= tau  # -dS / tau, in dS's own array
-    g = pair_volume_coeffs(pv, ds)
-    return LossOut(
-        value=value,
-        grads=dict(zip([anchor, *others], g)),
-        diagnostics={
-            "volume_forward": l_fwd,
-            "volume_reverse": l_rev,
-            "mean_positive_volume": float(np.mean(np.diag(pv.vol))),
-        },
-    )
+    out = LossOut(value=0.0)
+    # -dS/tau is passed without a name here, so the kernel holds its only reference
+    # and frees it, like pv's volumes, at its last read
+    g = pair_volume_coeffs(pv, _volume_weights(out, pv.vol, tau))
+    out.grads = dict(zip([anchor, *others], g))
+    return out
 
 
 def clip_bimodal(batch: Batch, tau: float = DEFAULT_TAU):

@@ -138,8 +138,12 @@ def _flat(a, what):
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
-    """One bias-corrected Adam update over named tensors, in place.
+    """A bias-corrected Adam update, in place, of each tensor of ``params`` named in ``grads``.
 
+    The caller advances ``state.t`` once per optimization step before its
+    updates, so a step may update its tensors in several calls, one head at
+    a time, with the same bias corrections; each tensor's update reads only
+    its own gradient and moments, so the bytes do not depend on the split.
     Math runs in float64 and is quantized back to each tensor's storage
     dtype, so float32 masters stay exactly what a checkpoint would hold.
     Each tensor is walked in flat blocks of ADAM_BLOCK elements, every block
@@ -147,16 +151,17 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
     is bit-equal to one pass over the whole tensor. The blocks' float64 work
     lives in one buffer per call, so concurrent calls share nothing.
     """
-    if set(params) != set(grads):
-        raise ShapeMismatch(
-            f"param/grad name sets differ: {sorted(set(params) ^ set(grads))}"
-        )
-    state.t += 1
+    unknown = set(grads) - set(params)
+    if unknown:
+        raise ShapeMismatch(f"gradients for no parameter: {sorted(unknown)}")
+    if state.t < 1:
+        raise ValueError("advance state.t before the step's first update")
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
     buf = np.empty((4, ADAM_BLOCK))
-    for name, theta in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
+    for name, g in grads.items():
+        theta = params[name]
+        g = np.asarray(g, dtype=np.float64)
         if g.size != theta.size:
             raise ShapeMismatch(f"tensor {name!r}: grad {g.shape} vs param {theta.shape}")
         g = g.reshape(-1)
@@ -218,7 +223,7 @@ def _ms_since(t0):
     return 1000.0 * (time.perf_counter() - t0)
 
 
-def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, times=None):
+def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, update, times=None):
     """One optimization step following the pre-training algorithm exactly.
 
     Order: project all four modalities (train mode); compute the bimodal and
@@ -227,18 +232,35 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, tim
     and protein, lambda_bi * its bimodal block; record those arrays' norms (so
     never the volume loss) and get the drop decision; compute the volume loss
     over the surviving modalities and add lambda_vol * its blocks in place;
-    backprop. Returns the loss values, the decision, gbar, the norms and every
-    trainable tensor's gradient; ``train`` applies Adam. The wall milliseconds
-    of five stages go into the dict ``times`` if one is given: ``proj_forward``,
-    ``bimodal``, ``ic50`` (forward, loss and backward), ``volume`` and
-    ``proj_backward``.
+    backprop each projector. Returns the loss values, the decision, gbar and
+    the norms.
 
-    Each array is released once its last reader has used it: the IC50 tape
-    after the IC50 backward, each loss's gradient blocks once added into the
-    embedding gradients, and each projector's tape and embedding gradient
-    after that projector's backward.
+    Each head's gradients go to ``update`` as soon as its backward ends, as
+    one dict of named float64 arrays that the step then drops, so one head's
+    gradients are alive at a time: first the IC50 head's, scaled by
+    lambda_ic50, then each projector's in MODALITY_ORDER. ``train`` passes an
+    Adam update, having advanced the step count once for the whole step. A
+    non-finite bimodal or IC50 loss raises NonFiniteLoss before any update;
+    a non-finite volume or total loss raises it after the IC50 head's update,
+    with every projector still untouched.
+
+    The wall milliseconds of six stages go into the dict ``times`` if one is
+    given: ``proj_forward``, ``bimodal``, ``ic50`` (forward, loss and
+    backward), ``volume``, ``proj_backward`` and ``adam``, the sum of the
+    five ``update`` calls. Each array is released once its last reader has
+    used it: the IC50 input after its weight gradient, each loss's gradient
+    blocks once added into the embedding gradients, and each projector's tape
+    and embedding gradient during that projector's backward.
     """
     times = {} if times is None else times
+    update_ms = 0.0
+
+    def hand_off(prefix, head, layer_grads):
+        nonlocal update_ms
+        t0 = time.perf_counter()
+        update(dict(mlp_tensor_items(prefix, head.params.specs, layer_grads)))
+        update_ms += _ms_since(t0)
+
     t0 = time.perf_counter()
     feats, tapes = {}, {}
     for m in MODALITY_ORDER:
@@ -252,13 +274,20 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, tim
     times["bimodal"] = _ms_since(t0)
 
     t0 = time.perf_counter()
-    fused = np.concatenate([feats[m] for m in MODALITY_ORDER], axis=1)
-    logits, ic50_tape = ic50_forward(model.ic50_head, fused, "train", rngs["dropout"])
+    # the fused input is held by the tape alone, so the backward frees it after its dW
+    logits, ic50_tape = ic50_forward(model.ic50_head,
+                                     np.concatenate([feats[m] for m in MODALITY_ORDER], axis=1),
+                                     "train", rngs["dropout"])
     ic50 = ic50_loss(batch, logits, weights, cfg.label_smoothing)
+    del logits
     _require_finite("ic50", ic50.value)
     head_grads, dfused = backward(ic50_tape, ic50.logit_grad)
-    del ic50_tape, fused, logits
+    del ic50_tape
     times["ic50"] = _ms_since(t0)
+    for _, g in mlp_tensor_items("ic50", model.ic50_head.params.specs, head_grads):
+        g *= cfg.lambda_ic50  # an array backward made; g * s rounds like s * g
+    hand_off("ic50", model.ic50_head, head_grads)
+    del head_grads
 
     emb_grads = {m: cfg.lambda_ic50 * g
                  for m, g in zip(MODALITY_ORDER, np.split(dfused, 4, axis=1))}
@@ -284,17 +313,16 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, tim
     _require_finite("total", total)
     losses = {"volume": vol.value, "bimodal": bi.value, "ic50": ic50.value, "total": total}
 
-    t0 = time.perf_counter()
-    grads = {}
+    backward_ms = 0.0
     for m in MODALITY_ORDER:
+        t0 = time.perf_counter()
         proj_grads, _ = backward(tapes.pop(m), emb_grads.pop(m), input_grad=False)
-        specs = model.projectors[m].params.specs
-        grads.update(mlp_tensor_items(f"proj.{m.short}", specs, proj_grads))
-    times["proj_backward"] = _ms_since(t0)
-    for name, g in mlp_tensor_items("ic50", model.ic50_head.params.specs, head_grads):
-        grads[name] = cfg.lambda_ic50 * g
-
-    return losses, decision, gbar, norms, grads
+        backward_ms += _ms_since(t0)
+        hand_off(f"proj.{m.short}", model.projectors[m], proj_grads)
+        del proj_grads
+    times["proj_backward"] = backward_ms
+    times["adam"] = update_ms
+    return losses, decision, gbar, norms
 
 
 def _require_finite(component: str, value: float) -> None:
@@ -460,6 +488,9 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
     weights = _dataset_weights(ic50_labels)
     records, timings = [], []
 
+    def update(grads):  # one head's gradients, handed over by train_step
+        adam_step(params, grads, adam, cfg.lr)
+
     def log_alignment(epochs_done, epoch_losses=None):
         pos, mis = alignment_volumes(model, tables, index)
         rec = {
@@ -492,17 +523,14 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
             raw = {m: tables[m].rows[index[rows, m]] for m in MODALITY_ORDER}
             t0 = time.perf_counter()
             stage_ms = {}
+            adam.t += 1  # once per step: every head's update has the same bias corrections
             try:
-                losses, decision, gbar, norms, grads = train_step(
-                    model, raw, ic50_labels[rows], history, weights, cfg, rngs, stage_ms
+                losses, decision, gbar, norms = train_step(
+                    model, raw, ic50_labels[rows], history, weights, cfg, rngs, update, stage_ms
                 )
             except NonFiniteLoss as e:
                 raise NonFiniteLoss(f"step {step}: {e}") from None
-            t_adam = time.perf_counter()
-            adam_step(params, grads, adam, cfg.lr)
-            stage_ms["adam"] = _ms_since(t_adam)
             wall_ms = _ms_since(t0)
-            del grads  # not held through the next step
             epoch_losses.append(losses)
             records.append(
                 {
@@ -593,6 +621,7 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
                 logits, tape = dti_forward(head, f_s[xs[rows]], f_p[xp[rows]], "train", rng)
                 _, dlogits = cross_entropy(logits, y[rows], np.ones(len(rows)), 0.0)
                 grads, _ = backward(tape, dlogits, input_grad=False)
+                adam.t += 1
                 adam_step(params, dict(mlp_tensor_items("dti", specs, grads)), adam, cfg.dti_lr)
         return head
 

@@ -152,6 +152,31 @@ class TestPretrain:
         assert run("pretrain", "--data", str(synth_dir), "--out", str(tmp_path / "x"),
                    "--epochs", "1", "--batch-size", "16") == 4
 
+    def test_non_finite_volume_loss_writes_no_checkpoint_for_its_epoch(
+            self, monkeypatch, capsys, tmp_path, synth_dir):
+        """A NaN volume loss in epoch 1's first step exits 4 with epoch 0's checkpoint the last.
+
+        That step has updated the IC50 head before its volume loss, so a
+        checkpoint of that epoch would hold a half-applied step.
+        """
+        from gramalign import trainer
+
+        real, calls = trainer.volume_contrastive, []
+
+        def poisoned(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 4:  # 48 quadruplets at B=16: three steps per epoch
+                out.value = float("nan")
+            return out
+
+        monkeypatch.setattr(trainer, "volume_contrastive", poisoned)
+        out = tmp_path / "x"
+        assert run("pretrain", "--data", str(synth_dir), "--out", str(out),
+                   "--epochs", "2", "--batch-size", "16") == 4
+        assert "step 3: volume loss is nan" in capsys.readouterr().err
+        assert sorted(p.name for p in out.glob("*.ckpt")) == ["epoch-0000.ckpt"]
+
 
 BAD_CONFIGS = [
     (["--batch-size", "1"], "batch_size"),

@@ -409,13 +409,24 @@ class TestBackward:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((9, head.in_dim))
         out, tape = forward(head, x, "train", np.random.default_rng(5))
+        _, again = forward(head, x, "train", np.random.default_rng(5))  # a tape is read once
         g = rng.standard_normal(out.shape)
         full, gin = backward(tape, g)
-        skipped, none = backward(tape, g, input_grad=False)
+        skipped, none = backward(again, g, input_grad=False)
         assert gin.shape == x.shape and none is None
         names = mlp_tensor_items("h", specs, full)
         for (name, a), (_, b) in zip(names, mlp_tensor_items("h", specs, skipped)):
             assert a.tobytes() == b.tobytes(), name
+
+    def test_tape_is_emptied_and_read_once(self):
+        """backward() drops what it has read, and a second backward() on the tape is refused."""
+        head = Head(init_params(projector_specs(12, 16, 8), seed=3))
+        x = np.random.default_rng(4).standard_normal((9, 12))
+        out, tape = project(head, x, "train", np.random.default_rng(5))
+        backward(tape, np.ones_like(out))
+        assert tape.stages is None and tape.unit_out is None and tape.prenorm_norms is None
+        with pytest.raises(TapeMismatch, match="read once"):
+            backward(tape, np.ones_like(out))
 
     @pytest.mark.parametrize(
         "checker", [check_projector, check_ic50_head, check_dti_head]

@@ -15,7 +15,13 @@ def test_desk_run_reports_peak_live_lines_and_rss():
          "--ic50-hidden", "8", "--batch-size", "16"],
         capture_output=True, text=True, check=True)
     out = proc.stdout
-    peak = float(re.search(r"step 2 tracemalloc peak: ([\d.]+) MiB", out)[1])
+    peak, held = re.search(r"step 2 tracemalloc peak: ([\d.]+) MiB, in (\w+)", out).groups()
+    peak = float(peak)
+    # one line per stage of run.timing.jsonl, then the step's code between them
+    stages = dict(re.findall(r"^  (\w+) +([\d.]+) MiB$", out, re.MULTILINE))
+    assert list(stages) == ["proj_forward", "bimodal", "ic50", "volume", "proj_backward",
+                            "adam", "other"]
+    assert float(stages[held]) == peak == max(float(mib) for mib in stages.values())
     live = float(re.search(r"live at the volume loss's entry, step 2: ([\d.]+) MiB", out)[1])
     rss = float(re.search(r"peak RSS: ([\d.]+) MiB", out)[1])
     assert 0.0 < live <= peak < rss

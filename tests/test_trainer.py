@@ -49,7 +49,7 @@ from gramalign.trainer import (
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         params = {"w": np.array([[1.0, -2.0]]), "b": np.array([0.5])}
-        state = init_adam(params)
+        state = stepped_adam(params)
         adam_step(params, {"w": np.zeros((1, 2)), "b": np.zeros(1)}, state, lr=0.1)
         np.testing.assert_array_equal(params["w"], [[1.0, -2.0]])
         np.testing.assert_array_equal(params["b"], [0.5])
@@ -57,16 +57,17 @@ class TestAdam:
     def test_single_step_hand_value(self):
         # theta=0, g=1, fresh state, lr=0.1: m_hat=1, v_hat=1 -> theta ~ -0.1
         params = {"t": np.array([0.0])}
-        state = init_adam(params)
+        state = stepped_adam(params)
         adam_step(params, {"t": np.array([1.0])}, state, lr=0.1)
         assert params["t"][0] == pytest.approx(-0.1, abs=1e-7)
-        assert state.t == 1
+        assert state.t == 1  # the caller advances the step count, not the update
 
     def test_deterministic(self):
         def run():
             params = {"w": np.full((2, 2), 0.3)}
             state = init_adam(params)
             for k in range(5):
+                state.t += 1
                 adam_step(params, {"w": np.full((2, 2), 0.1 * (k + 1))}, state, lr=0.01)
             return params["w"].copy()
 
@@ -74,7 +75,7 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         params = {"w": np.zeros((2, 2))}
-        state = init_adam(params)
+        state = stepped_adam(params)
         with pytest.raises(ShapeMismatch):
             adam_step(params, {"w": np.zeros((2, 3))}, state, lr=0.1)
         with pytest.raises(ShapeMismatch):
@@ -82,7 +83,7 @@ class TestAdam:
 
     def test_float32_masters_stay_float32(self):
         params = {"w": np.zeros((2, 2), dtype=np.float32)}
-        state = init_adam(params)
+        state = stepped_adam(params)
         adam_step(params, {"w": np.ones((2, 2))}, state, lr=0.1)
         assert params["w"].dtype == np.float32
         assert state.m["w"].dtype == np.float32
@@ -100,6 +101,7 @@ class TestAdam:
         m, v = np.zeros_like(ref), np.zeros_like(ref)
         for t in range(1, 4):
             g = rng.standard_normal(shape) * 10.0**-t
+            state.t = t
             adam_step(params, {"w": g}, state, lr=1e-3)
             # the one-pass update over the whole tensor
             bc1, bc2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
@@ -116,7 +118,33 @@ class TestAdam:
         """A strided parameter would be updated through a copy, so it is refused."""
         params = {"w": np.zeros((4, 4), dtype=np.float32)[:, :2]}
         with pytest.raises(ValueError, match="not contiguous"):
-            adam_step(params, {"w": np.ones((4, 2))}, init_adam(params), lr=0.1)
+            adam_step(params, {"w": np.ones((4, 2))}, stepped_adam(params), lr=0.1)
+
+    def test_update_before_the_step_count_advances_rejected(self):
+        """At t = 0 the bias corrections divide by zero, so the update refuses to run."""
+        params = {"w": np.zeros(3)}
+        with pytest.raises(ValueError, match="advance state.t"):
+            adam_step(params, {"w": np.ones(3)}, init_adam(params), lr=0.1)
+
+    def test_a_subset_of_tensors_updates_only_those(self):
+        params = {"a": np.ones(2), "b": np.ones(2)}
+        state = stepped_adam(params)
+        adam_step(params, {"a": np.ones(2)}, state, lr=0.1)
+        assert params["b"].tolist() == [1.0, 1.0] and not state.m["b"].any()
+        assert (params["a"] < 1.0).all() and state.m["a"].all()
+
+
+def stepped_adam(params):
+    """A fresh Adam state whose step count is advanced to 1, as before a run's first update."""
+    state = init_adam(params)
+    state.t = 1
+    return state
+
+
+def adam_update(params, lr):
+    """A ``train_step`` hand-off applying Adam from a fresh state, as a run's first step does."""
+    state = stepped_adam(params)
+    return lambda grads: adam_step(params, grads, state, lr)
 
 
 def small_setup(n=16, dim=8, seed=0, **cfg_kwargs):
@@ -162,8 +190,7 @@ class TestTrainStep:
         )
         before = {k: v.copy() for k, v in params.items()}
         history = make_history(cfg.scheduler)
-        _, _, _, _, grads = train_step(model, raw, labels, history, weights, cfg, rngs)
-        adam_step(params, grads, init_adam(params), cfg.lr)
+        train_step(model, raw, labels, history, weights, cfg, rngs, adam_update(params, cfg.lr))
         for k in params:
             np.testing.assert_array_equal(params[k], before[k])
 
@@ -171,8 +198,7 @@ class TestTrainStep:
         model, params, weights, raw, labels, cfg, rngs = self._prepare()
         before = eval_total_loss(model, raw, labels, weights, cfg)
         history = make_history(cfg.scheduler)
-        _, _, _, _, grads = train_step(model, raw, labels, history, weights, cfg, rngs)
-        adam_step(params, grads, init_adam(params), cfg.lr)
+        train_step(model, raw, labels, history, weights, cfg, rngs, adam_update(params, cfg.lr))
         after = eval_total_loss(model, raw, labels, weights, cfg)
         assert after < before
 
@@ -182,8 +208,8 @@ class TestTrainStep:
         model, params, weights, raw, labels, cfg, rngs = self._prepare(
             lambda_vol=1.0, lambda_bi=0.0, lambda_ic50=0.0
         )
-        history = make_history(cfg.scheduler)
-        _, _, _, norms, grads = train_step(model, raw, labels, history, weights, cfg, rngs)
+        history, grads = make_history(cfg.scheduler), {}
+        _, _, _, norms = train_step(model, raw, labels, history, weights, cfg, rngs, grads.update)
         assert norms == [0.0, 0.0, 0.0, 0.0]
         # the volume gradients still update the projectors
         assert any(np.abs(g).max() > 0 for g in grads.values())
@@ -205,8 +231,9 @@ class TestTrainStep:
             lambda_vol=lam_vol, lambda_bi=lam_bi, lambda_ic50=lam_ic50,
             scheduler=SchedulerConfig(p_drop=p_drop))
         assert (labels < 0).any() and (labels >= 0).any()
-        values, decision, _, norms, grads = train_step(
-            model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs)
+        grads = {}  # collected through the hand-off, which leaves the model as it was
+        values, decision, _, norms = train_step(
+            model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs, grads.update)
         active = [m for m in MODALITY_ORDER if m is not decision.dropped]
         assert len(active) == n_active
 
@@ -242,6 +269,76 @@ class TestTrainStep:
         for name, g in want.items():
             np.testing.assert_array_equal(grads[name], g, err_msg=name)
 
+    @pytest.mark.parametrize("p_drop, n_active", [(0.0, 4), (1.0, 3)])
+    def test_per_head_updates_equal_one_update_over_all_gradients(self, p_drop, n_active):
+        """Adam head by head inside the step leaves the bytes of one update after the step.
+
+        Both runs start from the same moments at step count 3. The step hands
+        over the IC50 head first, then each projector in MODALITY_ORDER; each
+        head's backward reads only its own parameters, so updating a head
+        before the next one's backward changes no gradient.
+        """
+        def prepared():
+            model, params, weights, raw, labels, cfg, rngs = self._prepare(
+                scheduler=SchedulerConfig(p_drop=p_drop))
+            state = init_adam(params)
+            rng = np.random.default_rng(8)
+            for name, a in params.items():
+                state.m[name][...] = 1e-3 * rng.standard_normal(a.shape)
+                state.v[name][...] = 1e-6 * rng.random(a.shape)
+            state.t = 3
+            return model, params, state, (weights, cfg, rngs), raw, labels
+
+        model, params, state, (weights, cfg, rngs), raw, labels = prepared()
+        heads_in_order = []
+
+        def per_head(grads):
+            heads_in_order.append({name.rsplit(".", 2)[0] for name in grads})
+            adam_step(params, grads, state, cfg.lr)
+
+        _, decision, _, _ = train_step(model, raw, labels, make_history(cfg.scheduler), weights,
+                                       cfg, rngs, per_head)
+        assert 4 - (decision.dropped is not None) == n_active
+        assert heads_in_order == [{"ic50"}, *({f"proj.{m.short}"} for m in MODALITY_ORDER)]
+
+        ref_model, ref_params, ref_state, (weights, cfg, rngs), raw, labels = prepared()
+        grads = {}
+        train_step(ref_model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs,
+                   grads.update)
+        assert grads.keys() == ref_params.keys()
+        adam_step(ref_params, grads, ref_state, cfg.lr)
+        assert state.t == ref_state.t == 3
+        for name in params:
+            assert params[name].tobytes() == ref_params[name].tobytes(), name
+            assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
+            assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
+
+    def test_non_finite_volume_loss_leaves_the_projectors_untouched(self, monkeypatch):
+        """A NaN volume loss raises after the IC50 head's update and before any projector's.
+
+        The IC50 gradients go to the optimizer before the volume loss runs, so
+        that they are not held through its peak; the projectors and their
+        moments are still as they were when the step raises.
+        """
+        model, params, weights, raw, labels, cfg, rngs = self._prepare()
+        state = stepped_adam(params)
+        before = {name: (a.copy(), state.m[name].copy(), state.v[name].copy())
+                  for name, a in params.items()}
+
+        def poisoned(*args, **kwargs):
+            out = volume_contrastive(*args, **kwargs)
+            out.value = np.nan
+            return out
+
+        monkeypatch.setattr(trainer, "volume_contrastive", poisoned)
+        with pytest.raises(NonFiniteLoss, match="volume"):
+            train_step(model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs,
+                       lambda grads: adam_step(params, grads, state, cfg.lr))
+        for name, (theta, m, v) in before.items():
+            now = (params[name], state.m[name], state.v[name])
+            same = [a.tobytes() == b.tobytes() for a, b in zip(now, (theta, m, v))]
+            assert same == [not name.startswith("ic50.")] * 3, name
+
     def test_each_tape_released_after_its_backward(self, monkeypatch):
         """When a projector's backward runs, the IC50 tape and every earlier projector's are gone."""
         model, params, weights, raw, labels, cfg, rngs = self._prepare()
@@ -261,7 +358,7 @@ class TestTrainStep:
         monkeypatch.setattr(trainer, "project", tracked(trainer.project))
         monkeypatch.setattr(trainer, "ic50_forward", tracked(trainer.ic50_forward))
         monkeypatch.setattr(trainer, "backward", checked_backward)
-        train_step(model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs)
+        train_step(model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs, {}.update)
         # tapes: the four projectors, then IC50; backward: IC50, then the projectors in order
         assert alive == [
             [True, True, True, True, True],
@@ -275,7 +372,8 @@ class TestTrainStep:
         model, params, weights, raw, labels, cfg, rngs = self._prepare()
         model.ic50_head.params.layers[0].w[0, 0] = np.nan
         with pytest.raises(NonFiniteLoss, match="ic50"):
-            train_step(model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs)
+            train_step(model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs,
+                       {}.update)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_one_non_finite_ic50_logit_raises(self, monkeypatch, bad):
@@ -289,7 +387,8 @@ class TestTrainStep:
 
         monkeypatch.setattr(trainer, "ic50_forward", poisoned)
         with pytest.raises(NonFiniteLoss, match="ic50"):
-            train_step(model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs)
+            train_step(model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs,
+                       {}.update)
 
 
 class TestTrain:
@@ -542,11 +641,37 @@ class TestStepMemory:
         tracemalloc.start()
         try:
             train_step(model, raw, labels, make_history(cfg.scheduler),
-                       _dataset_weights(labels), cfg, rngs)
+                       _dataset_weights(labels), cfg, rngs, lambda grads: None)
         finally:
             tracemalloc.stop()
         assert len(peaks) == 1
         assert peaks[0] <= 56 * 2**20, f"volume-loss peak {peaks[0] / 2**20:.1f} MiB"
+
+    def test_paper_step_holds_one_heads_gradients_at_a_time(self):
+        """A paper-width B=256 step with its five per-head Adam updates peaks under 50 MiB.
+
+        The step's own allocations, with the model and the moments made
+        before, peak at 48.3 MiB of ``tracemalloc``: 1.7 MiB of margin.
+        Collecting all 6.44M float64 parameter gradients (49 MiB) for one
+        update after the step peaked at 66.5 MiB, at the end of the projector
+        backward.
+        """
+        tables, quads = synth_quadruplets(256, (768, 768, 768, 1280), 0.05, seed=0)
+        cfg = TrainConfig(batch_size=256)
+        model = trainer._new_model({m: tables[m].dim for m in MODALITY_ORDER}, cfg)
+        index, labels = _manifest_index(quads)
+        raw = {m: tables[m].rows[index[:, m]] for m in MODALITY_ORDER}
+        rngs = {k: substream(cfg.seed, k, 0) for k in ("dropout", "scheduler")}
+        params = dict(named_tensors(model))
+        update = adam_update(params, cfg.lr)
+        weights, history = _dataset_weights(labels), make_history(cfg.scheduler)
+        tracemalloc.start()
+        try:
+            train_step(model, raw, labels, history, weights, cfg, rngs, update)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 50 * 2**20, f"step peak {peak / 2**20:.1f} MiB"
 
 
 # one paper-width B=256 step; prints its recorded norms and a digest of every parameter gradient
@@ -566,8 +691,9 @@ model = _new_model({m: tables[m].dim for m in MODALITY_ORDER}, cfg)
 index, labels = _manifest_index(quads)
 raw = {m: tables[m].rows[index[:, m]] for m in MODALITY_ORDER}
 rngs = {k: substream(cfg.seed, k, 0) for k in ("dropout", "scheduler")}
-_, _, _, norms, grads = train_step(model, raw, labels, make_history(cfg.scheduler),
-                                   _dataset_weights(labels), cfg, rngs)
+grads = {}  # every head's gradients, collected through the hand-off
+_, _, _, norms = train_step(model, raw, labels, make_history(cfg.scheduler),
+                            _dataset_weights(labels), cfg, rngs, grads.update)
 digest = hashlib.sha256()
 for name in sorted(grads):
     digest.update(name.encode())
@@ -754,9 +880,9 @@ def test_batches_follow_a_many_to_many_manifest(monkeypatch):
 
     steps, evals = [], []
 
-    def step_spy(model, raw, labels, history, weights, cfg, rngs, times):
+    def step_spy(model, raw, labels, history, weights, cfg, rngs, update, times):
         steps.append((raw, labels.tolist(), weights))
-        return train_step(model, raw, labels, history, weights, cfg, rngs, times)
+        return train_step(model, raw, labels, history, weights, cfg, rngs, update, times)
 
     def project_spy(head, x, mode, *args, **kwargs):
         if mode == "eval":
