@@ -149,7 +149,7 @@ def auroc(scores, labels) -> float:
 
 
 def auprc(scores, labels) -> float:
-    """Area under the precision-recall step curve, descending-score sweep.
+    """Area under the precision-recall step curve, descending-score sweep; NaN if any score is NaN.
 
     Tied scores are processed as one block; integration is the step rule
     sum((R_i - R_{i-1}) * P_i), i.e. average precision.
@@ -159,6 +159,8 @@ def auprc(scores, labels) -> float:
     n_pos = int((labels == 1).sum())
     if n_pos == 0:
         raise NoPositives("AUPRC needs at least one positive")
+    if np.isnan(scores).any():
+        return float("nan")
     order, ends = _tied_blocks(-scores)
     tp = np.cumsum(labels[order])[ends]
     recall = tp / n_pos

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
+from . import evaluation
 from .data import NUM_IC50_CLASSES, class_weights
 from .errors import (ConfigMismatch, DimensionMismatch, EmptyClass, EmptyDataset, FormatError,
                      NonFiniteLoss, ShapeMismatch)
@@ -54,6 +55,10 @@ ADAM_EPS = 1e-8
 ADAM_BLOCK = 32768  # elements per block: its float64 temporaries stay in cache
 
 ALIGNMENT_EVAL_CAP = 512
+
+# the stages train_step marks, in the order of run.timing.jsonl's stage_ms; the step's
+# code between them is marked "other"
+STEP_STAGES = ("proj_forward", "bimodal", "ic50", "volume", "proj_backward", "adam")
 
 
 @dataclass
@@ -223,7 +228,27 @@ def _ms_since(t0):
     return 1000.0 * (time.perf_counter() - t0)
 
 
-def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, update, times=None):
+def stage_clock(stage_ms):
+    """A ``train_step`` ``enter`` that adds each stage's wall ms to ``stage_ms``.
+
+    ``stage_ms`` gets every name of STEP_STAGES, in that order, at 0.0; the
+    time from one mark to the next goes to the stage the first one entered,
+    and time marked ``"other"`` to none.
+    """
+    stage_ms.update(dict.fromkeys(STEP_STAGES, 0.0))
+    stage, t0 = "other", time.perf_counter()
+
+    def enter(name):
+        nonlocal stage, t0
+        t = time.perf_counter()
+        if stage != "other":
+            stage_ms[stage] += 1000.0 * (t - t0)
+        stage, t0 = name, t
+
+    return enter
+
+
+def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, update, enter=None):
     """One optimization step following the pre-training algorithm exactly.
 
     Order: project all four modalities (train mode); compute the bimodal and
@@ -244,36 +269,34 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, upd
     a non-finite volume or total loss raises it after the IC50 head's update,
     with every projector still untouched.
 
-    The wall milliseconds of six stages go into the dict ``times`` if one is
-    given: ``proj_forward``, ``bimodal``, ``ic50`` (forward, loss and
-    backward), ``volume``, ``proj_backward`` and ``adam``, the sum of the
-    five ``update`` calls. Each array is released once its last reader has
-    used it: the IC50 input after its weight gradient, each loss's gradient
-    blocks once added into the embedding gradients, and each projector's tape
-    and embedding gradient during that projector's backward.
+    ``enter``, if given, is called with a stage's name as the step enters
+    it, and with ``"other"`` as the step's own code between stages resumes:
+    ``proj_forward``, ``bimodal``, ``ic50`` (forward, loss and backward),
+    ``volume``, ``proj_backward`` once per projector and ``adam`` for each
+    ``update`` call. ``train`` passes a ``stage_clock``; ``tools/stepmem.py``
+    passes its own, which records memory. Each array is released once its
+    last reader has used it: the IC50 input after its weight gradient, each
+    loss's gradient blocks once added into the embedding gradients, and each
+    projector's tape and embedding gradient during that projector's backward.
     """
-    times = {} if times is None else times
-    update_ms = 0.0
+    enter = enter or (lambda stage: None)
 
     def hand_off(prefix, head, layer_grads):
-        nonlocal update_ms
-        t0 = time.perf_counter()
+        enter("adam")
         update(dict(mlp_tensor_items(prefix, head.params.specs, layer_grads)))
-        update_ms += _ms_since(t0)
+        enter("other")
 
-    t0 = time.perf_counter()
+    enter("proj_forward")
     feats, tapes = {}, {}
     for m in MODALITY_ORDER:
         feats[m], tapes[m] = project(model.projectors[m], raw[m], "train", rngs["dropout"])
-    times["proj_forward"] = _ms_since(t0)
 
-    t0 = time.perf_counter()
+    enter("bimodal")
     batch = Batch(embeddings=feats, ic50_labels=labels, ic50_mask=labels >= 0)
     bi = clip_bimodal(batch, cfg.tau)
     _require_finite("bimodal", bi.value)
-    times["bimodal"] = _ms_since(t0)
 
-    t0 = time.perf_counter()
+    enter("ic50")
     # the fused input is held by the tape alone, so the backward frees it after its dW
     logits, ic50_tape = ic50_forward(model.ic50_head,
                                      np.concatenate([feats[m] for m in MODALITY_ORDER], axis=1),
@@ -283,7 +306,7 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, upd
     _require_finite("ic50", ic50.value)
     head_grads, dfused = backward(ic50_tape, ic50.logit_grad)
     del ic50_tape
-    times["ic50"] = _ms_since(t0)
+    enter("other")
     for _, g in mlp_tensor_items("ic50", model.ic50_head.params.specs, head_grads):
         g *= cfg.lambda_ic50  # an array backward made; g * s rounds like s * g
     hand_off("ic50", model.ic50_head, head_grads)
@@ -302,10 +325,10 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, upd
     decision = decide(gbar, cfg.scheduler, rngs["scheduler"])
 
     active = tuple(m for m in MODALITY_ORDER if m is not decision.dropped)
-    t0 = time.perf_counter()
+    enter("volume")
     vol = volume_contrastive(batch, decision.anchor, active, cfg.tau)
     _require_finite("volume", vol.value)
-    times["volume"] = _ms_since(t0)
+    enter("other")
     for m in list(vol.grads):
         emb_grads[m] += cfg.lambda_vol * vol.grads.pop(m)
 
@@ -313,15 +336,11 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, upd
     _require_finite("total", total)
     losses = {"volume": vol.value, "bimodal": bi.value, "ic50": ic50.value, "total": total}
 
-    backward_ms = 0.0
     for m in MODALITY_ORDER:
-        t0 = time.perf_counter()
+        enter("proj_backward")
         proj_grads, _ = backward(tapes.pop(m), emb_grads.pop(m), input_grad=False)
-        backward_ms += _ms_since(t0)
         hand_off(f"proj.{m.short}", model.projectors[m], proj_grads)
         del proj_grads
-    times["proj_backward"] = backward_ms
-    times["adam"] = update_ms
     return losses, decision, gbar, norms
 
 
@@ -526,7 +545,8 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
             adam.t += 1  # once per step: every head's update has the same bias corrections
             try:
                 losses, decision, gbar, norms = train_step(
-                    model, raw, ic50_labels[rows], history, weights, cfg, rngs, update, stage_ms
+                    model, raw, ic50_labels[rows], history, weights, cfg, rngs, update,
+                    enter=stage_clock(stage_ms),
                 )
             except NonFiniteLoss as e:
                 raise NonFiniteLoss(f"step {step}: {e}") from None
@@ -595,9 +615,6 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
     then scored one after another on the calling thread, so only one test-fold
     forward is held at a time.
     """
-    # imported at call time so perfbench's tracer, which wraps these names, sees each call
-    from .evaluation import auprc, auroc, classification_metrics
-
     f_s, _ = project(model.projectors[Modality.SMILES], smiles_table.rows, "eval", record=False)
     f_p, _ = project(model.projectors[Modality.PROTEIN], protein_table.rows, "eval", record=False)
 
@@ -632,9 +649,9 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
         scores = softmax(logits, axis=1)[0][:, 1]
         metrics = {
             "fold": fold.index,
-            "auroc": auroc(scores, ty),
-            "auprc": auprc(scores, ty),
-            **classification_metrics(scores, ty),
+            "auroc": evaluation.auroc(scores, ty),
+            "auprc": evaluation.auprc(scores, ty),
+            **evaluation.classification_metrics(scores, ty),
         }
         results.append((head, metrics))
     return results

@@ -301,6 +301,7 @@ class TestAuroc:
     def test_nan_score_gives_nan(self):
         assert math.isnan(auroc([0.9, np.nan, 0.1, 0.4], [1, 0, 0, 1]))
         assert math.isnan(auroc_rankdata([0.9, np.nan, 0.1, 0.4], [1, 0, 0, 1]))
+        assert math.isnan(auprc([np.nan, 0.2, 0.9, 0.4], [1, 0, 1, 0]))
 
     def test_negation_complements(self):
         rng = np.random.default_rng(5)

@@ -4,6 +4,7 @@ import ast
 import copy
 import hashlib
 import inspect
+import itertools
 import json
 import os
 import subprocess
@@ -32,6 +33,7 @@ from gramalign.trainer import (
     ADAM_BETA2,
     ADAM_BLOCK,
     ADAM_EPS,
+    STEP_STAGES,
     AdamState,
     TrainConfig,
     _dataset_weights,
@@ -40,6 +42,7 @@ from gramalign.trainer import (
     alignment_volumes,
     init_adam,
     load_model,
+    stage_clock,
     train,
     train_dti,
     train_step,
@@ -312,6 +315,38 @@ class TestTrainStep:
             assert params[name].tobytes() == ref_params[name].tobytes(), name
             assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
             assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
+
+    @pytest.mark.parametrize("p_drop, n_active", [(0.0, 4), (1.0, 3)])
+    def test_stage_marks_follow_the_step(self, monkeypatch, p_drop, n_active):
+        """The step marks its stages in this order, and ``stage_clock`` times exactly them.
+
+        Every ``update`` call runs inside ``"adam"``. Replayed through a
+        ``stage_clock`` whose clock advances one second per reading, each
+        stage gets 1000 ms per mark that enters it and ``"other"`` gets none.
+        """
+        model, params, weights, raw, labels, cfg, rngs = self._prepare(
+            scheduler=SchedulerConfig(p_drop=p_drop))
+        marks, updated_in = [], []
+        _, decision, _, _ = train_step(model, raw, labels, make_history(cfg.scheduler), weights,
+                                       cfg, rngs, lambda grads: updated_in.append(marks[-1]),
+                                       enter=marks.append)
+        assert 4 - (decision.dropped is not None) == n_active
+        assert marks == ["proj_forward", "bimodal", "ic50", "other", "adam", "other",
+                         "volume", "other",
+                         "proj_backward", "adam", "other", "proj_backward", "adam", "other",
+                         "proj_backward", "adam", "other", "proj_backward", "adam", "other"]
+        assert updated_in == ["adam"] * 5
+
+        seconds = itertools.count()
+        monkeypatch.setattr(trainer.time, "perf_counter", lambda: next(seconds))
+        stage_ms = {}
+        enter = stage_clock(stage_ms)
+        for stage in marks:
+            enter(stage)
+        assert list(stage_ms) == list(STEP_STAGES) == ["proj_forward", "bimodal", "ic50",
+                                                       "volume", "proj_backward", "adam"]
+        assert stage_ms == {"proj_forward": 1000.0, "bimodal": 1000.0, "ic50": 1000.0,
+                            "volume": 1000.0, "proj_backward": 4000.0, "adam": 5000.0}
 
     def test_non_finite_volume_loss_leaves_the_projectors_untouched(self, monkeypatch):
         """A NaN volume loss raises after the IC50 head's update and before any projector's.
@@ -880,9 +915,9 @@ def test_batches_follow_a_many_to_many_manifest(monkeypatch):
 
     steps, evals = [], []
 
-    def step_spy(model, raw, labels, history, weights, cfg, rngs, update, times):
+    def step_spy(model, raw, labels, history, weights, cfg, rngs, update, enter):
         steps.append((raw, labels.tolist(), weights))
-        return train_step(model, raw, labels, history, weights, cfg, rngs, update, times)
+        return train_step(model, raw, labels, history, weights, cfg, rngs, update, enter)
 
     def project_spy(head, x, mode, *args, **kwargs):
         if mode == "eval":

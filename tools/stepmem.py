@@ -12,13 +12,10 @@ code, the tables and the model. It prints:
 - the step-2 ``tracemalloc`` peak, from the start of step 2's
   ``train_step`` to its return, which includes its per-head Adam updates,
   and the stage that holds it;
-- the peak of each stage of step 2. The stages are those of
-  ``run.timing.jsonl``, told apart by the functions ``train_step`` calls:
-  ``proj_forward`` (``project``), ``bimodal`` (``clip_bimodal``), ``ic50``
-  (``ic50_forward``, ``ic50_loss`` and the step's first ``backward``),
-  ``volume`` (``volume_contrastive``), ``proj_backward`` (the other
-  ``backward`` calls) and ``adam`` (each ``adam_step``); ``other`` is the
-  step's own code between those calls;
+- the peak of each stage of step 2. The stages are ``trainer.STEP_STAGES``,
+  those of ``run.timing.jsonl``, and their boundaries are the marks
+  ``train_step`` makes through its ``enter`` hook, which the tool fills for
+  step 2; ``other`` is the step's own code between stages;
 - the live bytes at the volume loss's entry in step 2, in all and grouped
   by the line that allocated them, largest first, with that line's text;
 - the process's peak RSS.
@@ -38,7 +35,6 @@ from pathlib import Path  # noqa: E402
 
 MIB = 2**20
 TOP_LINES = 25
-STAGES = ("proj_forward", "bimodal", "ic50", "volume", "proj_backward", "adam", "other")
 
 
 def _where(frame):
@@ -72,89 +68,50 @@ def main(argv=None) -> int:
     cfg = trainer.TrainConfig(batch_size=b, epochs=1, shared_dim=args.shared_dim,
                               proj_hidden=args.proj_hidden, ic50_hidden=args.ic50_hidden)
     step, live = [0], []
-    # the stage step 2 is in (None outside step 2), its backward calls so far, and the
-    # peak of each stage, taken at every boundary before the peak is reset
-    now = {"stage": None, "backwards": 0}
+    # step 2's current stage and the peak of each stage, taken at every mark before
+    # the peak is reset
+    now = ["other"]
     stage_peaks = {}
 
     def enter(stage):
-        """Credit the peak since the last boundary to the stage being left; start ``stage``."""
-        left = now["stage"]
+        """Credit the peak since the last mark to the stage being left; start ``stage``."""
+        left = now[0]
         stage_peaks[left] = max(stage_peaks.get(left, 0), tracemalloc.get_traced_memory()[1])
-        tracemalloc.reset_peak()
-        now["stage"] = stage
-
-    def staged(fn, stage):
-        def call(*a, **kw):
-            if now["stage"] is None:
-                return fn(*a, **kw)
-            enter(stage() if callable(stage) else stage)
-            try:
-                return fn(*a, **kw)
-            finally:
-                enter("other")
-        return call
-
-    def backward_stage():
-        now["backwards"] += 1
-        return "ic50" if now["backwards"] == 1 else "proj_backward"
-
-    def step_spy(*a, **kw):
-        step[0] += 1
-        if step[0] != 2:
-            return train_step(*a, **kw)
-        tracemalloc.reset_peak()
-        now["stage"] = "other"
-        try:
-            return train_step(*a, **kw)
-        finally:
-            enter(None)
-
-    def volume_spy(*a, **kw):
-        if now["stage"] is not None:
-            enter("volume")
-            # the snapshot's own objects are dropped and the peak reset before the loss runs
+        if stage == "volume":
+            # the snapshot's own objects are dropped before the peak is reset
             snap = tracemalloc.take_snapshot().filter_traces(
                 (tracemalloc.Filter(False, tracemalloc.__file__),))
             stats = snap.statistics("lineno")
             live.append((sum(s.size for s in stats), len(stats),
                          [(s.size, s.traceback[0]) for s in stats[:TOP_LINES]]))
             del snap, stats
-            tracemalloc.reset_peak()
-            try:
-                return volume(*a, **kw)
-            finally:
-                enter("other")
-        return volume(*a, **kw)
+        tracemalloc.reset_peak()
+        now[0] = stage
 
-    spies = {
-        "train_step": step_spy,
-        "volume_contrastive": volume_spy,
-        "project": staged(trainer.project, "proj_forward"),
-        "clip_bimodal": staged(trainer.clip_bimodal, "bimodal"),
-        "ic50_forward": staged(trainer.ic50_forward, "ic50"),
-        "ic50_loss": staged(trainer.ic50_loss, "ic50"),
-        "backward": staged(trainer.backward, backward_stage),
-        "adam_step": staged(trainer.adam_step, "adam"),
-    }
-    real = {name: getattr(trainer, name) for name in spies}
-    train_step, volume = real["train_step"], real["volume_contrastive"]
-    for name, spy in spies.items():
-        setattr(trainer, name, spy)
+    def step_spy(*a, **kw):
+        step[0] += 1
+        if step[0] != 2:
+            return train_step(*a, **kw)
+        tracemalloc.reset_peak()
+        try:
+            return train_step(*a, **{**kw, "enter": enter})
+        finally:
+            enter("other")
+
+    train_step = trainer.train_step
+    trainer.train_step = step_spy
     try:
         trainer.train(tables, quads, cfg)
     finally:
-        for name, fn in real.items():
-            setattr(trainer, name, fn)
+        trainer.train_step = train_step
 
-    stage_peaks.pop(None, None)
     held = max(stage_peaks, key=stage_peaks.get)
     total, n_lines, top = live[0]
     print(f"dims {args.dims}, shared {args.shared_dim}, hidden {args.proj_hidden}, "
           f"ic50 hidden {args.ic50_hidden}, B={b}")
     print(f"step 2 tracemalloc peak: {stage_peaks[held] / MIB:.1f} MiB, in {held}")
     print("step 2 peak by stage:")
-    for stage in STAGES:
+    for stage in (*trainer.STEP_STAGES, "other"):
         print(f"  {stage:<13} {stage_peaks[stage] / MIB:8.1f} MiB")
     print(f"live at the volume loss's entry, step 2: {total / MIB:.1f} MiB")
     for size, frame in top:

@@ -111,8 +111,7 @@ def main(argv=None) -> int:
     for timing in out.rglob("run.timing.jsonl"):
         timing.unlink()
     for big in [*(out / "paper").rglob("*.ckpt"), *(out / "paper").rglob("*.gemb")]:
-        with open(big, "rb") as fh:
-            digest = hashlib.file_digest(fh, "sha256").hexdigest()
+        digest = hashlib.sha256(big.read_bytes()).hexdigest()
         big.with_name(big.name + ".sha256").write_text(digest + "\n")
         big.unlink()
     print(f"wrote {sum(1 for p in out.rglob('*') if p.is_file())} files to {out}")
