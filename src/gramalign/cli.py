@@ -228,7 +228,7 @@ def cmd_export(args) -> int:
     tables, _ = _load_fitting_dataset(model, args.data)
     out = Path(args.out)
     for m in MODALITY_ORDER:
-        projected, _ = project(model.projectors[m], tables[m].rows, "eval", record=False)
+        projected, _ = project(model.projectors[m], tables[m].rows, "eval")
         table = EmbeddingTable(
             modality=m, ids=list(tables[m].ids), rows=projected.astype(np.float32)
         )

@@ -201,8 +201,8 @@ def run_retrieval(model, smiles_table, protein_table, interactions):
     and ranked once. Embeddings are projected in eval mode and compared by
     cosine; recall is reported at each of RECALL_KS.
     """
-    f_s, _ = project(model.projectors[Modality.SMILES], smiles_table.rows, "eval", record=False)
-    f_p, _ = project(model.projectors[Modality.PROTEIN], protein_table.rows, "eval", record=False)
+    f_s, _ = project(model.projectors[Modality.SMILES], smiles_table.rows, "eval")
+    f_p, _ = project(model.projectors[Modality.PROTEIN], protein_table.rows, "eval")
 
     rows = [(smiles_table.index_of(d), protein_table.index_of(p)) for d, p in interactions]
     partners_of_drug = {}

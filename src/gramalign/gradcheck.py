@@ -9,7 +9,7 @@ on one tuple, ``pair_volume_coeffs`` on a weighted batch of all pairs.
 Thresholds: 1e-6 for those two, 1e-5 everywhere else.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,16 +75,16 @@ def _worst(fn, pairs):
 
 
 def _head_worst(seed, stream, specs, forward, inputs=1):
-    """Worst error over a head's parameter tensors and its input gradient, eval mode.
+    """Worst error over a head's parameter tensors and its input gradient, eval arithmetic.
 
-    The head is built from ``specs``; its input rows are ``inputs`` random
-    blocks that ``forward`` takes as separate arguments.
+    The head takes ``specs`` at dropout 0, so the ``"train"`` forward that gives its tape
+    runs eval's arithmetic. ``forward`` takes the ``inputs`` random input blocks separately.
     """
     rng = substream(seed, stream)
-    head = Head(init_params(specs, seed))
+    head = Head(init_params([replace(s, dropout=0.0) for s in specs], seed))
     xs = [rng.standard_normal((2, head.in_dim // inputs)) for _ in range(inputs)]
     probe = rng.standard_normal((2, head.out_dim))
-    _, tape = forward(head, *xs, "eval")
+    _, tape = forward(head, *xs, "train")
     grads, gin = backward(tape, probe)
 
     def fn():

@@ -1,29 +1,29 @@
 """Trainable networks: modality projectors, IC50 classifier, DTI classifier.
 
-A recording forward pass caches what the hand-rolled backward pass needs
-in a ForwardTape, one dict per stage: the layer input ``x``; the
-activation's derivative ``dact``, for GELU the float64 factor Phi(pre) +
-pre * phi(pre) (computed once, in the forward, by the operations
-``gelu_grad`` runs) and for ReLU the bool ``pre > 0``; LayerNorm's
-``xhat`` and ``inv``; and the dropout ``mask``. A stage whose input is the
-previous stage's LayerNorm output (a projector's layers 1 and 2) keeps no
-``x``: backward() re-forms it just before that layer's weight-gradient
-GEMM, and frees it after, from the previous stage's ``xhat``, gamma, beta
-and mask through ``_stage_output``, the function the forward forms every
-stage's output with, so it has the same bits. backward() reads the head's
-current W, gamma and beta, so the parameters must not change between a
-forward and its backward. A tape is read once: backward() drops each
-cached array at its last read, so a stage's arrays go as its gradient is
-formed, and a second backward() on the same tape raises TapeMismatch.
-Gradients are exact (erf-form GELU, full LayerNorm Jacobian,
-inverted-dropout masks, L2-normalization Jacobian) and are verified
-against central finite differences in the test suite and the gradcheck
-command. Training calls backward with ``input_grad=False``
-wherever the gradient with respect to the head's input is discarded, which
-skips the first layer's ``gy @ W.T``. A forward whose tape nobody reads
-passes ``record=False``: it caches nothing, returns None for the tape and
-runs GELU, LayerNorm and the final normalization in place, with the same
-output bits.
+A forward has one switch, ``mode``. A ``"train"`` forward draws dropout masks
+from ``rng`` and returns the ForwardTape the hand-rolled backward reads; an
+``"eval"`` forward caches nothing and returns None for the tape. The tape holds
+one dict per stage: the layer input ``x``; the activation's derivative
+``dact``, for GELU the float64 factor Phi(pre) + pre * phi(pre) (computed once,
+in the forward, by the operations ``gelu_grad`` runs) and for ReLU the bool
+``pre > 0``; LayerNorm's ``xhat`` and ``inv``; and the dropout ``mask``. A
+stage whose input is the previous stage's LayerNorm output (a projector's
+layers 1 and 2) keeps no ``x``: backward() re-forms it just before that layer's
+weight-gradient GEMM, and frees it after, from the previous stage's ``xhat``,
+gamma, beta and mask through ``_stage_output``, the function the forward forms
+every stage's output with, so it has the same bits. backward() reads the head's
+current W, gamma and beta, so the parameters must not change between a forward
+and its backward. A tape is read once: backward() drops each cached array at
+its last read, so a stage's arrays go as its gradient is formed, and a second
+backward() on the same tape raises TapeMismatch. Gradients are exact (erf-form
+GELU, full LayerNorm Jacobian, inverted-dropout masks, L2-normalization
+Jacobian) and are verified against central finite differences in the test suite
+and the gradcheck command, on tapes of ``"train"`` forwards of heads with
+dropout 0, whose arithmetic is eval's. Training calls backward with
+``input_grad=False`` wherever the gradient with respect to the head's input is
+discarded, which skips the first layer's ``gy @ W.T``. Both modes run GELU,
+LayerNorm's centring and the final normalization in place on arrays no tape
+holds.
 
 Inputs are ``(rows, dim)`` batches. Math runs in float64 regardless of
 parameter or input dtype; the trainer keeps float32 masters and upcasts per
@@ -59,7 +59,7 @@ def gelu(x):
 
 
 def gelu_grad(x):
-    """d gelu / dx = Phi(x) + x * phi(x); a recording forward computes it once into the tape."""
+    """d gelu / dx = Phi(x) + x * phi(x); a train-mode forward computes it once into the tape."""
     x = np.asarray(x, dtype=np.float64)
     return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
@@ -218,10 +218,11 @@ def _stage_output(spec, layer, h, mask, out=None):
     return h
 
 
-def mlp_forward(params: MlpParams, x, mode="eval", rng=None, record=True):
-    """The head's output and the tape backward() reads, or None for the tape if not ``record``."""
+def mlp_forward(params: MlpParams, x, mode="eval", rng=None):
+    """The head's output and, in ``"train"`` mode, the tape backward() reads; None in ``"eval"``."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    train = mode == "train"
     h = np.asarray(x)
     in_dim = params.specs[0].in_dim
     if h.ndim != 2 or h.shape[1] != in_dim:
@@ -233,7 +234,7 @@ def mlp_forward(params: MlpParams, x, mode="eval", rng=None, record=True):
     # A LayerNorm stage's output is not cached: backward re-forms it.
     keep_x = True
     for spec, layer in zip(params.specs, params.layers):
-        cache = {"x": h} if record and keep_x else {}
+        cache = {"x": h} if train and keep_x else {}
         keep_x = not spec.layer_norm
         h = np.asarray(h, dtype=np.float64) @ np.asarray(layer.w, dtype=np.float64)
         h += layer.b
@@ -244,36 +245,33 @@ def mlp_forward(params: MlpParams, x, mode="eval", rng=None, record=True):
             erf(phi, out=phi)
             phi += 1.0
             phi *= 0.5
-            if record:
+            if train:
                 cache["dact"] = _gelu_factor(h, phi)
             h *= phi
             del phi
         elif spec.activation == "relu":
-            if record:
+            if train:
                 cache["dact"] = h > 0.0
             np.maximum(h, 0.0, out=h)
         mask = None
-        if spec.dropout > 0.0 and mode == "train":
+        if spec.dropout > 0.0 and train:
             if rng is None:
                 raise ValueError("train-mode dropout needs an rng")
             mask = cache["mask"] = rng.random(h.shape) >= spec.dropout
         if spec.layer_norm:
             # h.var's own sum of squared deviations, the deviations then reused for xhat
-            xhat = np.subtract(h, h.mean(axis=1, keepdims=True), out=None if record else h)
-            inv = 1.0 / np.sqrt(np.square(xhat).sum(axis=1, keepdims=True) / h.shape[1] + LN_EPS)
-            xhat *= inv
-            if record:
-                cache["xhat"], cache["inv"] = xhat, inv
-            h = xhat
+            h -= h.mean(axis=1, keepdims=True)
+            inv = 1.0 / np.sqrt(np.square(h).sum(axis=1, keepdims=True) / h.shape[1] + LN_EPS)
+            h *= inv
+            if train:  # xhat is kept, so the stage's output goes to a new array
+                cache["xhat"], cache["inv"] = h, inv
         h = _stage_output(spec, layer, h, mask, out=None if "xhat" in cache else h)
         stages.append(cache)
-    if not record:
-        return h, None
-    return h, ForwardTape(params=params, out_shape=h.shape, stages=stages)
+    return h, ForwardTape(params=params, out_shape=h.shape, stages=stages) if train else None
 
 
 def backward(tape: ForwardTape, upstream_grad, input_grad=True):
-    """Exact parameter gradients, and the input gradient, for one recorded forward call.
+    """Exact parameter gradients, and the input gradient, for one train-mode forward call.
 
     For projection heads the upstream gradient is taken with respect to the
     unit-normalized output and is chained through the normalization Jacobian
@@ -332,17 +330,16 @@ def backward(tape: ForwardTape, upstream_grad, input_grad=True):
     return grads, gy
 
 
-def project(head: Head, raw, mode="eval", rng=None, record=True):
+def project(head: Head, raw, mode="eval", rng=None):
     """Map raw embeddings into the shared space; rows come out unit-norm."""
-    y, tape = mlp_forward(head.params, raw, mode, rng, record)
+    y, tape = mlp_forward(head.params, raw, mode, rng)
     norms = np.linalg.norm(y, axis=1, keepdims=True)
     if np.any(norms <= NORM_EPS):
         k = int(np.argmax(norms <= NORM_EPS))
         raise ZeroVector(f"pre-normalization output row {k} has norm {norms[k, 0]:.3e}")
     y /= norms  # y is the forward's own array, which no tape holds
-    if record:
-        tape.unit_out = y
-        tape.prenorm_norms = norms
+    if tape is not None:
+        tape.unit_out, tape.prenorm_norms = y, norms
     return y, tape
 
 
@@ -351,14 +348,14 @@ def ic50_forward(head: Head, f_fused, mode="eval", rng=None):
     return mlp_forward(head.params, f_fused, mode, rng)
 
 
-def dti_forward(head: Head, f_s, f_p, mode="eval", rng=None, record=True):
+def dti_forward(head: Head, f_s, f_p, mode="eval", rng=None):
     """Two interaction logits from the [f^s; f^p] concatenation."""
     f_s = np.asarray(f_s, dtype=np.float64)
     f_p = np.asarray(f_p, dtype=np.float64)
     if f_s.shape != f_p.shape:
         raise DimensionMismatch(f"drug/protein feature shapes differ: {f_s.shape} vs {f_p.shape}")
     fused = np.concatenate([f_s, f_p], axis=-1)
-    return mlp_forward(head.params, fused, mode, rng, record)
+    return mlp_forward(head.params, fused, mode, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -75,16 +75,16 @@ def _checked_pair_volumes(batch, anchor, active, tau):
     return others, pair_volumes(batch.embeddings[anchor], stack, EPS_VOL)
 
 
-def softmax(a, axis):
+def softmax(a, axis, out=None):
     """(p, lse): the softmax of 2-D ``a`` along ``axis`` and its log-sum-exp, kept 2-D.
 
-    One exponential, run in place on the shifted copy of ``a``, which
-    becomes p. Each line is shifted by its own maximum, so every line's sum
-    is at least 1 and neither p nor lse underflows, whatever the range of
-    ``a``. p equals ``scipy.special.softmax(a, axis)`` byte for byte.
+    One exponential, run in place on the shifted copy of ``a`` (made in ``out``
+    if given), which becomes p. Each line is shifted by its own maximum, so every
+    line's sum is at least 1 and neither p nor lse underflows, whatever the range
+    of ``a``. p equals ``scipy.special.softmax(a, axis)`` byte for byte.
     """
     a_max = a.max(axis=axis, keepdims=True)
-    p = a - a_max
+    p = np.subtract(a, a_max, out=out)
     np.exp(p, out=p)
     total = p.sum(axis=axis, keepdims=True)
     p /= total
@@ -114,11 +114,12 @@ def _info_nce(s):
     d(combined)/dS). The positive term is included in each denominator and
     the sum ranges over the full batch. dS is the row softmax's array, formed
     in place with the same roundings as ``((P_rows - I) + (P_cols - I)) / 2B``.
+    S is consumed: the column softmax runs in its array once its diagonal is copied.
     """
     b = s.shape[0]
+    diag = np.diag(s).copy()
     ds, lse_rows = softmax(s, axis=1)
-    p_cols, lse_cols = softmax(s, axis=0)
-    diag = np.diag(s)
+    p_cols, lse_cols = softmax(s, axis=0, out=s)
     l_fwd = float(np.mean(lse_rows[:, 0] - diag))
     l_rev = float(np.mean(lse_cols[0] - diag))
     on_diag = np.arange(b), np.arange(b)  # the identity's ones; p - 0 is p off them
@@ -176,7 +177,8 @@ def clip_bimodal(batch: Batch, tau: float = DEFAULT_TAU):
         raise ValueError("tau must be positive")
     f_s = batch.embeddings[Modality.SMILES]
     f_p = batch.embeddings[Modality.PROTEIN]
-    logits = f_s @ f_p.T / tau
+    logits = f_s @ f_p.T
+    logits /= tau
     value, l_sp, l_ps, dlogits = _info_nce(logits)
     return LossOut(
         value=value,

@@ -55,7 +55,8 @@ def pinned_map(fn, items):
     and whenever it runs.
     """
     items = list(items)
-    workers = min(len(os.sched_getaffinity(0)), len(items)) - 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, len(items)) - 1
     controls = blas_thread_controls() if workers > 0 else None
     if controls is None:
         return [fn(x) for x in items]

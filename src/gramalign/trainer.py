@@ -352,13 +352,13 @@ def _require_finite(component: str, value: float) -> None:
 def alignment_volumes(model, tables, index):
     """Mean matched-tuple and mismatched-tuple volumes in eval mode.
 
-    The tuples are the first ALIGNMENT_EVAL_CAP rows of the manifest ``index``
-    that ``_manifest_index`` builds. Mismatched tuples shift modality k by k
-    rows, so each mixes four distinct quadruplets only when at least four are
-    evaluated; with fewer, the shifts wrap onto a repeat.
+    The tuples are the first n <= ALIGNMENT_EVAL_CAP rows of the ``index`` that
+    ``_manifest_index`` builds. Mismatched tuple i takes row (i + k) mod n of the
+    k-th modality in MODALITY_ORDER, so it mixes four distinct quadruplets only
+    when n >= 4; with fewer, the shifts wrap onto a repeat.
     """
-    feats = {m: project(model.projectors[m], tables[m].rows[index[:ALIGNMENT_EVAL_CAP, m]],
-                        "eval", record=False)[0]
+    rows = index[:ALIGNMENT_EVAL_CAP]
+    feats = {m: project(model.projectors[m], tables[m].rows[rows[:, m]], "eval")[0]
              for m in MODALITY_ORDER}
     pos = tuple_volumes([feats[m] for m in MODALITY_ORDER])
     mis = tuple_volumes([np.roll(feats[m], -k, axis=0) for k, m in enumerate(MODALITY_ORDER)])
@@ -615,8 +615,8 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
     then scored one after another on the calling thread, so only one test-fold
     forward is held at a time.
     """
-    f_s, _ = project(model.projectors[Modality.SMILES], smiles_table.rows, "eval", record=False)
-    f_p, _ = project(model.projectors[Modality.PROTEIN], protein_table.rows, "eval", record=False)
+    f_s, _ = project(model.projectors[Modality.SMILES], smiles_table.rows, "eval")
+    f_p, _ = project(model.projectors[Modality.PROTEIN], protein_table.rows, "eval")
 
     def train_head(fold):
         head = build_dti_head(
@@ -645,7 +645,7 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
     results = []
     for fold, head in zip(folds, pinned_map(train_head, folds)):
         ts, tp, ty = fold.test.pairs.T
-        logits, _ = dti_forward(head, f_s[ts], f_p[tp], "eval", record=False)
+        logits, _ = dti_forward(head, f_s[ts], f_p[tp], "eval")
         scores = softmax(logits, axis=1)[0][:, 1]
         metrics = {
             "fold": fold.index,

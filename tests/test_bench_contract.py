@@ -9,7 +9,10 @@ shows up here as a failed check, not only in a benchmark run.
 Each workload is shrunk with ``dataclasses.replace`` and driven through its
 ``prepare``, ``setup``, two ``op`` calls and ``checks``. The quality floors
 (``align_gap_floor``, ``retrieval_r1_floor``, ``dti_auroc_floor``) are set
-for the full sizes, so they are not asserted here. Nothing under
+for the full sizes, so they are not asserted here. The set-up and the
+second operation run through ``perfbench/run.py``'s ``call`` under its
+``Tracer``, as a ``--trace 1`` run drives them, so a trace point whose
+counter no longer fits the package's call shows up here too. Nothing under
 ``perfbench/`` is changed.
 """
 
@@ -33,6 +36,11 @@ DESK = {
                        "--proj-hidden", 8),
         folds=2, dti_epochs=1)),
 }
+# spans a traced operation of each workload must hold
+TRACED_SPANS = {
+    "pretrain-paper": {"heads.project", "heads.backward", "trainer.train_step"},
+    "eval-dti": {"heads.project", "heads.backward", "heads.dti_forward", "trainer.train_dti"},
+}
 
 
 @pytest.fixture(scope="module")
@@ -48,15 +56,37 @@ def workloads():
         del sys.modules[spec.name]
 
 
+@pytest.fixture(scope="module")
+def runner():
+    """``perfbench/run.py`` as a module; it imports ``tracer`` from its own directory."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+        del sys.modules[spec.name]
+        sys.modules.pop("tracer", None)
+
+
 @pytest.mark.parametrize("name", sorted(DESK))
-def test_gated_workload_at_desk_size(workloads, tmp_path, name):
+def test_gated_workload_at_desk_size(workloads, runner, tmp_path, capsys, name):
+    """The set-up and the second operation run traced, as in a ``--trace 1`` run."""
     gate, sizes = DESK[name]
     workload = dataclasses.replace(workloads[name], **sizes)
     workload.prepare(ROOT, tmp_path, SEED)
-    state = workload.setup(tmp_path, SEED)
-    ops = [workload.op(state, tmp_path, i) for i in range(2)]
+    tracer = runner.Tracer()
+    state = runner.call(tracer, "bench.setup", workload.setup, tmp_path, SEED)
+    ops = [workload.op(state, tmp_path, 0),
+           runner.call(tracer, "bench.op", workload.op, state, tmp_path, 1)]
     assert ops[0].fingerprint == ops[1].fingerprint
     assert all(op.finite for op in ops)
+    assert "perfbench: cannot count" not in capsys.readouterr().err
+    assert TRACED_SPANS[name] <= {span[2] for span in tracer.spans}
     checks = {check: (ok, detail) for check, ok, detail in workload.checks(state, ops, SEED)}
     ok, detail = checks[gate]
     assert ok, detail
+

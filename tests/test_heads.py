@@ -1,6 +1,7 @@
 """Tests for projectors, classifier heads, and the hand-rolled backward pass."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from gramalign.gradcheck import (
 from gramalign.heads import (
     LN_EPS,
     Head,
+    ForwardTape,
     LayerSpec,
+    MlpParams,
     backward,
     build_model,
     cast_params,
@@ -91,15 +94,20 @@ class TestPhiFromTape:
         p = self._identity_gelu()
         layer = p.layers[0]
         np.testing.assert_array_equal((PHI_GRID[None, :] @ layer.w + layer.b)[0], PHI_GRID)
-        h, tape = mlp_forward(p, PHI_GRID[None, :])
+        h, tape = mlp_forward(p, PHI_GRID[None, :], "train")
         assert h[0].tobytes() == gelu(PHI_GRID).tobytes()
         assert tape.stages[0]["dact"][0].tobytes() == gelu_grad(PHI_GRID).tobytes()
 
     def test_backward_factor_equals_gelu_grad_on_grid(self):
         # with one row and upstream 1, the bias gradient is the GELU factor itself
-        _, tape = mlp_forward(self._identity_gelu(), PHI_GRID[None, :])
+        _, tape = mlp_forward(self._identity_gelu(), PHI_GRID[None, :], "train")
         grads, _ = backward(tape, np.ones((1, len(PHI_GRID))))
         assert grads[0].b.tobytes() == gelu_grad(PHI_GRID).tobytes()
+
+
+def without_dropout(specs):
+    """``specs`` at dropout 0: a ``"train"`` forward keeps a tape and runs eval's arithmetic."""
+    return tuple(replace(s, dropout=0.0) for s in specs)
 
 
 def reference_forward(params, x, mask_rng):
@@ -107,7 +115,7 @@ def reference_forward(params, x, mask_rng):
 
     Each activation's cache is its derivative at the pre-activation:
     gelu_grad(pre) for GELU, the bool pre > 0 for ReLU. Every stage keeps its
-    input ``x``. With ``mask_rng`` None, the eval forward: no dropout.
+    input ``x``. A stage with dropout draws its mask from ``mask_rng``.
     """
     h, stages = np.asarray(x, dtype=np.float64), []
     for spec, layer in zip(params.specs, params.layers):
@@ -123,7 +131,7 @@ def reference_forward(params, x, mask_rng):
             cache["xhat"], cache["inv"] = (h - mu) * inv, inv
             h = cache["xhat"] * np.asarray(layer.gamma, dtype=np.float64) + np.asarray(
                 layer.beta, dtype=np.float64)
-        if spec.dropout > 0.0 and mask_rng is not None:
+        if spec.dropout > 0.0:
             cache["mask"] = mask_rng.random(h.shape) >= spec.dropout
             h = h * cache["mask"] / (1.0 - spec.dropout)
         stages.append(cache)
@@ -151,14 +159,14 @@ def reference_backward(params, stages, gy):
     return grads[::-1], gy
 
 
-@pytest.mark.parametrize("specs, rows, mode, no_x", [
-    (projector_specs(12, 16, 8), 9, "train", {1, 2}),
-    (projector_specs(12, 16, 8), 9, "eval", {1, 2}),  # the unmasked re-form gradcheck runs
-    (projector_specs(1280, 768, 512), 256, "train", {1, 2}),  # paper widths, where BLAS threads
-    (ic50_specs(512, 512), 256, "train", set()),
-    (dti_specs(16), 64, "train", set()),
+@pytest.mark.parametrize("specs, rows, no_x", [
+    (projector_specs(12, 16, 8), 9, {1, 2}),
+    (without_dropout(projector_specs(12, 16, 8)), 9, {1, 2}),  # the unmasked re-form gradcheck runs
+    (projector_specs(1280, 768, 512), 256, {1, 2}),  # paper widths, where BLAS threads
+    (ic50_specs(512, 512), 256, set()),
+    (dti_specs(16), 64, set()),
 ], ids=["projector-desk", "projector-desk-eval", "projector-paper", "ic50-paper", "dti"])
-def test_forward_and_backward_equal_the_reference_formulas(specs, rows, mode, no_x):
+def test_forward_and_backward_equal_the_reference_formulas(specs, rows, no_x):
     """The tape-reusing, in-place forward and backward round exactly like the plain formulas.
 
     The stages in ``no_x`` follow a LayerNorm stage and keep no input; the
@@ -172,9 +180,8 @@ def test_forward_and_backward_equal_the_reference_formulas(specs, rows, mode, no
             layer.beta = (layer.beta - 0.2).astype(np.float32)
     rng = np.random.default_rng(1)
     x = rng.standard_normal((rows, specs[0].in_dim))
-    h, tape = mlp_forward(params, x, mode, np.random.default_rng(2))
-    ref_h, ref_stages = reference_forward(
-        params, x, np.random.default_rng(2) if mode == "train" else None)
+    h, tape = mlp_forward(params, x, "train", np.random.default_rng(2))
+    ref_h, ref_stages = reference_forward(params, x, np.random.default_rng(2))
     assert h.tobytes() == ref_h.tobytes()
     for i, (stage, ref) in enumerate(zip(tape.stages, ref_stages)):
         assert stage.keys() == ref.keys() - ({"x"} if i in no_x else set())
@@ -231,24 +238,38 @@ def test_train_tape_keeps_one_array_per_gelu_layer():
     assert tape_nbytes(tape) == expected
 
 
-@pytest.mark.parametrize("specs, forward", [
-    (projector_specs(12, 16, 8), project),
-    (ic50_specs(4, 8), mlp_forward),
-    (dti_specs(4, (8, 6)), mlp_forward),  # ReLU stages
-], ids=["projector", "ic50", "dti"])
-def test_forward_without_tape_gives_the_recording_bytes(specs, forward):
+def recording_twin(head):
+    """``head``'s parameters under dropout-0 specs, whose ``"train"`` forward keeps a tape."""
+    return Head(MlpParams(without_dropout(head.params.specs), head.params.layers))
+
+
+@pytest.mark.parametrize("specs, forward, inputs", [
+    (projector_specs(12, 16, 8), project, 1),
+    (ic50_specs(4, 8), ic50_forward, 1),
+    (dti_specs(4, (8, 6)), dti_forward, 2),  # ReLU stages
+    (ic50_specs(4, 8), mlp_forward, 1),
+], ids=["projector", "ic50", "dti", "mlp"])
+def test_forward_without_tape_gives_the_recording_bytes(specs, forward, inputs):
+    """``mode`` is a forward's one switch: ``"train"`` keeps a tape, ``"eval"`` never does.
+
+    Without dropout the two give the same bytes.
+    """
     head = Head(init_params(specs, seed=3))
     for layer in head.params.layers:
         layer.b += 0.1  # so that ReLU units sit on both sides of zero
-    x = np.random.default_rng(4).standard_normal((9, head.in_dim))
-    arg = head if forward is project else head.params
-    ref, _ = forward(arg, x, "eval")
-    out, tape = forward(arg, x, "eval", record=False)
+    rng = np.random.default_rng(4)
+    xs = [rng.standard_normal((9, head.in_dim // inputs)) for _ in range(inputs)]
+    twin = recording_twin(head)
+    if forward is mlp_forward:
+        head, twin = head.params, twin.params
+    ref, ref_tape = forward(twin, *xs, "train")
+    out, tape = forward(head, *xs, "eval")
+    assert isinstance(ref_tape, ForwardTape) and ref_tape.out_shape == ref.shape
     assert tape is None and out.tobytes() == ref.tobytes()
 
 
 def test_projection_without_tape_peaks_at_its_widest_layer():
-    """A paper-width eval projection that records nothing holds one layer's arrays at a time.
+    """A paper-width eval projection, which keeps no tape, holds one layer's arrays at a time.
 
     Its tracemalloc peak stays under the output plus the widest layer's GEMM:
     the float64 input, weight and product of that layer.
@@ -257,10 +278,10 @@ def test_projection_without_tape_peaks_at_its_widest_layer():
     head = Head(init_params(specs, 3))
     cast_params(head.params, np.float32)
     x = np.random.default_rng(5).standard_normal((n, 1280)).astype(np.float32)
-    ref, _ = project(head, x, "eval")
+    ref, _ = project(recording_twin(head), x, "train")
     tracemalloc.start()
     try:
-        out, tape = project(head, x, "eval", record=False)
+        out, tape = project(head, x, "eval")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -363,7 +384,7 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self):
         head = Head(init_params(projector_specs(6, 8, 4), seed=2))
         x = np.random.default_rng(0).standard_normal((3, 6))
-        out, tape = project(head, x, "eval")
+        out, tape = project(head, x, "train", np.random.default_rng(1))
         grads, gin = backward(tape, np.zeros_like(out))
         np.testing.assert_array_equal(gin, 0.0)
         for g in grads:
@@ -373,13 +394,13 @@ class TestBackward:
     def test_tape_mismatch(self):
         head = Head(init_params(projector_specs(6, 8, 4), seed=2))
         x = np.random.default_rng(0).standard_normal((3, 6))
-        out, tape = project(head, x, "eval")
+        out, tape = project(head, x, "train", np.random.default_rng(1))
         with pytest.raises(TapeMismatch):
             backward(tape, np.zeros((2, 4)))
 
     def test_single_vector_upstream_rejected(self):
         head = Head(init_params(projector_specs(6, 8, 4), seed=2))
-        _, tape = project(head, np.ones((1, 6)), "eval")
+        _, tape = project(head, np.ones((1, 6)), "train", np.random.default_rng(1))
         with pytest.raises(TapeMismatch):
             backward(tape, np.zeros(4))
 
@@ -390,7 +411,7 @@ class TestBackward:
         p.layers[0].w[...] = np.eye(4)
         head = Head(p)
         x = np.array([[1.0, 2.0, -0.5, 0.25]])
-        out, tape = project(head, x, "eval")
+        out, tape = project(head, x, "train")  # no dropout stage, so no rng
         g = np.array([[0.3, -0.7, 0.2, 0.9]])
         _, gin = backward(tape, g)
         assert float(gin[0] @ out[0]) == pytest.approx(0.0, abs=1e-12)

@@ -118,3 +118,11 @@ def test_plain_loop_starts_no_thread(monkeypatch, cpus, why):
 def test_empty_items():
     assert pinned_map(lambda x: x, []) == []
 
+
+
+@pytest.mark.parametrize("count", [3, None], ids=["cpu-count", "cpu-count-unknown"])
+def test_without_sched_getaffinity_cpu_count_stands_in(monkeypatch, count):
+    """Python has no os.sched_getaffinity on macOS or Windows; the map reads os.cpu_count()."""
+    monkeypatch.delattr(parallel.os, "sched_getaffinity")
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: count)
+    assert pinned_map(lambda x: x * x, range(20)) == [x * x for x in range(20)]

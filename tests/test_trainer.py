@@ -23,11 +23,12 @@ from gramalign.data import (EmbeddingTable, Quadruplet, SplitKind, class_weights
                             synth_quadruplets)
 from gramalign.errors import EmptyDataset, MissingTensor, NonFiniteLoss, ShapeMismatch
 from gramalign.heads import build_model, cast_params, named_tensors, project, ic50_forward
+from gramalign.kernels import tuple_volumes
 from gramalign.losses import Batch, clip_bimodal, ic50_loss, volume_contrastive
 from gramalign.modality import MODALITY_ORDER, Modality
-from gramalign.scheduler import SchedulerConfig, make_history
+from gramalign.scheduler import SchedulerConfig, make_history, record, smoothed
 from gramalign.seeding import substream
-from gramalign import heads, losses, parallel, trainer
+from gramalign import heads, losses, parallel, scheduler, trainer
 from gramalign.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -216,6 +217,33 @@ class TestTrainStep:
         assert norms == [0.0, 0.0, 0.0, 0.0]
         # the volume gradients still update the projectors
         assert any(np.abs(g).max() > 0 for g in grads.values())
+
+    def test_decide_reads_a_gbar_that_holds_this_steps_norms(self, monkeypatch):
+        """The gbar handed to ``decide`` already includes the step's own norms.
+
+        At step 0 it is those norms bit for bit; at step 1 it is the decayed
+        mean over both steps' norms, the newest first. The step returns it.
+        """
+        model, params, weights, raw, labels, cfg, rngs = self._prepare()
+        seen, norms = [], []
+
+        def decide_spy(gbar, *args):
+            seen.append(np.array(gbar))
+            return scheduler.decide(gbar, *args)
+
+        monkeypatch.setattr(trainer, "decide", decide_spy)
+        history = make_history(cfg.scheduler)
+        for _ in range(2):  # the model stays as it is; the dropout stream moves on
+            _, _, gbar, step_norms = train_step(model, raw, labels, history, weights, cfg, rngs,
+                                                {}.update)
+            assert seen[-1].tobytes() == np.asarray(gbar).tobytes()
+            norms.append(step_norms)
+        assert norms[0] != norms[1]
+        assert seen[0].tobytes() == np.array(norms[0]).tobytes()
+        both = make_history(cfg.scheduler)
+        for step_norms in norms:
+            record(both, step_norms)
+        assert seen[1].tobytes() == smoothed(both, cfg.scheduler.decay).tobytes()
 
     @pytest.mark.parametrize("p_drop, n_active", [(0.0, 4), (1.0, 3)])
     def test_step_is_the_weighted_sum_of_its_parts(self, p_drop, n_active):
@@ -869,6 +897,35 @@ class TestTrainDti:
         assert len(out) == 5
         assert [m["fold"] for _, m in out] == [0, 1, 2, 3, 4]
 
+    def test_each_epoch_draws_dropout_from_its_own_substream(self, monkeypatch):
+        """Fold f's epoch e starts its masks on a fresh substream(seed, "dti-dropout", f, e)."""
+        model, smiles, protein, positives, cfg = separable_dti_setup()
+        cfg.dti_epochs = 3
+        folds = make_split(
+            positives, SplitKind.WARM, 2, seed=1, drugs=smiles.ids, proteins=protein.ids
+        )
+        states = []  # the dropout generator's state as each training forward starts
+
+        def forward_spy(head, f_s, f_p, mode, rng=None):
+            if mode == "train":
+                states.append(rng.bit_generator.state)
+            return heads.dti_forward(head, f_s, f_p, mode, rng)
+
+        # one fold after another, so the states come in fold, epoch and batch order
+        monkeypatch.setattr(trainer, "pinned_map", lambda fn, items: [fn(x) for x in items])
+        monkeypatch.setattr(trainer, "dti_forward", forward_spy)
+        train_dti(model, smiles, protein, folds, cfg)
+        start = 0  # the epoch's first training forward
+        for fold in folds:
+            n = len(fold.train.pairs)
+            batches = -(-n // min(cfg.batch_size, n))
+            assert batches > 1
+            for epoch in range(cfg.dti_epochs):
+                want = substream(cfg.seed, "dti-dropout", fold.index, epoch).bit_generator.state
+                assert states[start] == want, (fold.index, epoch)
+                start += batches
+        assert start == len(states)
+
     def test_label_permutation_near_chance(self):
         model, smiles, protein, positives, cfg = separable_dti_setup(n_drugs=24)
         folds = make_split(
@@ -949,11 +1006,19 @@ def test_batches_follow_a_many_to_many_manifest(monkeypatch):
 
 
 def test_alignment_volumes_mismatch_uses_distinct_samples():
+    """Mismatched tuple i takes row (i + k) mod n of the k-th modality, matched tuple i row i."""
     tables, quads, cfg = small_setup(n=12)
     model = build_model({m: 8 for m in MODALITY_ORDER}, 8, 8, 8, 0)
-    pos, mis = alignment_volumes(model, tables, _manifest_index(quads)[0])
+    index = _manifest_index(quads)[0][::-1]  # manifest rows that are not the table rows
+    pos, mis = alignment_volumes(model, tables, index)
     assert 0.0 <= pos <= 1.0
     assert 0.0 <= mis <= 1.0
+    n = len(index)
+    feats = [project(model.projectors[m], tables[m].rows[index[:, m]], "eval")[0]
+             for m in MODALITY_ORDER]
+    i = np.arange(n)
+    assert pos == float(np.mean(tuple_volumes(feats)))
+    assert mis == float(np.mean(tuple_volumes([f[(i + k) % n] for k, f in enumerate(feats)])))
 
 
 def test_train_config_json_round_trip():
