@@ -1,29 +1,29 @@
 """Trainable networks: modality projectors, IC50 classifier, DTI classifier.
 
-A forward has one switch, ``mode``. A ``"train"`` forward draws dropout masks
-from ``rng`` and returns the ForwardTape the hand-rolled backward reads; an
-``"eval"`` forward caches nothing and returns None for the tape. The tape holds
-one dict per stage: the layer input ``x``; the activation's derivative
-``dact``, for GELU the float64 factor Phi(pre) + pre * phi(pre) (computed once,
-in the forward, by the operations ``gelu_grad`` runs) and for ReLU the bool
-``pre > 0``; LayerNorm's ``xhat`` and ``inv``; and the dropout ``mask``. A
-stage whose input is the previous stage's LayerNorm output (a projector's
-layers 1 and 2) keeps no ``x``: backward() re-forms it just before that layer's
-weight-gradient GEMM, and frees it after, from the previous stage's ``xhat``,
-gamma, beta and mask through ``_stage_output``, the function the forward forms
-every stage's output with, so it has the same bits. backward() reads the head's
-current W, gamma and beta, so the parameters must not change between a forward
-and its backward. A tape is read once: backward() drops each cached array at
-its last read, so a stage's arrays go as its gradient is formed, and a second
-backward() on the same tape raises TapeMismatch. Gradients are exact (erf-form
-GELU, full LayerNorm Jacobian, inverted-dropout masks, L2-normalization
-Jacobian) and are verified against central finite differences in the test suite
-and the gradcheck command, on tapes of ``"train"`` forwards of heads with
-dropout 0, whose arithmetic is eval's. Training calls backward with
-``input_grad=False`` wherever the gradient with respect to the head's input is
-discarded, which skips the first layer's ``gy @ W.T``. Both modes run GELU,
-LayerNorm's centring and the final normalization in place on arrays no tape
-holds.
+A forward has one switch, ``mode``. A ``"train"`` forward applies the dropout
+masks it is given, which ``dropout_masks`` draws, and returns the ForwardTape
+the hand-rolled backward reads; an ``"eval"`` forward caches nothing and
+returns None for the tape. The tape holds one dict per stage: the layer input
+``x``; the activation's derivative ``dact``, for GELU the float64 factor
+Phi(pre) + pre * phi(pre) (computed once, in the forward, by the operations
+``gelu_grad`` runs) and for ReLU the bool ``pre > 0``; LayerNorm's ``xhat`` and
+``inv``; and the dropout ``mask``. A stage whose input is the previous stage's
+LayerNorm output (a projector's layers 1 and 2) keeps no ``x``: backward()
+re-forms it just before that layer's weight-gradient GEMM, and frees it after,
+from the previous stage's ``xhat``, gamma, beta and mask through
+``_stage_output``, the function the forward forms every stage's output with, so
+it has the same bits. backward() reads the head's current W, gamma and beta, so
+the parameters must not change between a forward and its backward. A tape is
+read once: backward() drops each cached array at its last read, so a stage's
+arrays go as its gradient is formed, and a second backward() on the same tape
+raises TapeMismatch. Gradients are exact (erf-form GELU, full LayerNorm
+Jacobian, inverted-dropout masks, L2-normalization Jacobian) and are verified
+against central finite differences in the test suite and the gradcheck command,
+on tapes of ``"train"`` forwards of heads with dropout 0, whose arithmetic is
+eval's. Training calls backward with ``input_grad=False`` wherever the gradient
+with respect to the head's input is discarded, which skips the first layer's
+``gy @ W.T``. Both modes run GELU, LayerNorm's centring and the final
+normalization in place on arrays no tape holds.
 
 Inputs are ``(rows, dim)`` batches. Math runs in float64 regardless of
 parameter or input dtype; the trainer keeps float32 masters and upcasts per
@@ -218,8 +218,23 @@ def _stage_output(spec, layer, h, mask, out=None):
     return h
 
 
-def mlp_forward(params: MlpParams, x, mode="eval", rng=None):
-    """The head's output and, in ``"train"`` mode, the tape backward() reads; None in ``"eval"``."""
+def dropout_masks(params: MlpParams, rows, rng):
+    """One bool keep-mask per layer for a ``"train"`` forward of ``rows`` rows; None where p = 0.
+
+    Each mask is ``rng.random((rows, out_dim)) >= p``, drawn in layer order.
+    Masks drawn before the forward runs leave the forward's bytes free of
+    when, and on which thread, it runs.
+    """
+    return [rng.random((rows, s.out_dim)) >= s.dropout if s.dropout > 0.0 else None
+            for s in params.specs]
+
+
+def mlp_forward(params: MlpParams, x, mode="eval", masks=None):
+    """The head's output and, in ``"train"`` mode, the tape backward() reads; None in ``"eval"``.
+
+    A ``"train"`` forward of a head with dropout takes ``masks``, one per
+    layer as ``dropout_masks`` draws them for these rows.
+    """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     train = mode == "train"
@@ -233,7 +248,7 @@ def mlp_forward(params: MlpParams, x, mode="eval", rng=None):
     # given; the float64 upcast, which is exact, is made where a GEMM reads it.
     # A LayerNorm stage's output is not cached: backward re-forms it.
     keep_x = True
-    for spec, layer in zip(params.specs, params.layers):
+    for i, (spec, layer) in enumerate(zip(params.specs, params.layers)):
         cache = {"x": h} if train and keep_x else {}
         keep_x = not spec.layer_norm
         h = np.asarray(h, dtype=np.float64) @ np.asarray(layer.w, dtype=np.float64)
@@ -255,9 +270,11 @@ def mlp_forward(params: MlpParams, x, mode="eval", rng=None):
             np.maximum(h, 0.0, out=h)
         mask = None
         if spec.dropout > 0.0 and train:
-            if rng is None:
-                raise ValueError("train-mode dropout needs an rng")
-            mask = cache["mask"] = rng.random(h.shape) >= spec.dropout
+            if masks is None or masks[i] is None:
+                raise ValueError("train-mode dropout needs a mask per dropout layer")
+            if masks[i].shape != h.shape:
+                raise ShapeMismatch(f"layer {i} mask {masks[i].shape} != output {h.shape}")
+            mask = cache["mask"] = masks[i]
         if spec.layer_norm:
             # h.var's own sum of squared deviations, the deviations then reused for xhat
             h -= h.mean(axis=1, keepdims=True)
@@ -330,9 +347,9 @@ def backward(tape: ForwardTape, upstream_grad, input_grad=True):
     return grads, gy
 
 
-def project(head: Head, raw, mode="eval", rng=None):
+def project(head: Head, raw, mode="eval", masks=None):
     """Map raw embeddings into the shared space; rows come out unit-norm."""
-    y, tape = mlp_forward(head.params, raw, mode, rng)
+    y, tape = mlp_forward(head.params, raw, mode, masks)
     norms = np.linalg.norm(y, axis=1, keepdims=True)
     if np.any(norms <= NORM_EPS):
         k = int(np.argmax(norms <= NORM_EPS))
@@ -343,19 +360,19 @@ def project(head: Head, raw, mode="eval", rng=None):
     return y, tape
 
 
-def ic50_forward(head: Head, f_fused, mode="eval", rng=None):
+def ic50_forward(head: Head, f_fused, mode="eval", masks=None):
     """IC50 activity-class logits from fused [f^s; f^t; f^h; f^p] features."""
-    return mlp_forward(head.params, f_fused, mode, rng)
+    return mlp_forward(head.params, f_fused, mode, masks)
 
 
-def dti_forward(head: Head, f_s, f_p, mode="eval", rng=None):
+def dti_forward(head: Head, f_s, f_p, mode="eval", masks=None):
     """Two interaction logits from the [f^s; f^p] concatenation."""
     f_s = np.asarray(f_s, dtype=np.float64)
     f_p = np.asarray(f_p, dtype=np.float64)
     if f_s.shape != f_p.shape:
         raise DimensionMismatch(f"drug/protein feature shapes differ: {f_s.shape} vs {f_p.shape}")
     fused = np.concatenate([f_s, f_p], axis=-1)
-    return mlp_forward(head.params, fused, mode, rng)
+    return mlp_forward(head.params, fused, mode, masks)
 
 
 # ---------------------------------------------------------------------------

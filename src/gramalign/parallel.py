@@ -4,13 +4,18 @@ numpy has no thread control of its own, so the OpenBLAS library numpy
 loaded is driven through ctypes. Two Python threads that each run GEMMs on
 a multi-threaded OpenBLAS oversubscribe the cores and run slower than one
 after the other; with OpenBLAS at one thread, each worker's GEMMs run on
-its own core.
+its own core. ``one_blas_thread`` holds that setting for a block of code:
+``pinned_map`` for its call, and ``trainer.train`` for its whole epoch loop,
+because a two-thread OpenBLAS worker spin-waits on the second core after
+each GEMM.
 """
 
 import ctypes
+import functools
 import glob
 import os
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +27,14 @@ _THREAD_SYMBOLS = (
 )
 
 
+@functools.cache
 def blas_thread_controls():
     """(get, set) of the thread count of the OpenBLAS numpy loaded, or None where none is found.
 
     The library is looked for among those bundled with the numpy wheel, which
-    numpy has loaded by the time it is imported.
+    numpy has loaded by the time it is imported. It cannot change while the
+    process runs, so it is looked up once: the glob and ``ctypes.CDLL`` took
+    87 µs a call.
     """
     libs = glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*"))
     for lib in sorted(libs):
@@ -40,14 +48,34 @@ def blas_thread_controls():
     return None
 
 
+@contextmanager
+def one_blas_thread():
+    """The OpenBLAS numpy loaded at one thread inside the block; its thread count restored after.
+
+    The setting is process-wide, so BLAS calls from every thread run
+    single-threaded meanwhile. Where no OpenBLAS is found this does nothing.
+    """
+    controls = blas_thread_controls()
+    if controls is None:
+        yield
+        return
+    get_threads, set_threads = controls
+    saved = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(saved)
+
+
 def pinned_map(fn, items):
     """``[fn(x) for x in items]``, the items shared among this process's CPUs.
 
     The calling thread and min(CPUs, items) - 1 worker threads pull items
     from one shared index, and the results come back in item order. For the
-    call, the OpenBLAS numpy loaded runs at one thread; that setting is
-    process-wide, so BLAS calls from any other thread run single-threaded
-    meanwhile. Its thread count is restored before the call returns or raises.
+    call, the OpenBLAS numpy loaded runs at one thread (``one_blas_thread``),
+    so BLAS calls from any other thread run single-threaded meanwhile. Its
+    thread count is restored before the call returns or raises.
     The first exception ``fn`` raises stops further items from being taken
     and is re-raised once every thread has stopped; no thread outlives the
     call. With one CPU, or no OpenBLAS found, this is a plain loop on the
@@ -57,10 +85,8 @@ def pinned_map(fn, items):
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cpus or 1, len(items)) - 1
-    controls = blas_thread_controls() if workers > 0 else None
-    if controls is None:
+    if workers < 1 or blas_thread_controls() is None:
         return [fn(x) for x in items]
-    get_threads, set_threads = controls
     results, errors = [None] * len(items), []
     claim, lock, stop = iter(range(len(items))), threading.Lock(), threading.Event()
 
@@ -76,20 +102,18 @@ def pinned_map(fn, items):
                 errors.append(e)
                 stop.set()
 
-    saved = get_threads()
-    set_threads(1)
     threads = []
-    try:
-        for _ in range(workers):
-            thread = threading.Thread(target=drain)
-            thread.start()
-            threads.append(thread)
-        drain()
-    finally:
-        stop.set()
-        for thread in threads:
-            thread.join()
-        set_threads(saved)
+    with one_blas_thread():
+        try:
+            for _ in range(workers):
+                thread = threading.Thread(target=drain)
+                thread.start()
+                threads.append(thread)
+            drain()
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join()
     if errors:
         raise errors[0]
     return results

@@ -11,12 +11,17 @@ byte-deterministic.
 """
 
 import json
-import resource
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # Windows has no resource module
+    resource = None
 
 from . import checkpoint as ckpt
 from . import evaluation
@@ -31,6 +36,7 @@ from .heads import (
     build_dti_head,
     build_model,
     cast_params,
+    dropout_masks,
     dti_forward,
     empty_params,
     ic50_forward,
@@ -44,7 +50,7 @@ from .kernels import tuple_volumes
 from .losses import (DEFAULT_SMOOTHING, DEFAULT_TAU, Batch, clip_bimodal, cross_entropy,
                      ic50_loss, softmax, volume_contrastive)
 from .modality import MODALITY_ORDER, Modality
-from .parallel import pinned_map
+from .parallel import one_blas_thread, pinned_map
 from .scheduler import SchedulerConfig, check_field_types, decide, make_history, record, smoothed
 from .seeding import substream
 
@@ -57,8 +63,18 @@ ADAM_BLOCK = 32768  # elements per block: its float64 temporaries stay in cache
 ALIGNMENT_EVAL_CAP = 512
 
 # the stages train_step marks, in the order of run.timing.jsonl's stage_ms; the step's
-# code between them is marked "other"
+# code between them is marked "other". "proj_backward" holds the projectors' Adam
+# updates, "adam" the IC50 head's alone. At most one head's gradients per thread.
 STEP_STAGES = ("proj_forward", "bimodal", "ic50", "volume", "proj_backward", "adam")
+
+# The four projectors' forwards, backwards and eval forwards are mapped over the CPUs
+# when their GEMM work, rows * sum(in_dim * out_dim) over every projector layer, reaches
+# this; below it the same tasks run in a loop. The crossover, from whole steps with Adam
+# at one BLAS thread on 2 vCPU: mapped steps were 4-10 % slower at 1.5e7-5.9e7 (38 % at
+# desk widths, 4.6e5) and 24-28 % faster from 1.2e8 up to paper widths at B=512 (2.8e9).
+# In runs where the shared host gave the two vCPUs no parallelism, they lost 4-7 % at
+# every size.
+POOL_MIN_GEMM_WORK = 100_000_000
 
 
 @dataclass
@@ -228,6 +244,30 @@ def _ms_since(t0):
     return 1000.0 * (time.perf_counter() - t0)
 
 
+def peak_rss_bytes():
+    """This process's peak resident set size in bytes, or None where ``resource`` is missing.
+
+    ``ru_maxrss`` is in bytes on macOS and in KiB on Linux and the BSDs.
+    """
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak if sys.platform == "darwin" else 1024 * peak
+
+
+def projector_map(model, rows):
+    """``pinned_map``, or a plain loop where the projectors' GEMM work is below POOL_MIN_GEMM_WORK.
+
+    The work is ``rows`` times the sum of in_dim * out_dim over the four
+    projectors' layers.
+    """
+    work = rows * sum(s.in_dim * s.out_dim
+                      for head in model.projectors.values() for s in head.params.specs)
+    if work >= POOL_MIN_GEMM_WORK:
+        return pinned_map
+    return lambda fn, items: [fn(x) for x in items]
+
+
 def stage_clock(stage_ms):
     """A ``train_step`` ``enter`` that adds each stage's wall ms to ``stage_ms``.
 
@@ -260,36 +300,52 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, upd
     backprop each projector. Returns the loss values, the decision, gbar and
     the norms.
 
-    Each head's gradients go to ``update`` as soon as its backward ends, as
-    one dict of named float64 arrays that the step then drops, so one head's
-    gradients are alive at a time: first the IC50 head's, scaled by
-    lambda_ic50, then each projector's in MODALITY_ORDER. ``train`` passes an
-    Adam update, having advanced the step count once for the whole step. A
-    non-finite bimodal or IC50 loss raises NonFiniteLoss before any update;
-    a non-finite volume or total loss raises it after the IC50 head's update,
-    with every projector still untouched.
+    The four projector forwards, and after the volume loss the four projector
+    backwards, are tasks of ``projector_map``: shared among the CPUs through
+    ``pinned_map`` when their GEMM work reaches POOL_MIN_GEMM_WORK, else run
+    in MODALITY_ORDER on the calling thread. Every dropout mask is drawn
+    before the forwards, in the order of one draw per layer of each projector
+    in MODALITY_ORDER and then the IC50 head's, so no byte depends on which
+    thread runs a task or when.
 
-    ``enter``, if given, is called with a stage's name as the step enters
-    it, and with ``"other"`` as the step's own code between stages resumes:
-    ``proj_forward``, ``bimodal``, ``ic50`` (forward, loss and backward),
-    ``volume``, ``proj_backward`` once per projector and ``adam`` for each
-    ``update`` call. ``train`` passes a ``stage_clock``; ``tools/stepmem.py``
-    passes its own, which records memory. Each array is released once its
-    last reader has used it: the IC50 input after its weight gradient, each
-    loss's gradient blocks once added into the embedding gradients, and each
-    projector's tape and embedding gradient during that projector's backward.
+    Each head's gradients go to ``update`` as soon as its backward ends, as
+    one dict of named float64 arrays that the step then drops, so at most one
+    head's gradients are alive per thread: first the IC50 head's, scaled by
+    lambda_ic50, on the calling thread before the volume loss; then each
+    projector's, inside its backward task, in the order the tasks finish
+    (MODALITY_ORDER when run in a loop). So ``update`` must be safe to call
+    from two threads at once for different heads, as ``adam_step`` is.
+    ``train`` passes an Adam update, having advanced the step count once for
+    the whole step. A non-finite bimodal or IC50 loss raises NonFiniteLoss
+    before any update; a non-finite volume or total loss raises it after the
+    IC50 head's update, with every projector still untouched.
+
+    ``enter``, if given, is called on the calling thread with a stage's name
+    as the step enters it, and with ``"other"`` as the step's own code between
+    stages resumes: ``proj_forward``, ``bimodal``, ``ic50`` (forward, loss and
+    backward), ``adam`` (the IC50 head's update), ``volume`` and
+    ``proj_backward`` (the four projectors' backwards and updates).
+    ``train`` passes a ``stage_clock``; ``tools/stepmem.py`` passes its own,
+    which records memory. Each array is released once its last reader has
+    used it: the IC50 input after its weight gradient, each loss's gradient
+    blocks once added into the embedding gradients, and each projector's
+    masks, tape and embedding gradient inside that projector's task.
     """
     enter = enter or (lambda stage: None)
-
-    def hand_off(prefix, head, layer_grads):
-        enter("adam")
-        update(dict(mlp_tensor_items(prefix, head.params.specs, layer_grads)))
-        enter("other")
+    rows = len(labels)
+    run = projector_map(model, rows)
 
     enter("proj_forward")
-    feats, tapes = {}, {}
-    for m in MODALITY_ORDER:
-        feats[m], tapes[m] = project(model.projectors[m], raw[m], "train", rngs["dropout"])
+    masks = {m: dropout_masks(model.projectors[m].params, rows, rngs["dropout"])
+             for m in MODALITY_ORDER}
+
+    def forward(m):
+        return project(model.projectors[m], raw[m], "train", masks.pop(m))
+
+    projected = run(forward, MODALITY_ORDER)
+    feats = {m: y for m, (y, _) in zip(MODALITY_ORDER, projected)}
+    tapes = {m: tape for m, (_, tape) in zip(MODALITY_ORDER, projected)}
+    del projected
 
     enter("bimodal")
     batch = Batch(embeddings=feats, ic50_labels=labels, ic50_mask=labels >= 0)
@@ -300,16 +356,20 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, upd
     # the fused input is held by the tape alone, so the backward frees it after its dW
     logits, ic50_tape = ic50_forward(model.ic50_head,
                                      np.concatenate([feats[m] for m in MODALITY_ORDER], axis=1),
-                                     "train", rngs["dropout"])
+                                     "train",
+                                     dropout_masks(model.ic50_head.params, rows, rngs["dropout"]))
     ic50 = ic50_loss(batch, logits, weights, cfg.label_smoothing)
     del logits
     _require_finite("ic50", ic50.value)
     head_grads, dfused = backward(ic50_tape, ic50.logit_grad)
     del ic50_tape
     enter("other")
-    for _, g in mlp_tensor_items("ic50", model.ic50_head.params.specs, head_grads):
+    head_grads = dict(mlp_tensor_items("ic50", model.ic50_head.params.specs, head_grads))
+    for g in head_grads.values():
         g *= cfg.lambda_ic50  # an array backward made; g * s rounds like s * g
-    hand_off("ic50", model.ic50_head, head_grads)
+    enter("adam")
+    update(head_grads)
+    enter("other")
     del head_grads
 
     emb_grads = {m: cfg.lambda_ic50 * g
@@ -336,11 +396,14 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, upd
     _require_finite("total", total)
     losses = {"volume": vol.value, "bimodal": bi.value, "ic50": ic50.value, "total": total}
 
-    for m in MODALITY_ORDER:
-        enter("proj_backward")
+    def backprop(m):
         proj_grads, _ = backward(tapes.pop(m), emb_grads.pop(m), input_grad=False)
-        hand_off(f"proj.{m.short}", model.projectors[m], proj_grads)
-        del proj_grads
+        update(dict(mlp_tensor_items(f"proj.{m.short}", model.projectors[m].params.specs,
+                                     proj_grads)))
+
+    enter("proj_backward")
+    run(backprop, MODALITY_ORDER)
+    enter("other")
     return losses, decision, gbar, norms
 
 
@@ -355,13 +418,17 @@ def alignment_volumes(model, tables, index):
     The tuples are the first n <= ALIGNMENT_EVAL_CAP rows of the ``index`` that
     ``_manifest_index`` builds. Mismatched tuple i takes row (i + k) mod n of the
     k-th modality in MODALITY_ORDER, so it mixes four distinct quadruplets only
-    when n >= 4; with fewer, the shifts wrap onto a repeat.
+    when n >= 4; with fewer, the shifts wrap onto a repeat. The four eval
+    projections are tasks of ``projector_map``, as a step's forwards are.
     """
     rows = index[:ALIGNMENT_EVAL_CAP]
-    feats = {m: project(model.projectors[m], tables[m].rows[rows[:, m]], "eval")[0]
-             for m in MODALITY_ORDER}
-    pos = tuple_volumes([feats[m] for m in MODALITY_ORDER])
-    mis = tuple_volumes([np.roll(feats[m], -k, axis=0) for k, m in enumerate(MODALITY_ORDER)])
+
+    def eval_projection(m):
+        return project(model.projectors[m], tables[m].rows[rows[:, m]], "eval")[0]
+
+    feats = projector_map(model, len(rows))(eval_projection, MODALITY_ORDER)
+    pos = tuple_volumes(feats)
+    mis = tuple_volumes([np.roll(f, -k, axis=0) for k, f in enumerate(feats)])
     return float(np.mean(pos)), float(np.mean(mis))
 
 
@@ -524,58 +591,61 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
             }
         records.append(rec)
 
-    if start_epoch == 0:
-        log_alignment(0)
+    # BLAS at one thread for the whole loop: a two-thread OpenBLAS spin-waits on the
+    # second core after each GEMM, which the projector tasks' worker thread needs
+    with one_blas_thread():
+        if start_epoch == 0:
+            log_alignment(0)
 
-    n = len(quads)
-    steps_per_epoch = n // cfg.batch_size
-    step = start_epoch * steps_per_epoch
-    for epoch in range(start_epoch, cfg.epochs):
-        order = substream(cfg.seed, "shuffle", epoch).permutation(n)
-        rngs = {
-            "dropout": substream(cfg.seed, "dropout", epoch),
-            "scheduler": substream(cfg.seed, "scheduler", epoch),
-        }
-        epoch_losses = []
-        for b in range(steps_per_epoch):
-            rows = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            raw = {m: tables[m].rows[index[rows, m]] for m in MODALITY_ORDER}
-            t0 = time.perf_counter()
-            stage_ms = {}
-            adam.t += 1  # once per step: every head's update has the same bias corrections
-            try:
-                losses, decision, gbar, norms = train_step(
-                    model, raw, ic50_labels[rows], history, weights, cfg, rngs, update,
-                    enter=stage_clock(stage_ms),
+        n = len(quads)
+        steps_per_epoch = n // cfg.batch_size
+        step = start_epoch * steps_per_epoch
+        for epoch in range(start_epoch, cfg.epochs):
+            order = substream(cfg.seed, "shuffle", epoch).permutation(n)
+            rngs = {
+                "dropout": substream(cfg.seed, "dropout", epoch),
+                "scheduler": substream(cfg.seed, "scheduler", epoch),
+            }
+            epoch_losses = []
+            for b in range(steps_per_epoch):
+                rows = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+                raw = {m: tables[m].rows[index[rows, m]] for m in MODALITY_ORDER}
+                t0 = time.perf_counter()
+                stage_ms = {}
+                adam.t += 1  # once per step: every head's update has the same bias corrections
+                try:
+                    losses, decision, gbar, norms = train_step(
+                        model, raw, ic50_labels[rows], history, weights, cfg, rngs, update,
+                        enter=stage_clock(stage_ms),
+                    )
+                except NonFiniteLoss as e:
+                    raise NonFiniteLoss(f"step {step}: {e}") from None
+                wall_ms = _ms_since(t0)
+                epoch_losses.append(losses)
+                records.append(
+                    {
+                        "kind": "step",
+                        "step": step,
+                        "epoch": epoch,
+                        "losses": losses,
+                        "scheduler": {
+                            "branch": decision.branch.value,
+                            "dropped": None if decision.dropped is None else decision.dropped.short,
+                            "anchor": decision.anchor.short,
+                            "gbar": [float(x) for x in gbar],
+                        },
+                        "grad_norms": norms,
+                    }
                 )
-            except NonFiniteLoss as e:
-                raise NonFiniteLoss(f"step {step}: {e}") from None
-            wall_ms = _ms_since(t0)
-            epoch_losses.append(losses)
-            records.append(
-                {
-                    "kind": "step",
-                    "step": step,
-                    "epoch": epoch,
-                    "losses": losses,
-                    "scheduler": {
-                        "branch": decision.branch.value,
-                        "dropped": None if decision.dropped is None else decision.dropped.short,
-                        "anchor": decision.anchor.short,
-                        "gbar": [float(x) for x in gbar],
-                    },
-                    "grad_norms": norms,
-                }
-            )
-            # ru_maxrss is in KiB on Linux
-            peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-            timings.append({"kind": "step", "step": step, "wall_ms": wall_ms,
-                            "stage_ms": stage_ms, "peak_rss_mb": peak_rss_mb})
-            step += 1
-        log_alignment(epoch + 1, epoch_losses)
-        if out_dir is not None:
-            save_model_checkpoint(out_dir / f"epoch-{epoch:04d}.ckpt", model, cfg, in_dims,
-                                  epoch + 1, adam, history)
+                peak = peak_rss_bytes()
+                timings.append({"kind": "step", "step": step, "wall_ms": wall_ms,
+                                "stage_ms": stage_ms,
+                                "peak_rss_mb": None if peak is None else peak / 1e6})
+                step += 1
+            log_alignment(epoch + 1, epoch_losses)
+            if out_dir is not None:
+                save_model_checkpoint(out_dir / f"epoch-{epoch:04d}.ckpt", model, cfg, in_dims,
+                                      epoch + 1, adam, history)
 
     result = TrainResult(model=model, records=records, timings=timings)
     if out_dir is not None:
@@ -635,7 +705,8 @@ def train_dti(model, smiles_table, protein_table, folds, cfg: TrainConfig):
             rng = substream(cfg.seed, "dti-dropout", fold.index, epoch)
             for start in range(0, n, bs):
                 rows = order[start : start + bs]
-                logits, tape = dti_forward(head, f_s[xs[rows]], f_p[xp[rows]], "train", rng)
+                logits, tape = dti_forward(head, f_s[xs[rows]], f_p[xp[rows]], "train",
+                                           dropout_masks(head.params, len(rows), rng))
                 _, dlogits = cross_entropy(logits, y[rows], np.ones(len(rows)), 0.0)
                 grads, _ = backward(tape, dlogits, input_grad=False)
                 adam.t += 1

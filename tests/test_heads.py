@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gramalign.errors import DimensionMismatch, TapeMismatch, ZeroVector
+from gramalign.errors import DimensionMismatch, ShapeMismatch, TapeMismatch, ZeroVector
 from gramalign.gradcheck import (
     check_dti_head,
     check_ic50_head,
@@ -23,6 +23,7 @@ from gramalign.heads import (
     cast_params,
     dti_forward,
     dti_specs,
+    dropout_masks,
     gelu,
     gelu_grad,
     ic50_forward,
@@ -34,6 +35,11 @@ from gramalign.heads import (
     projector_specs,
 )
 from gramalign.modality import MODALITY_ORDER, Modality
+
+
+def drawn(params, x, seed):
+    """The dropout masks of a train forward of ``x``, drawn from a generator seeded ``seed``."""
+    return dropout_masks(params, len(x), np.random.default_rng(seed))
 
 
 class TestInitParams:
@@ -180,7 +186,7 @@ def test_forward_and_backward_equal_the_reference_formulas(specs, rows, no_x):
             layer.beta = (layer.beta - 0.2).astype(np.float32)
     rng = np.random.default_rng(1)
     x = rng.standard_normal((rows, specs[0].in_dim))
-    h, tape = mlp_forward(params, x, "train", np.random.default_rng(2))
+    h, tape = mlp_forward(params, x, "train", drawn(params, x, 2))
     ref_h, ref_stages = reference_forward(params, x, np.random.default_rng(2))
     assert h.tobytes() == ref_h.tobytes()
     for i, (stage, ref) in enumerate(zip(tape.stages, ref_stages)):
@@ -203,10 +209,9 @@ def test_input_cached_as_given_with_unchanged_bits():
     specs = projector_specs(12, 16, 8)
     params = init_params(specs, seed=3)
     x32 = np.random.default_rng(1).standard_normal((9, 12)).astype(np.float32)
-    h, tape = mlp_forward(params, x32, "train", np.random.default_rng(2))
+    h, tape = mlp_forward(params, x32, "train", drawn(params, x32, 2))
     assert tape.stages[0]["x"] is x32
-    ref_h, ref_tape = mlp_forward(params, x32.astype(np.float64), "train",
-                                  np.random.default_rng(2))
+    ref_h, ref_tape = mlp_forward(params, x32.astype(np.float64), "train", drawn(params, x32, 2))
     assert h.tobytes() == ref_h.tobytes()
     gy = np.random.default_rng(4).standard_normal(h.shape)
     (grads, gin), (ref_grads, ref_gin) = backward(tape, gy), backward(ref_tape, gy)
@@ -229,7 +234,8 @@ def test_train_tape_keeps_one_array_per_gelu_layer():
     """
     b, specs = 256, projector_specs(1280, 768, 512)  # paper widths
     x = np.random.default_rng(1).standard_normal((b, 1280)).astype(np.float32)
-    out, tape = project(Head(init_params(specs, 0)), x, "train", np.random.default_rng(2))
+    params = init_params(specs, 0)
+    out, tape = project(Head(params), x, "train", drawn(params, x, 2))
     expected = x.nbytes  # stage 0's input, as given
     for spec in specs[:2]:  # GELU, LayerNorm, dropout
         # float64 factor and xhat; LayerNorm's inv; the bool dropout mask
@@ -317,8 +323,8 @@ class TestProject:
     def test_train_dropout_reproducible(self):
         head = self._head()
         x = np.random.default_rng(3).standard_normal((4, 10))
-        a, _ = project(head, x, "train", np.random.default_rng(77))
-        b, _ = project(head, x, "train", np.random.default_rng(77))
+        a, _ = project(head, x, "train", drawn(head.params, x, 77))
+        b, _ = project(head, x, "train", drawn(head.params, x, 77))
         np.testing.assert_array_equal(a, b)
 
     def test_dropout_zero_fraction(self):
@@ -327,10 +333,18 @@ class TestProject:
         from gramalign.heads import mlp_forward
 
         x = np.random.default_rng(4).standard_normal((100, 20))
-        h, tape = mlp_forward(p, x, "train", np.random.default_rng(5))
+        h, tape = mlp_forward(p, x, "train", drawn(p, x, 5))
         mask = tape.stages[0]["mask"]
         frac = 1.0 - mask.mean()
         assert abs(frac - 0.3) < 0.01  # 1e5 draws
+
+    def test_train_dropout_takes_one_mask_of_each_dropout_output(self):
+        head = self._head()
+        x = np.ones((3, 10))
+        with pytest.raises(ValueError, match="mask"):
+            project(head, x, "train")
+        with pytest.raises(ShapeMismatch, match="mask"):
+            project(head, x, "train", drawn(head.params, x[:2], 0))
 
     def test_input_dim_checked(self):
         with pytest.raises(DimensionMismatch):
@@ -384,7 +398,7 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self):
         head = Head(init_params(projector_specs(6, 8, 4), seed=2))
         x = np.random.default_rng(0).standard_normal((3, 6))
-        out, tape = project(head, x, "train", np.random.default_rng(1))
+        out, tape = project(head, x, "train", drawn(head.params, x, 1))
         grads, gin = backward(tape, np.zeros_like(out))
         np.testing.assert_array_equal(gin, 0.0)
         for g in grads:
@@ -394,13 +408,14 @@ class TestBackward:
     def test_tape_mismatch(self):
         head = Head(init_params(projector_specs(6, 8, 4), seed=2))
         x = np.random.default_rng(0).standard_normal((3, 6))
-        out, tape = project(head, x, "train", np.random.default_rng(1))
+        out, tape = project(head, x, "train", drawn(head.params, x, 1))
         with pytest.raises(TapeMismatch):
             backward(tape, np.zeros((2, 4)))
 
     def test_single_vector_upstream_rejected(self):
         head = Head(init_params(projector_specs(6, 8, 4), seed=2))
-        _, tape = project(head, np.ones((1, 6)), "train", np.random.default_rng(1))
+        x = np.ones((1, 6))
+        _, tape = project(head, x, "train", drawn(head.params, x, 1))
         with pytest.raises(TapeMismatch):
             backward(tape, np.zeros(4))
 
@@ -411,7 +426,7 @@ class TestBackward:
         p.layers[0].w[...] = np.eye(4)
         head = Head(p)
         x = np.array([[1.0, 2.0, -0.5, 0.25]])
-        out, tape = project(head, x, "train")  # no dropout stage, so no rng
+        out, tape = project(head, x, "train")  # no dropout stage, so no masks
         g = np.array([[0.3, -0.7, 0.2, 0.9]])
         _, gin = backward(tape, g)
         assert float(gin[0] @ out[0]) == pytest.approx(0.0, abs=1e-12)
@@ -429,8 +444,8 @@ class TestBackward:
         head = Head(init_params(specs, seed=3))
         rng = np.random.default_rng(4)
         x = rng.standard_normal((9, head.in_dim))
-        out, tape = forward(head, x, "train", np.random.default_rng(5))
-        _, again = forward(head, x, "train", np.random.default_rng(5))  # a tape is read once
+        out, tape = forward(head, x, "train", drawn(head.params, x, 5))
+        _, again = forward(head, x, "train", drawn(head.params, x, 5))  # a tape is read once
         g = rng.standard_normal(out.shape)
         full, gin = backward(tape, g)
         skipped, none = backward(again, g, input_grad=False)
@@ -443,7 +458,7 @@ class TestBackward:
         """backward() drops what it has read, and a second backward() on the tape is refused."""
         head = Head(init_params(projector_specs(12, 16, 8), seed=3))
         x = np.random.default_rng(4).standard_normal((9, 12))
-        out, tape = project(head, x, "train", np.random.default_rng(5))
+        out, tape = project(head, x, "train", drawn(head.params, x, 5))
         backward(tape, np.ones_like(out))
         assert tape.stages is None and tape.unit_out is None and tape.prenorm_norms is None
         with pytest.raises(TapeMismatch, match="read once"):

@@ -1,4 +1,4 @@
-"""Tests for ``pinned_map``, the thread map that trains DTI folds concurrently."""
+"""Tests for ``pinned_map``, the thread map that trains DTI folds and runs projector tasks."""
 
 import sys
 import threading
@@ -7,7 +7,7 @@ import time
 import pytest
 
 from gramalign import parallel
-from gramalign.parallel import blas_thread_controls, pinned_map
+from gramalign.parallel import blas_thread_controls, one_blas_thread, pinned_map
 
 CONTROLS = blas_thread_controls()
 needs_openblas = pytest.mark.skipif(CONTROLS is None, reason="no OpenBLAS found beside numpy")
@@ -126,3 +126,31 @@ def test_without_sched_getaffinity_cpu_count_stands_in(monkeypatch, count):
     monkeypatch.delattr(parallel.os, "sched_getaffinity")
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: count)
     assert pinned_map(lambda x: x * x, range(20)) == [x * x for x in range(20)]
+
+
+def test_blas_controls_looked_up_once(monkeypatch):
+    """The library cannot change while the process runs, so a second call globs nothing."""
+    first = blas_thread_controls()
+
+    def no_glob(*args, **kwargs):
+        raise AssertionError("numpy.libs was searched again")
+
+    monkeypatch.setattr(parallel.glob, "glob", no_glob)
+    assert blas_thread_controls() is first
+
+
+@needs_openblas
+def test_one_blas_thread_pins_and_restores(blas_at_two):
+    with one_blas_thread():
+        assert blas_at_two() == 1
+    assert blas_at_two() == 2
+    with pytest.raises(RuntimeError):
+        with one_blas_thread():
+            raise RuntimeError("inside")
+    assert blas_at_two() == 2
+
+
+def test_one_blas_thread_without_openblas_does_nothing(monkeypatch):
+    monkeypatch.setattr(parallel, "blas_thread_controls", lambda: None)
+    with one_blas_thread():
+        pass

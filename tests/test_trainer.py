@@ -13,6 +13,7 @@ import threading
 import tracemalloc
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -249,13 +250,13 @@ class TestTrainStep:
     def test_step_is_the_weighted_sum_of_its_parts(self, p_drop, n_active):
         """Losses, norms and every gradient equal a step composed here from its parts.
 
-        The oracle replays the dropout substream through ``project``,
-        ``ic50_forward``, the three losses and ``heads.backward``, with the
-        anchor and dropped modality ``train_step`` returns. The three lambdas
-        are distinct and none is 1, so a misplaced or doubled weight shows, and
-        the batch holds unannotated rows. Each embedding gradient is summed as
-        (IC50 + bimodal) + volume, so the loss values and gradients are the
-        same bits.
+        The oracle replays the dropout substream through ``dropout_masks``,
+        ``project``, ``ic50_forward``, the three losses and ``heads.backward``,
+        with the anchor and dropped modality ``train_step`` returns. The three
+        lambdas are distinct and none is 1, so a misplaced or doubled weight
+        shows, and the batch holds unannotated rows. Each embedding gradient
+        is summed as (IC50 + bimodal) + volume, so the loss values and
+        gradients are the same bits.
         """
         lam_vol, lam_bi, lam_ic50 = 0.7, 1.3, 0.4
         model, params, weights, raw, labels, cfg, rngs = self._prepare(
@@ -271,11 +272,13 @@ class TestTrainStep:
         rng = substream(cfg.seed, "dropout", 0)
         feats, tapes = {}, {}
         for m in MODALITY_ORDER:
-            feats[m], tapes[m] = project(model.projectors[m], raw[m], "train", rng)
+            masks = heads.dropout_masks(model.projectors[m].params, len(labels), rng)
+            feats[m], tapes[m] = project(model.projectors[m], raw[m], "train", masks)
         batch = Batch(embeddings=feats, ic50_labels=labels, ic50_mask=labels >= 0)
         bi = clip_bimodal(batch, cfg.tau)
         fused = np.concatenate([feats[m] for m in MODALITY_ORDER], axis=1)
-        logits, ic50_tape = ic50_forward(model.ic50_head, fused, "train", rng)
+        masks = heads.dropout_masks(model.ic50_head.params, len(labels), rng)
+        logits, ic50_tape = ic50_forward(model.ic50_head, fused, "train", masks)
         ic = ic50_loss(batch, logits, weights, cfg.label_smoothing)
         head_grads, dfused = heads.backward(ic50_tape, ic.logit_grad)
         vol = volume_contrastive(batch, decision.anchor, active, cfg.tau)
@@ -348,9 +351,11 @@ class TestTrainStep:
     def test_stage_marks_follow_the_step(self, monkeypatch, p_drop, n_active):
         """The step marks its stages in this order, and ``stage_clock`` times exactly them.
 
-        Every ``update`` call runs inside ``"adam"``. Replayed through a
-        ``stage_clock`` whose clock advances one second per reading, each
-        stage gets 1000 ms per mark that enters it and ``"other"`` gets none.
+        The IC50 head's ``update`` runs inside ``"adam"`` and the four
+        projectors' inside the one ``"proj_backward"``, with their backwards.
+        Replayed through a ``stage_clock`` whose clock advances one second per
+        reading, each stage gets 1000 ms per mark that enters it and
+        ``"other"`` gets none.
         """
         model, params, weights, raw, labels, cfg, rngs = self._prepare(
             scheduler=SchedulerConfig(p_drop=p_drop))
@@ -360,10 +365,8 @@ class TestTrainStep:
                                        enter=marks.append)
         assert 4 - (decision.dropped is not None) == n_active
         assert marks == ["proj_forward", "bimodal", "ic50", "other", "adam", "other",
-                         "volume", "other",
-                         "proj_backward", "adam", "other", "proj_backward", "adam", "other",
-                         "proj_backward", "adam", "other", "proj_backward", "adam", "other"]
-        assert updated_in == ["adam"] * 5
+                         "volume", "other", "proj_backward", "other"]
+        assert updated_in == ["adam"] + ["proj_backward"] * 4
 
         seconds = itertools.count()
         monkeypatch.setattr(trainer.time, "perf_counter", lambda: next(seconds))
@@ -374,7 +377,7 @@ class TestTrainStep:
         assert list(stage_ms) == list(STEP_STAGES) == ["proj_forward", "bimodal", "ic50",
                                                        "volume", "proj_backward", "adam"]
         assert stage_ms == {"proj_forward": 1000.0, "bimodal": 1000.0, "ic50": 1000.0,
-                            "volume": 1000.0, "proj_backward": 4000.0, "adam": 5000.0}
+                            "volume": 1000.0, "proj_backward": 1000.0, "adam": 1000.0}
 
     def test_non_finite_volume_loss_leaves_the_projectors_untouched(self, monkeypatch):
         """A NaN volume loss raises after the IC50 head's update and before any projector's.
@@ -713,8 +716,10 @@ class TestStepMemory:
     def test_paper_step_holds_one_heads_gradients_at_a_time(self):
         """A paper-width B=256 step with its five per-head Adam updates peaks under 50 MiB.
 
-        The step's own allocations, with the model and the moments made
-        before, peak at 48.3 MiB of ``tracemalloc``: 1.7 MiB of margin.
+        The step holds at most one head's gradients per thread: the projector
+        backwards run as parallel tasks, each updating its own head. The
+        step's own allocations, with the model and the moments made before,
+        peak at 48.3 MiB of ``tracemalloc``: 1.7 MiB of margin.
         Collecting all 6.44M float64 parameter gradients (49 MiB) for one
         update after the step peaked at 66.5 MiB, at the end of the projector
         backward.
@@ -861,6 +866,172 @@ def test_dti_fold_bytes_do_not_depend_on_threads(monkeypatch):
             assert cpus == 1
 
 
+def paper_adam_step():
+    """A paper-width B=256 step with Adam: its losses, decision, gbar and norms, and a digest.
+
+    The digest covers every parameter's bytes and both of its Adam moments'.
+    """
+    tables, quads = synth_quadruplets(256, (768, 768, 768, 1280), 0.05, seed=11)
+    cfg = TrainConfig(batch_size=256, seed=3)
+    model = trainer._new_model({m: tables[m].dim for m in MODALITY_ORDER}, cfg)
+    params = dict(named_tensors(model))
+    state = stepped_adam(params)
+    index, labels = _manifest_index(quads)
+    raw = {m: tables[m].rows[index[:, m]] for m in MODALITY_ORDER}
+    rngs = {k: substream(cfg.seed, k, 0) for k in ("dropout", "scheduler")}
+    losses, decision, gbar, norms = train_step(
+        model, raw, labels, make_history(cfg.scheduler), _dataset_weights(labels), cfg, rngs,
+        lambda grads: adam_step(params, grads, state, cfg.lr))
+    digest = hashlib.sha256()
+    for name in sorted(params):
+        for a in (params[name], state.m[name], state.v[name]):
+            digest.update(name.encode())
+            digest.update(a.tobytes())
+    dropped = None if decision.dropped is None else decision.dropped.short
+    return [losses, decision.branch.value, dropped, decision.anchor.short,
+            [float(x) for x in gbar], norms, digest.hexdigest()]
+
+
+PAPER_ADAM_STEP = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_trainer import paper_adam_step
+print(json.dumps(paper_adam_step()))
+"""
+
+
+class CountedThread(threading.Thread):
+    """A thread that records itself in ``started`` as it starts."""
+
+    started = []
+
+    def start(self):
+        CountedThread.started.append(self)
+        super().start()
+
+
+@pytest.fixture
+def counted_threads(monkeypatch):
+    """Every thread ``pinned_map`` starts, with the CPUs it sees set by the caller."""
+
+    def count(cpus):
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(parallel.threading, "Thread", CountedThread)
+        return CountedThread.started
+
+    CountedThread.started = []
+    return count
+
+
+def test_pooled_step_bytes_do_not_depend_on_the_schedule(monkeypatch, counted_threads):
+    """Losses, decision, norms and every parameter and moment byte equal across schedules.
+
+    The step is above POOL_MIN_GEMM_WORK. Pooled, its projector tasks are
+    shared by the calling thread and three workers under a short switch
+    interval, so the projectors update in whichever order their tasks end;
+    inline, they run in MODALITY_ORDER. The children run the pooled step at
+    1 and 2 OpenBLAS threads. Each map starts min(CPUs, 4) - 1 workers.
+    """
+    src = str(Path(gramalign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    children = {
+        threads: subprocess.Popen(
+            [sys.executable, "-c", PAPER_ADAM_STEP, str(Path(__file__).parent)],
+            stdout=subprocess.PIPE, text=True, env=dict(env, OPENBLAS_NUM_THREADS=threads))
+        for threads in ("1", "2")
+    }
+    model = trainer._new_model({m: d for m, d in zip(MODALITY_ORDER, (768, 768, 768, 1280))},
+                               TrainConfig(batch_size=256))
+    assert trainer.projector_map(model, 256) is parallel.pinned_map
+
+    started = counted_threads(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pooled = paper_adam_step()
+    finally:
+        sys.setswitchinterval(interval)
+    with monkeypatch.context() as patch:
+        patch.setattr(trainer, "POOL_MIN_GEMM_WORK", float("inf"))
+        inline = paper_adam_step()
+    if parallel.blas_thread_controls() is not None:
+        assert len(started) == 2 * 3  # the forward and backward maps; inline starts none
+    assert pooled == inline
+
+    for threads, child in children.items():
+        out, _ = child.communicate(timeout=300)
+        assert child.returncode == 0, threads
+        assert json.loads(out) == pooled, threads
+
+
+def test_below_the_threshold_no_thread_starts(counted_threads):
+    """A desk-width run, its steps and alignment evals included, starts no thread."""
+    tables, quads, cfg = small_setup(epochs=2)
+    started = counted_threads(8)
+    model = trainer._new_model({m: tables[m].dim for m in MODALITY_ORDER}, cfg)
+    assert trainer.projector_map(model, cfg.batch_size) is not parallel.pinned_map
+    train(tables, quads, cfg)
+    assert started == []
+
+
+@pytest.mark.skipif(parallel.blas_thread_controls() is None, reason="no OpenBLAS beside numpy")
+def test_train_holds_blas_at_one_thread(tmp_path, monkeypatch):
+    """Each step, alignment eval and checkpoint write runs at one BLAS thread; the count returns."""
+    get, set_ = parallel.blas_thread_controls()
+    seen = []
+
+    def spy(name, fn):
+        def call(*args, **kwargs):
+            seen.append((name, get()))
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("train_step", "alignment_volumes", "save_model_checkpoint"):
+        monkeypatch.setattr(trainer, name, spy(name, getattr(trainer, name)))
+    tables, quads, cfg = small_setup(epochs=2)
+    saved = get()
+    set_(2)
+    try:
+        train(tables, quads, cfg, out_dir=tmp_path)
+        assert get() == 2
+    finally:
+        set_(saved)
+    assert {name for name, _ in seen} == {"train_step", "alignment_volumes",
+                                          "save_model_checkpoint"}
+    assert {threads for _, threads in seen} == {1}
+
+
+@pytest.mark.parametrize("platform, maxrss, peak", [
+    ("linux", 3000, 3000 * 1024),  # KiB
+    ("freebsd14", 3000, 3000 * 1024),
+    ("darwin", 3000, 3000),  # bytes
+])
+def test_peak_rss_bytes_reads_ru_maxrss_in_the_platforms_unit(monkeypatch, platform, maxrss,
+                                                              peak):
+    monkeypatch.setattr(trainer.sys, "platform", platform)
+    monkeypatch.setattr(trainer.resource, "getrusage",
+                        lambda who: SimpleNamespace(ru_maxrss=maxrss))
+    assert trainer.peak_rss_bytes() == peak
+
+
+def test_without_resource_the_peak_rss_is_null(monkeypatch):
+    monkeypatch.setattr(trainer, "resource", None)
+    assert trainer.peak_rss_bytes() is None
+    tables, quads, cfg = small_setup(epochs=1)
+    assert {t["peak_rss_mb"] for t in train(tables, quads, cfg).timings} == {None}
+
+
+def test_cli_imports_where_there_is_no_resource_module():
+    """Windows has no ``resource`` module; the package and its CLI still import."""
+    src = str(Path(gramalign.__file__).resolve().parents[1])
+    code = ("import sys; sys.modules['resource'] = None; import gramalign.cli; "
+            "from gramalign.trainer import peak_rss_bytes; print(peak_rss_bytes())")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    assert proc.stdout.strip() == "None"
+
+
 class TestTrainDti:
     @pytest.mark.parametrize("scale", [1.0, 1e3], ids=["unit", "1e3"])
     @pytest.mark.parametrize("shape", [(1, 2), (7, 2), (512, 2), (33, 5)])
@@ -904,16 +1075,15 @@ class TestTrainDti:
         folds = make_split(
             positives, SplitKind.WARM, 2, seed=1, drugs=smiles.ids, proteins=protein.ids
         )
-        states = []  # the dropout generator's state as each training forward starts
+        states = []  # the dropout generator's state as each training forward's masks are drawn
 
-        def forward_spy(head, f_s, f_p, mode, rng=None):
-            if mode == "train":
-                states.append(rng.bit_generator.state)
-            return heads.dti_forward(head, f_s, f_p, mode, rng)
+        def masks_spy(params, rows, rng):
+            states.append(rng.bit_generator.state)
+            return heads.dropout_masks(params, rows, rng)
 
         # one fold after another, so the states come in fold, epoch and batch order
         monkeypatch.setattr(trainer, "pinned_map", lambda fn, items: [fn(x) for x in items])
-        monkeypatch.setattr(trainer, "dti_forward", forward_spy)
+        monkeypatch.setattr(trainer, "dropout_masks", masks_spy)
         train_dti(model, smiles, protein, folds, cfg)
         start = 0  # the epoch's first training forward
         for fold in folds:

@@ -11,14 +11,18 @@ code, the tables and the model. It prints:
 
 - the step-2 ``tracemalloc`` peak, from the start of step 2's
   ``train_step`` to its return, which includes its per-head Adam updates,
-  and the stage that holds it;
+  and the stage that holds it. ``tracemalloc`` counts every thread's
+  allocations, and the step holds at most one head's gradients per thread:
+  above ``trainer.POOL_MIN_GEMM_WORK`` its projector backwards run as
+  parallel tasks, each updating its own head;
 - the peak of each stage of step 2. The stages are ``trainer.STEP_STAGES``,
   those of ``run.timing.jsonl``, and their boundaries are the marks
   ``train_step`` makes through its ``enter`` hook, which the tool fills for
   step 2; ``other`` is the step's own code between stages;
 - the live bytes at the volume loss's entry in step 2, in all and grouped
   by the line that allocated them, largest first, with that line's text;
-- the process's peak RSS.
+- the process's peak RSS (``trainer.peak_rss_bytes``), or "unknown" where
+  the platform has no ``resource`` module.
 
 MiB = 2**20 bytes. The defaults are the paper's widths and B=512.
 """
@@ -29,7 +33,6 @@ tracemalloc.start()
 
 import argparse  # noqa: E402
 import linecache  # noqa: E402
-import resource  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -118,7 +121,8 @@ def main(argv=None) -> int:
         print(f"  {size / MIB:8.2f} MiB  {_where(frame)}")
     rest = total - sum(size for size, _ in top)
     print(f"  {rest / MIB:8.2f} MiB  {n_lines - len(top)} other lines")
-    print(f"peak RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f} MiB")
+    rss = trainer.peak_rss_bytes()
+    print("peak RSS: unknown" if rss is None else f"peak RSS: {rss / MIB:.1f} MiB")
     return 0
 
 
