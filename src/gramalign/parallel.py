@@ -5,15 +5,19 @@ loaded is driven through ctypes. Two Python threads that each run GEMMs on
 a multi-threaded OpenBLAS oversubscribe the cores and run slower than one
 after the other; with OpenBLAS at one thread, each worker's GEMMs run on
 its own core. ``one_blas_thread`` holds that setting for a block of code:
-``pinned_map`` for its call, and ``trainer.train`` for its whole epoch loop,
-because a two-thread OpenBLAS worker spin-waits on the second core after
-each GEMM.
+``pinned_map`` for its call, and ``trainer.train`` for the whole epoch loop
+of a run whose steps map their projector tasks, because a two-thread
+OpenBLAS worker spin-waits on the second core after each GEMM. Such a run
+also calls ``keep_freed_memory``, which sets glibc's malloc, through ctypes
+too, to keep the arrays a step frees for the next step, in one arena for
+every thread.
 """
 
 import ctypes
 import functools
 import glob
 import os
+import sys
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -46,6 +50,37 @@ def blas_thread_controls():
                 set_.argtypes, set_.restype = [ctypes.c_int], None
                 return get, set_
     return None
+
+
+# mallopt parameters (glibc's malloc.h) and the values keep_freed_memory gives them
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+MALLOC_SETTINGS = (
+    (_M_MMAP_THRESHOLD, 32 << 20),  # blocks up to 32 MiB, glibc's documented maximum, from the heap
+    (_M_TRIM_THRESHOLD, 256 << 20),  # up to 256 MiB free at the heap's top stays mapped
+    (_M_ARENA_MAX, 1),  # every thread allocates from the one arena
+)
+
+
+def keep_freed_memory():
+    """Set glibc's malloc to MALLOC_SETTINGS for the rest of the process; elsewhere do nothing.
+
+    By default glibc returns a freed array of a few MiB to the kernel, so the
+    next array of its size faults in freshly zeroed pages: a paper-width B=512
+    training step took about 30 000 minor faults. And each worker thread gets
+    its own arena, so an array a worker made and the calling thread freed can
+    serve only that worker's later allocations. With these settings a step
+    re-uses the pages the previous step freed, whichever thread made them.
+    The settings are process-wide and are not undone.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "gnu_get_libc_version"):  # another C library, such as musl
+        return
+    mallopt = libc.mallopt
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    for param, value in MALLOC_SETTINGS:
+        mallopt(param, value)
 
 
 @contextmanager

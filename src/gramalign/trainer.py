@@ -13,6 +13,7 @@ byte-deterministic.
 import json
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -50,7 +51,7 @@ from .kernels import tuple_volumes
 from .losses import (DEFAULT_SMOOTHING, DEFAULT_TAU, Batch, clip_bimodal, cross_entropy,
                      ic50_loss, softmax, volume_contrastive)
 from .modality import MODALITY_ORDER, Modality
-from .parallel import one_blas_thread, pinned_map
+from .parallel import keep_freed_memory, one_blas_thread, pinned_map
 from .scheduler import SchedulerConfig, check_field_types, decide, make_history, record, smoothed
 from .seeding import substream
 
@@ -255,15 +256,20 @@ def peak_rss_bytes():
     return peak if sys.platform == "darwin" else 1024 * peak
 
 
-def projector_map(model, rows):
-    """``pinned_map``, or a plain loop where the projectors' GEMM work is below POOL_MIN_GEMM_WORK.
+def pools_projectors(model, rows):
+    """Whether the projectors' GEMM work for ``rows`` rows reaches POOL_MIN_GEMM_WORK.
 
     The work is ``rows`` times the sum of in_dim * out_dim over the four
     projectors' layers.
     """
     work = rows * sum(s.in_dim * s.out_dim
                       for head in model.projectors.values() for s in head.params.specs)
-    if work >= POOL_MIN_GEMM_WORK:
+    return work >= POOL_MIN_GEMM_WORK
+
+
+def projector_map(model, rows):
+    """``pinned_map`` where ``pools_projectors``, else a plain loop on the calling thread."""
+    if pools_projectors(model, rows):
         return pinned_map
     return lambda fn, items: [fn(x) for x in items]
 
@@ -591,9 +597,14 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
             }
         records.append(rec)
 
-    # BLAS at one thread for the whole loop: a two-thread OpenBLAS spin-waits on the
-    # second core after each GEMM, which the projector tasks' worker thread needs
-    with one_blas_thread():
+    # Where the steps map their projector tasks, BLAS runs at one thread for the whole
+    # loop: a two-thread OpenBLAS spin-waits on the second core after each GEMM, which
+    # the tasks' worker thread needs. Looped steps keep the thread count they were given.
+    # glibc's malloc is set to keep what a step frees for the next step, on either thread.
+    pooled = pools_projectors(model, cfg.batch_size)
+    if pooled:
+        keep_freed_memory()
+    with one_blas_thread() if pooled else nullcontext():
         if start_epoch == 0:
             log_alignment(0)
 
@@ -640,7 +651,7 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
                 peak = peak_rss_bytes()
                 timings.append({"kind": "step", "step": step, "wall_ms": wall_ms,
                                 "stage_ms": stage_ms,
-                                "peak_rss_mb": None if peak is None else peak / 1e6})
+                                "peak_rss_mb": None if peak is None else peak / 2**20})
                 step += 1
             log_alignment(epoch + 1, epoch_losses)
             if out_dir is not None:

@@ -154,3 +154,28 @@ def test_one_blas_thread_without_openblas_does_nothing(monkeypatch):
     monkeypatch.setattr(parallel, "blas_thread_controls", lambda: None)
     with one_blas_thread():
         pass
+
+
+class FakeLibc:
+    """A C library that records its mallopt calls; ``glibc`` decides whether it says it is one."""
+
+    def __init__(self, glibc):
+        self.calls = []
+        self.mallopt = lambda param, value: self.calls.append((param, value))
+        if glibc:
+            self.gnu_get_libc_version = lambda: b"2.36"
+
+
+@pytest.mark.parametrize("platform, glibc, set_", [
+    ("linux", True, True),
+    ("linux", False, False),  # musl
+    ("darwin", True, False),
+    ("win32", True, False),
+])
+def test_keep_freed_memory_sets_glibc_malloc_only(monkeypatch, platform, glibc, set_):
+    libc = FakeLibc(glibc)
+    monkeypatch.setattr(parallel.sys, "platform", platform)
+    monkeypatch.setattr(parallel.ctypes, "CDLL", lambda name: libc)
+    parallel.keep_freed_memory()
+    assert libc.calls == (list(parallel.MALLOC_SETTINGS) if set_ else [])
+    assert dict(parallel.MALLOC_SETTINGS) == {-3: 32 << 20, -1: 256 << 20, -8: 1}

@@ -975,10 +975,19 @@ def test_below_the_threshold_no_thread_starts(counted_threads):
 
 
 @pytest.mark.skipif(parallel.blas_thread_controls() is None, reason="no OpenBLAS beside numpy")
-def test_train_holds_blas_at_one_thread(tmp_path, monkeypatch):
-    """Each step, alignment eval and checkpoint write runs at one BLAS thread; the count returns."""
+@pytest.mark.parametrize("min_work, threads, malloc_set", [
+    (0, 1, 1),  # pooled: the whole loop at one BLAS thread, malloc set once
+    (float("inf"), 2, 0),  # looped: the thread count it was given, malloc untouched
+])
+def test_train_holds_blas_at_one_thread_where_it_pools(tmp_path, monkeypatch, min_work, threads,
+                                                        malloc_set):
+    """A pooled run's steps, alignment evals and checkpoint writes run at one BLAS thread.
+
+    A looped run's run at the count it was given. Either way the count
+    returns, and only a pooled run sets glibc's malloc.
+    """
     get, set_ = parallel.blas_thread_controls()
-    seen = []
+    seen, kept = [], []
 
     def spy(name, fn):
         def call(*args, **kwargs):
@@ -988,6 +997,8 @@ def test_train_holds_blas_at_one_thread(tmp_path, monkeypatch):
 
     for name in ("train_step", "alignment_volumes", "save_model_checkpoint"):
         monkeypatch.setattr(trainer, name, spy(name, getattr(trainer, name)))
+    monkeypatch.setattr(trainer, "keep_freed_memory", lambda: kept.append(get()))
+    monkeypatch.setattr(trainer, "POOL_MIN_GEMM_WORK", min_work)
     tables, quads, cfg = small_setup(epochs=2)
     saved = get()
     set_(2)
@@ -998,7 +1009,8 @@ def test_train_holds_blas_at_one_thread(tmp_path, monkeypatch):
         set_(saved)
     assert {name for name, _ in seen} == {"train_step", "alignment_volumes",
                                           "save_model_checkpoint"}
-    assert {threads for _, threads in seen} == {1}
+    assert {t for _, t in seen} == {threads}
+    assert len(kept) == malloc_set
 
 
 @pytest.mark.parametrize("platform, maxrss, peak", [
@@ -1012,6 +1024,13 @@ def test_peak_rss_bytes_reads_ru_maxrss_in_the_platforms_unit(monkeypatch, platf
     monkeypatch.setattr(trainer.resource, "getrusage",
                         lambda who: SimpleNamespace(ru_maxrss=maxrss))
     assert trainer.peak_rss_bytes() == peak
+
+
+def test_peak_rss_mb_is_peak_rss_bytes_in_mib(monkeypatch):
+    """``run.timing.jsonl`` reports MB = 2**20 bytes, the unit perfbench and the README use."""
+    monkeypatch.setattr(trainer, "peak_rss_bytes", lambda: 3 * 2**20)
+    tables, quads, cfg = small_setup(epochs=1)
+    assert {t["peak_rss_mb"] for t in train(tables, quads, cfg).timings} == {3.0}
 
 
 def test_without_resource_the_peak_rss_is_null(monkeypatch):
