@@ -4,13 +4,12 @@ numpy has no thread control of its own, so the OpenBLAS library numpy
 loaded is driven through ctypes. Two Python threads that each run GEMMs on
 a multi-threaded OpenBLAS oversubscribe the cores and run slower than one
 after the other; with OpenBLAS at one thread, each worker's GEMMs run on
-its own core. ``one_blas_thread`` holds that setting for a block of code:
-``pinned_map`` for its call, and ``trainer.train`` for the whole epoch loop
-of a run whose steps map their projector tasks, because a two-thread
-OpenBLAS worker spin-waits on the second core after each GEMM. Such a run
-also calls ``keep_freed_memory``, which sets glibc's malloc, through ctypes
-too, to keep the arrays a step frees for the next step, in one arena for
-every thread.
+its own core. ``one_blas_thread`` holds that setting for a block of code,
+and ``pinned_map`` holds it for its call. ``serial_map`` is the same map as
+a plain loop on the calling thread, for a caller that picks one of the two.
+``keep_freed_memory`` sets glibc's malloc, through ctypes too, to keep the
+arrays a process frees for its later allocations, in one arena for every
+thread.
 """
 
 import ctypes
@@ -152,3 +151,8 @@ def pinned_map(fn, items):
     if errors:
         raise errors[0]
     return results
+
+
+def serial_map(fn, items):
+    """``[fn(x) for x in items]``, on the calling thread alone: ``pinned_map`` as a loop."""
+    return [fn(x) for x in items]

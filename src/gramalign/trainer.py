@@ -51,7 +51,7 @@ from .kernels import tuple_volumes
 from .losses import (DEFAULT_SMOOTHING, DEFAULT_TAU, Batch, clip_bimodal, cross_entropy,
                      ic50_loss, softmax, volume_contrastive)
 from .modality import MODALITY_ORDER, Modality
-from .parallel import keep_freed_memory, one_blas_thread, pinned_map
+from .parallel import keep_freed_memory, one_blas_thread, pinned_map, serial_map
 from .scheduler import SchedulerConfig, check_field_types, decide, make_history, record, smoothed
 from .seeding import substream
 
@@ -69,12 +69,12 @@ ALIGNMENT_EVAL_CAP = 512
 STEP_STAGES = ("proj_forward", "bimodal", "ic50", "volume", "proj_backward", "adam")
 
 # The four projectors' forwards, backwards and eval forwards are mapped over the CPUs
-# when their GEMM work, rows * sum(in_dim * out_dim) over every projector layer, reaches
-# this; below it the same tasks run in a loop. The crossover, from whole steps with Adam
-# at one BLAS thread on 2 vCPU: mapped steps were 4-10 % slower at 1.5e7-5.9e7 (38 % at
-# desk widths, 4.6e5) and 24-28 % faster from 1.2e8 up to paper widths at B=512 (2.8e9).
-# In runs where the shared host gave the two vCPUs no parallelism, they lost 4-7 % at
-# every size.
+# when a batch's GEMM work, batch_size * sum(in_dim * out_dim) over every projector
+# layer, reaches this; below it the same tasks run in a loop. The crossover, from whole
+# steps with Adam at one BLAS thread on 2 vCPU: mapped steps were 4-10 % slower at
+# 1.5e7-5.9e7 (38 % at desk widths, 4.6e5) and 24-28 % faster from 1.2e8 up to paper
+# widths at B=512 (2.8e9). In runs where the shared host gave the two vCPUs no
+# parallelism, they lost 4-7 % at every size.
 POOL_MIN_GEMM_WORK = 100_000_000
 
 
@@ -256,24 +256,6 @@ def peak_rss_bytes():
     return peak if sys.platform == "darwin" else 1024 * peak
 
 
-def pools_projectors(model, rows):
-    """Whether the projectors' GEMM work for ``rows`` rows reaches POOL_MIN_GEMM_WORK.
-
-    The work is ``rows`` times the sum of in_dim * out_dim over the four
-    projectors' layers.
-    """
-    work = rows * sum(s.in_dim * s.out_dim
-                      for head in model.projectors.values() for s in head.params.specs)
-    return work >= POOL_MIN_GEMM_WORK
-
-
-def projector_map(model, rows):
-    """``pinned_map`` where ``pools_projectors``, else a plain loop on the calling thread."""
-    if pools_projectors(model, rows):
-        return pinned_map
-    return lambda fn, items: [fn(x) for x in items]
-
-
 def stage_clock(stage_ms):
     """A ``train_step`` ``enter`` that adds each stage's wall ms to ``stage_ms``.
 
@@ -294,7 +276,8 @@ def stage_clock(stage_ms):
     return enter
 
 
-def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, update, enter=None):
+def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, update, task_map,
+               enter=None):
     """One optimization step following the pre-training algorithm exactly.
 
     Order: project all four modalities (train mode); compute the bimodal and
@@ -307,9 +290,9 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, upd
     the norms.
 
     The four projector forwards, and after the volume loss the four projector
-    backwards, are tasks of ``projector_map``: shared among the CPUs through
-    ``pinned_map`` when their GEMM work reaches POOL_MIN_GEMM_WORK, else run
-    in MODALITY_ORDER on the calling thread. Every dropout mask is drawn
+    backwards, run as the tasks of ``task_map(fn, MODALITY_ORDER)``, which
+    returns ``[fn(m) for m in MODALITY_ORDER]``: ``train`` passes its run's
+    map, ``pinned_map`` or ``serial_map``. Every dropout mask is drawn
     before the forwards, in the order of one draw per layer of each projector
     in MODALITY_ORDER and then the IC50 head's, so no byte depends on which
     thread runs a task or when.
@@ -319,7 +302,7 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, upd
     head's gradients are alive per thread: first the IC50 head's, scaled by
     lambda_ic50, on the calling thread before the volume loss; then each
     projector's, inside its backward task, in the order the tasks finish
-    (MODALITY_ORDER when run in a loop). So ``update`` must be safe to call
+    (MODALITY_ORDER under ``serial_map``). So ``update`` must be safe to call
     from two threads at once for different heads, as ``adam_step`` is.
     ``train`` passes an Adam update, having advanced the step count once for
     the whole step. A non-finite bimodal or IC50 loss raises NonFiniteLoss
@@ -339,7 +322,6 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, upd
     """
     enter = enter or (lambda stage: None)
     rows = len(labels)
-    run = projector_map(model, rows)
 
     enter("proj_forward")
     masks = {m: dropout_masks(model.projectors[m].params, rows, rngs["dropout"])
@@ -348,7 +330,7 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, upd
     def forward(m):
         return project(model.projectors[m], raw[m], "train", masks.pop(m))
 
-    projected = run(forward, MODALITY_ORDER)
+    projected = task_map(forward, MODALITY_ORDER)
     feats = {m: y for m, (y, _) in zip(MODALITY_ORDER, projected)}
     tapes = {m: tape for m, (_, tape) in zip(MODALITY_ORDER, projected)}
     del projected
@@ -408,7 +390,7 @@ def train_step(model, raw, labels, history, weights, cfg: TrainConfig, rngs, upd
                                      proj_grads)))
 
     enter("proj_backward")
-    run(backprop, MODALITY_ORDER)
+    task_map(backprop, MODALITY_ORDER)
     enter("other")
     return losses, decision, gbar, norms
 
@@ -418,21 +400,22 @@ def _require_finite(component: str, value: float) -> None:
         raise NonFiniteLoss(f"{component} loss is {value}")
 
 
-def alignment_volumes(model, tables, index):
+def alignment_volumes(model, tables, index, task_map):
     """Mean matched-tuple and mismatched-tuple volumes in eval mode.
 
     The tuples are the first n <= ALIGNMENT_EVAL_CAP rows of the ``index`` that
     ``_manifest_index`` builds. Mismatched tuple i takes row (i + k) mod n of the
     k-th modality in MODALITY_ORDER, so it mixes four distinct quadruplets only
     when n >= 4; with fewer, the shifts wrap onto a repeat. The four eval
-    projections are tasks of ``projector_map``, as a step's forwards are.
+    projections run as the tasks of ``task_map``, as a step's forwards do;
+    ``train`` passes its run's map.
     """
     rows = index[:ALIGNMENT_EVAL_CAP]
 
     def eval_projection(m):
         return project(model.projectors[m], tables[m].rows[rows[:, m]], "eval")[0]
 
-    feats = projector_map(model, len(rows))(eval_projection, MODALITY_ORDER)
+    feats = task_map(eval_projection, MODALITY_ORDER)
     pos = tuple_volumes(feats)
     mis = tuple_volumes([np.roll(f, -k, axis=0) for k, f in enumerate(feats)])
     return float(np.mean(pos)), float(np.mean(mis))
@@ -584,7 +567,7 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
         adam_step(params, grads, adam, cfg.lr)
 
     def log_alignment(epochs_done, epoch_losses=None):
-        pos, mis = alignment_volumes(model, tables, index)
+        pos, mis = alignment_volumes(model, tables, index, task_map)
         rec = {
             "kind": "alignment",
             "epochs_done": epochs_done,
@@ -597,11 +580,15 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
             }
         records.append(rec)
 
-    # Where the steps map their projector tasks, BLAS runs at one thread for the whole
-    # loop: a two-thread OpenBLAS spin-waits on the second core after each GEMM, which
-    # the tasks' worker thread needs. Looped steps keep the thread count they were given.
-    # glibc's malloc is set to keep what a step frees for the next step, on either thread.
-    pooled = pools_projectors(model, cfg.batch_size)
+    # One map for the projector tasks of every step and alignment eval in the run:
+    # pinned_map where a batch's GEMM work reaches POOL_MIN_GEMM_WORK, else serial_map.
+    # A mapping run holds BLAS at one thread for the whole loop: a two-thread OpenBLAS
+    # spin-waits on the second core after each GEMM, which the tasks' worker thread needs.
+    # It also sets glibc's malloc to keep what a step frees for the next step, on either
+    # thread. A looping run keeps the thread count it was given and malloc's defaults.
+    pooled = cfg.batch_size * sum(s.in_dim * s.out_dim for head in model.projectors.values()
+                                  for s in head.params.specs) >= POOL_MIN_GEMM_WORK
+    task_map = pinned_map if pooled else serial_map
     if pooled:
         keep_freed_memory()
     with one_blas_thread() if pooled else nullcontext():
@@ -627,7 +614,7 @@ def train(tables, quads, cfg: TrainConfig, out_dir=None, resume=None) -> TrainRe
                 try:
                     losses, decision, gbar, norms = train_step(
                         model, raw, ic50_labels[rows], history, weights, cfg, rngs, update,
-                        enter=stage_clock(stage_ms),
+                        task_map, enter=stage_clock(stage_ms),
                     )
                 except NonFiniteLoss as e:
                     raise NonFiniteLoss(f"step {step}: {e}") from None

@@ -1,4 +1,4 @@
-"""Tests for ``pinned_map``, the thread map that trains DTI folds and runs projector tasks."""
+"""Tests for ``pinned_map``, which trains DTI folds and runs projector tasks, and ``serial_map``."""
 
 import sys
 import threading
@@ -7,7 +7,7 @@ import time
 import pytest
 
 from gramalign import parallel
-from gramalign.parallel import blas_thread_controls, one_blas_thread, pinned_map
+from gramalign.parallel import blas_thread_controls, one_blas_thread, pinned_map, serial_map
 
 CONTROLS = blas_thread_controls()
 needs_openblas = pytest.mark.skipif(CONTROLS is None, reason="no OpenBLAS found beside numpy")
@@ -98,21 +98,22 @@ def test_blas_thread_count_restored(cpus, blas_at_two):
     assert blas_at_two() == 2
 
 
-@pytest.mark.parametrize("why", ["one-cpu", "no-openblas"])
+@pytest.mark.parametrize("why", ["one-cpu", "no-openblas", "serial-map"])
 def test_plain_loop_starts_no_thread(monkeypatch, cpus, why):
     cpus(1 if why == "one-cpu" else 4)
     if why == "no-openblas":
         monkeypatch.setattr(parallel, "blas_thread_controls", lambda: None)
+    run = serial_map if why == "serial-map" else pinned_map
 
     def no_thread(*args, **kwargs):
         raise AssertionError("a thread was started")
 
     monkeypatch.setattr(parallel.threading, "Thread", no_thread)
     main = threading.get_ident()
-    out = pinned_map(lambda x: (x, threading.get_ident()), range(5))
+    out = run(lambda x: (x, threading.get_ident()), range(5))
     assert out == [(x, main) for x in range(5)]
     with pytest.raises(ZeroDivisionError):
-        pinned_map(lambda x: 1 / x, [1, 0, 2])
+        run(lambda x: 1 / x, [1, 0, 2])
 
 
 def test_empty_items():

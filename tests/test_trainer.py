@@ -27,6 +27,7 @@ from gramalign.heads import build_model, cast_params, named_tensors, project, ic
 from gramalign.kernels import tuple_volumes
 from gramalign.losses import Batch, clip_bimodal, ic50_loss, volume_contrastive
 from gramalign.modality import MODALITY_ORDER, Modality
+from gramalign.parallel import pinned_map, serial_map
 from gramalign.scheduler import SchedulerConfig, make_history, record, smoothed
 from gramalign.seeding import substream
 from gramalign import heads, losses, parallel, scheduler, trainer
@@ -195,7 +196,8 @@ class TestTrainStep:
         )
         before = {k: v.copy() for k, v in params.items()}
         history = make_history(cfg.scheduler)
-        train_step(model, raw, labels, history, weights, cfg, rngs, adam_update(params, cfg.lr))
+        train_step(model, raw, labels, history, weights, cfg, rngs, adam_update(params, cfg.lr),
+                   serial_map)
         for k in params:
             np.testing.assert_array_equal(params[k], before[k])
 
@@ -203,7 +205,8 @@ class TestTrainStep:
         model, params, weights, raw, labels, cfg, rngs = self._prepare()
         before = eval_total_loss(model, raw, labels, weights, cfg)
         history = make_history(cfg.scheduler)
-        train_step(model, raw, labels, history, weights, cfg, rngs, adam_update(params, cfg.lr))
+        train_step(model, raw, labels, history, weights, cfg, rngs, adam_update(params, cfg.lr),
+                   serial_map)
         after = eval_total_loss(model, raw, labels, weights, cfg)
         assert after < before
 
@@ -214,7 +217,8 @@ class TestTrainStep:
             lambda_vol=1.0, lambda_bi=0.0, lambda_ic50=0.0
         )
         history, grads = make_history(cfg.scheduler), {}
-        _, _, _, norms = train_step(model, raw, labels, history, weights, cfg, rngs, grads.update)
+        _, _, _, norms = train_step(model, raw, labels, history, weights, cfg, rngs, grads.update,
+                                    serial_map)
         assert norms == [0.0, 0.0, 0.0, 0.0]
         # the volume gradients still update the projectors
         assert any(np.abs(g).max() > 0 for g in grads.values())
@@ -236,7 +240,7 @@ class TestTrainStep:
         history = make_history(cfg.scheduler)
         for _ in range(2):  # the model stays as it is; the dropout stream moves on
             _, _, gbar, step_norms = train_step(model, raw, labels, history, weights, cfg, rngs,
-                                                {}.update)
+                                                {}.update, serial_map)
             assert seen[-1].tobytes() == np.asarray(gbar).tobytes()
             norms.append(step_norms)
         assert norms[0] != norms[1]
@@ -265,7 +269,8 @@ class TestTrainStep:
         assert (labels < 0).any() and (labels >= 0).any()
         grads = {}  # collected through the hand-off, which leaves the model as it was
         values, decision, _, norms = train_step(
-            model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs, grads.update)
+            model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs, grads.update,
+            serial_map)
         active = [m for m in MODALITY_ORDER if m is not decision.dropped]
         assert len(active) == n_active
 
@@ -331,14 +336,14 @@ class TestTrainStep:
             adam_step(params, grads, state, cfg.lr)
 
         _, decision, _, _ = train_step(model, raw, labels, make_history(cfg.scheduler), weights,
-                                       cfg, rngs, per_head)
+                                       cfg, rngs, per_head, serial_map)
         assert 4 - (decision.dropped is not None) == n_active
         assert heads_in_order == [{"ic50"}, *({f"proj.{m.short}"} for m in MODALITY_ORDER)]
 
         ref_model, ref_params, ref_state, (weights, cfg, rngs), raw, labels = prepared()
         grads = {}
         train_step(ref_model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs,
-                   grads.update)
+                   grads.update, serial_map)
         assert grads.keys() == ref_params.keys()
         adam_step(ref_params, grads, ref_state, cfg.lr)
         assert state.t == ref_state.t == 3
@@ -362,7 +367,7 @@ class TestTrainStep:
         marks, updated_in = [], []
         _, decision, _, _ = train_step(model, raw, labels, make_history(cfg.scheduler), weights,
                                        cfg, rngs, lambda grads: updated_in.append(marks[-1]),
-                                       enter=marks.append)
+                                       serial_map, enter=marks.append)
         assert 4 - (decision.dropped is not None) == n_active
         assert marks == ["proj_forward", "bimodal", "ic50", "other", "adam", "other",
                          "volume", "other", "proj_backward", "other"]
@@ -399,7 +404,7 @@ class TestTrainStep:
         monkeypatch.setattr(trainer, "volume_contrastive", poisoned)
         with pytest.raises(NonFiniteLoss, match="volume"):
             train_step(model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs,
-                       lambda grads: adam_step(params, grads, state, cfg.lr))
+                       lambda grads: adam_step(params, grads, state, cfg.lr), serial_map)
         for name, (theta, m, v) in before.items():
             now = (params[name], state.m[name], state.v[name])
             same = [a.tobytes() == b.tobytes() for a, b in zip(now, (theta, m, v))]
@@ -424,7 +429,8 @@ class TestTrainStep:
         monkeypatch.setattr(trainer, "project", tracked(trainer.project))
         monkeypatch.setattr(trainer, "ic50_forward", tracked(trainer.ic50_forward))
         monkeypatch.setattr(trainer, "backward", checked_backward)
-        train_step(model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs, {}.update)
+        train_step(model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs, {}.update,
+                   serial_map)
         # tapes: the four projectors, then IC50; backward: IC50, then the projectors in order
         assert alive == [
             [True, True, True, True, True],
@@ -439,7 +445,7 @@ class TestTrainStep:
         model.ic50_head.params.layers[0].w[0, 0] = np.nan
         with pytest.raises(NonFiniteLoss, match="ic50"):
             train_step(model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs,
-                       {}.update)
+                       {}.update, serial_map)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_one_non_finite_ic50_logit_raises(self, monkeypatch, bad):
@@ -454,7 +460,7 @@ class TestTrainStep:
         monkeypatch.setattr(trainer, "ic50_forward", poisoned)
         with pytest.raises(NonFiniteLoss, match="ic50"):
             train_step(model, raw, labels, make_history(cfg.scheduler), weights, cfg, rngs,
-                       {}.update)
+                       {}.update, serial_map)
 
 
 class TestTrain:
@@ -707,7 +713,7 @@ class TestStepMemory:
         tracemalloc.start()
         try:
             train_step(model, raw, labels, make_history(cfg.scheduler),
-                       _dataset_weights(labels), cfg, rngs, lambda grads: None)
+                       _dataset_weights(labels), cfg, rngs, lambda grads: None, pinned_map)
         finally:
             tracemalloc.stop()
         assert len(peaks) == 1
@@ -735,7 +741,7 @@ class TestStepMemory:
         weights, history = _dataset_weights(labels), make_history(cfg.scheduler)
         tracemalloc.start()
         try:
-            train_step(model, raw, labels, history, weights, cfg, rngs, update)
+            train_step(model, raw, labels, history, weights, cfg, rngs, update, pinned_map)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -750,6 +756,7 @@ from gramalign.data import synth_quadruplets
 from gramalign.modality import MODALITY_ORDER
 from gramalign.scheduler import SchedulerConfig, make_history
 from gramalign.seeding import substream
+from gramalign.parallel import pinned_map
 from gramalign.trainer import (TrainConfig, _dataset_weights, _manifest_index, _new_model,
                                train_step)
 
@@ -761,7 +768,7 @@ raw = {m: tables[m].rows[index[:, m]] for m in MODALITY_ORDER}
 rngs = {k: substream(cfg.seed, k, 0) for k in ("dropout", "scheduler")}
 grads = {}  # every head's gradients, collected through the hand-off
 _, _, _, norms = train_step(model, raw, labels, make_history(cfg.scheduler),
-                            _dataset_weights(labels), cfg, rngs, grads.update)
+                            _dataset_weights(labels), cfg, rngs, grads.update, pinned_map)
 digest = hashlib.sha256()
 for name in sorted(grads):
     digest.update(name.encode())
@@ -866,10 +873,11 @@ def test_dti_fold_bytes_do_not_depend_on_threads(monkeypatch):
             assert cpus == 1
 
 
-def paper_adam_step():
+def paper_adam_step(task_map):
     """A paper-width B=256 step with Adam: its losses, decision, gbar and norms, and a digest.
 
-    The digest covers every parameter's bytes and both of its Adam moments'.
+    The step runs its projector tasks through ``task_map``. The digest covers
+    every parameter's bytes and both of its Adam moments'.
     """
     tables, quads = synth_quadruplets(256, (768, 768, 768, 1280), 0.05, seed=11)
     cfg = TrainConfig(batch_size=256, seed=3)
@@ -881,7 +889,7 @@ def paper_adam_step():
     rngs = {k: substream(cfg.seed, k, 0) for k in ("dropout", "scheduler")}
     losses, decision, gbar, norms = train_step(
         model, raw, labels, make_history(cfg.scheduler), _dataset_weights(labels), cfg, rngs,
-        lambda grads: adam_step(params, grads, state, cfg.lr))
+        lambda grads: adam_step(params, grads, state, cfg.lr), task_map)
     digest = hashlib.sha256()
     for name in sorted(params):
         for a in (params[name], state.m[name], state.v[name]):
@@ -895,8 +903,9 @@ def paper_adam_step():
 PAPER_ADAM_STEP = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
+from gramalign.parallel import pinned_map
 from test_trainer import paper_adam_step
-print(json.dumps(paper_adam_step()))
+print(json.dumps(paper_adam_step(pinned_map)))
 """
 
 
@@ -923,14 +932,14 @@ def counted_threads(monkeypatch):
     return count
 
 
-def test_pooled_step_bytes_do_not_depend_on_the_schedule(monkeypatch, counted_threads):
+def test_pooled_step_bytes_do_not_depend_on_the_schedule(counted_threads):
     """Losses, decision, norms and every parameter and moment byte equal across schedules.
 
-    The step is above POOL_MIN_GEMM_WORK. Pooled, its projector tasks are
-    shared by the calling thread and three workers under a short switch
-    interval, so the projectors update in whichever order their tasks end;
-    inline, they run in MODALITY_ORDER. The children run the pooled step at
-    1 and 2 OpenBLAS threads. Each map starts min(CPUs, 4) - 1 workers.
+    Pooled, through ``pinned_map``, the step's projector tasks are shared by
+    the calling thread and three workers under a short switch interval, so
+    the projectors update in whichever order their tasks end; inline, through
+    ``serial_map``, they run in MODALITY_ORDER. The children run the pooled
+    step at 1 and 2 OpenBLAS threads. Each map starts min(CPUs, 4) - 1 workers.
     """
     src = str(Path(gramalign.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -940,20 +949,14 @@ def test_pooled_step_bytes_do_not_depend_on_the_schedule(monkeypatch, counted_th
             stdout=subprocess.PIPE, text=True, env=dict(env, OPENBLAS_NUM_THREADS=threads))
         for threads in ("1", "2")
     }
-    model = trainer._new_model({m: d for m, d in zip(MODALITY_ORDER, (768, 768, 768, 1280))},
-                               TrainConfig(batch_size=256))
-    assert trainer.projector_map(model, 256) is parallel.pinned_map
-
     started = counted_threads(4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        pooled = paper_adam_step()
+        pooled = paper_adam_step(pinned_map)
     finally:
         sys.setswitchinterval(interval)
-    with monkeypatch.context() as patch:
-        patch.setattr(trainer, "POOL_MIN_GEMM_WORK", float("inf"))
-        inline = paper_adam_step()
+    inline = paper_adam_step(serial_map)
     if parallel.blas_thread_controls() is not None:
         assert len(started) == 2 * 3  # the forward and backward maps; inline starts none
     assert pooled == inline
@@ -964,14 +967,73 @@ def test_pooled_step_bytes_do_not_depend_on_the_schedule(monkeypatch, counted_th
         assert json.loads(out) == pooled, threads
 
 
-def test_below_the_threshold_no_thread_starts(counted_threads):
+def test_below_the_threshold_no_thread_starts(monkeypatch, counted_threads):
     """A desk-width run, its steps and alignment evals included, starts no thread."""
     tables, quads, cfg = small_setup(epochs=2)
     started = counted_threads(8)
-    model = trainer._new_model({m: tables[m].dim for m in MODALITY_ORDER}, cfg)
-    assert trainer.projector_map(model, cfg.batch_size) is not parallel.pinned_map
+    maps = []
+
+    def eval_spy(*args):
+        maps.append(args[-1])
+        return alignment_volumes(*args)
+
+    monkeypatch.setattr(trainer, "alignment_volumes", eval_spy)
     train(tables, quads, cfg)
+    assert maps == [serial_map] * (cfg.epochs + 1)
     assert started == []
+
+
+@pytest.mark.parametrize("min_work, want", [(0, pinned_map), (float("inf"), serial_map)],
+                         ids=["pooled", "looped"])
+def test_every_step_and_eval_of_a_run_gets_the_runs_one_map(monkeypatch, counted_threads,
+                                                            min_work, want):
+    """``train`` picks one map per run and hands that object to every step and alignment eval.
+
+    With POOL_MIN_GEMM_WORK at 0 the map is ``pinned_map``; at infinity it is
+    ``serial_map``, and no thread starts.
+    """
+    seen = []
+
+    def spy(name):
+        fn = getattr(trainer, name)
+
+        def call(*args, **kwargs):
+            seen.append((name, inspect.signature(fn).bind(*args, **kwargs).arguments["task_map"]))
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("train_step", "alignment_volumes"):
+        monkeypatch.setattr(trainer, name, spy(name))
+    monkeypatch.setattr(trainer, "keep_freed_memory", lambda: None)
+    monkeypatch.setattr(trainer, "POOL_MIN_GEMM_WORK", min_work)
+    tables, quads, cfg = small_setup(epochs=2)
+    started = counted_threads(2)
+    train(tables, quads, cfg)
+    steps = cfg.epochs * (len(quads) // cfg.batch_size)
+    assert [name for name, _ in seen].count("train_step") == steps
+    assert [name for name, _ in seen].count("alignment_volumes") == cfg.epochs + 1
+    assert all(task_map is want for _, task_map in seen)
+    if want is serial_map:
+        assert started == []
+    elif parallel.blas_thread_controls() is not None:
+        assert len(started) == 2 * steps + cfg.epochs + 1  # one worker per map
+
+
+@pytest.mark.parametrize("dims, batch, shared, hidden, want", [
+    ((768, 768, 768, 1280), 256, 512, 768, pinned_map),  # paper widths
+    ((32, 32, 32, 32), 64, 16, 32, serial_map),  # the desk walkthrough's run
+], ids=["paper", "desk"])
+def test_pool_min_gemm_work_maps_a_paper_width_run_and_loops_a_desk_one(
+        monkeypatch, dims, batch, shared, hidden, want):
+    """At the real threshold, a paper-width B=256 run maps its projector tasks; a desk run loops."""
+    tables, quads = synth_quadruplets(8, dims, 0.05, seed=0)
+    maps = []
+    monkeypatch.setattr(trainer, "alignment_volumes",
+                        lambda model, tables, index, task_map: maps.append(task_map) or (0.0, 0.0))
+    monkeypatch.setattr(trainer, "keep_freed_memory", lambda: None)
+    train(tables, quads, TrainConfig(batch_size=batch, epochs=0, shared_dim=shared,
+                                     proj_hidden=hidden))
+    assert maps == [want]
 
 
 @pytest.mark.skipif(parallel.blas_thread_controls() is None, reason="no OpenBLAS beside numpy")
@@ -1161,9 +1223,10 @@ def test_batches_follow_a_many_to_many_manifest(monkeypatch):
 
     steps, evals = [], []
 
-    def step_spy(model, raw, labels, history, weights, cfg, rngs, update, enter):
+    def step_spy(model, raw, labels, history, weights, cfg, rngs, update, task_map, enter):
         steps.append((raw, labels.tolist(), weights))
-        return train_step(model, raw, labels, history, weights, cfg, rngs, update, enter)
+        return train_step(model, raw, labels, history, weights, cfg, rngs, update, task_map,
+                          enter)
 
     def project_spy(head, x, mode, *args, **kwargs):
         if mode == "eval":
@@ -1199,7 +1262,7 @@ def test_alignment_volumes_mismatch_uses_distinct_samples():
     tables, quads, cfg = small_setup(n=12)
     model = build_model({m: 8 for m in MODALITY_ORDER}, 8, 8, 8, 0)
     index = _manifest_index(quads)[0][::-1]  # manifest rows that are not the table rows
-    pos, mis = alignment_volumes(model, tables, index)
+    pos, mis = alignment_volumes(model, tables, index, serial_map)
     assert 0.0 <= pos <= 1.0
     assert 0.0 <= mis <= 1.0
     n = len(index)

@@ -13,8 +13,9 @@ code, the tables and the model. It prints:
   ``train_step`` to its return, which includes its per-head Adam updates,
   and the stage that holds it. ``tracemalloc`` counts every thread's
   allocations, and the step holds at most one head's gradients per thread:
-  above ``trainer.POOL_MIN_GEMM_WORK`` its projector backwards run as
-  parallel tasks, each updating its own head;
+  where ``trainer.train`` hands its steps ``pinned_map``, as it does at the
+  default widths, the projector backwards run as parallel tasks, each
+  updating its own head;
 - the peak of each stage of step 2. The stages are ``trainer.STEP_STAGES``,
   those of ``run.timing.jsonl``, and their boundaries are the marks
   ``train_step`` makes through its ``enter`` hook, which the tool fills for

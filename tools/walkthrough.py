@@ -23,7 +23,8 @@ files holding their SHA-256, so it adds kilobytes, not 77 MB per checkpoint.
 
 The wall-clock ``run.timing.jsonl`` files are deleted, so two trees with the
 same behaviour give the same bytes, 116 files in all: compare the OUT of each
-with ``diff -r``.
+with ``diff -r``. The desk steps' 76 files are pinned in tier-1 by
+``tests/golden/walkthrough-desk.sha256`` (``tests/test_walkthrough_digests.py``).
 """
 
 import argparse
@@ -53,8 +54,12 @@ def many_to_many(data, dest):
     (dest / "manifest.tsv").write_text("\n".join(lines) + "\n")
 
 
-def steps(out):
-    """(name, argv) for each walkthrough command, in run order."""
+def desk_steps(out):
+    """(name, argv) for each desk-scale command, in run order.
+
+    The m2m steps read ``OUT/m2m``, which ``many_to_many`` writes from the
+    synth step's output before the first of them runs.
+    """
     data, run = out / "synth", out / "run"
     ckpt = ["--checkpoint", run / "final.ckpt", "--data", data]
     yield "synth", ["synth", "--out", data, "--n", "256", "--dims", "32,32,32,32",
@@ -72,6 +77,11 @@ def steps(out):
     for split in ("warm", "drug-cold", "target-cold"):
         yield f"m2m-dti-{split}", ["dti", *m2m, "--out", out / f"m2m-dti-{split}",
                                    "--split", split, "--folds", "3", "--epochs", "3", "--csv"]
+
+
+def steps(out):
+    """(name, argv) for each walkthrough command, in run order: the desk steps first."""
+    yield from desk_steps(out)
     yield "gradcheck", ["gradcheck", "--seed", "0", "--trials", "50"]
     yield "pretrain-help", ["pretrain", "--help"]
     paper = out / "paper"
