@@ -205,7 +205,12 @@ COMPONENTS = (
 
 
 def run_gradcheck(seed: int = 0, trials: int = 50):
-    """Run every component over ``trials`` seeds; returns per-component results."""
+    """Run every component over ``trials`` seeds; returns per-component results.
+
+    Raises ValueError for ``trials < 1``, which would check nothing and pass.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     results = []
     for name, fn, tol in COMPONENTS:
         worst = 0.0

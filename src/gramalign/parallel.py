@@ -7,6 +7,7 @@ after the other; with OpenBLAS at one thread, each worker's GEMMs run on
 its own core. ``one_blas_thread`` holds that setting for a block of code,
 and ``pinned_map`` holds it for its call. ``serial_map`` is the same map as
 a plain loop on the calling thread, for a caller that picks one of the two.
+``blas_config`` names that library's build.
 ``keep_freed_memory`` sets glibc's malloc, through ctypes too, to keep the
 arrays a process frees for its later allocations, in one arena for every
 thread.
@@ -23,16 +24,18 @@ from pathlib import Path
 
 import numpy as np
 
-# (getter, setter) under OpenBLAS's own names and under the scipy-openblas wheel's
-_THREAD_SYMBOLS = (
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+# (thread getter, thread setter, config) under OpenBLAS's own names and under the
+# scipy-openblas wheel's
+_SYMBOLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads", "openblas_get_config"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_",
+     "scipy_openblas_get_config64_"),
 )
 
 
 @functools.cache
-def blas_thread_controls():
-    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None where none is found.
+def _openblas():
+    """((get, set) of its thread count, config string) of the OpenBLAS numpy loaded, or None.
 
     The library is looked for among those bundled with the numpy wheel, which
     numpy has loaded by the time it is imported. It cannot change while the
@@ -42,13 +45,26 @@ def blas_thread_controls():
     libs = glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*"))
     for lib in sorted(libs):
         handle = ctypes.CDLL(lib)
-        for get_name, set_name in _THREAD_SYMBOLS:
-            if hasattr(handle, get_name) and hasattr(handle, set_name):
-                get, set_ = getattr(handle, get_name), getattr(handle, set_name)
+        for names in _SYMBOLS:
+            if all(hasattr(handle, name) for name in names):
+                get, set_, config = (getattr(handle, name) for name in names)
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+                config.argtypes, config.restype = [], ctypes.c_char_p
+                return (get, set_), config().decode()
     return None
+
+
+def blas_thread_controls():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None where none is found."""
+    found = _openblas()
+    return found[0] if found else None
+
+
+def blas_config():
+    """The config string of the OpenBLAS numpy loaded, or "unknown" where none is found."""
+    found = _openblas()
+    return found[1] if found else "unknown"
 
 
 # mallopt parameters (glibc's malloc.h) and the values keep_freed_memory gives them

@@ -104,8 +104,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0, lr and tau positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.shared_dim < 3:  # the pair volumes need one dimension per non-anchor
-            raise ValueError("shared_dim must be >= 3")
+        # Four unit vectors span no volume in three dimensions: below 4 the k=4
+        # volume loss is a constant log B with no gradient, and every alignment volume 0.
+        if self.shared_dim < 4:
+            raise ValueError("shared_dim must be >= 4")
         if self.proj_hidden < 1 or self.ic50_hidden < 1:
             raise ValueError("proj_hidden and ic50_hidden must be >= 1")
         if not 0 <= self.label_smoothing < 1:

@@ -186,6 +186,7 @@ BAD_CONFIGS = [
     (["--p-drop", "2"], "p_drop"),
     (["--seed", "-1"], "seed"),
     (["--shared-dim", "2"], "shared_dim"),
+    (["--shared-dim", "3"], "shared_dim"),
     ({"nonsense": 1}, "unknown config keys"),
     ({"lr": "fast"}, "bad config"),
     ({"scheduler": {"decay": 1.5}}, "decay"),
@@ -236,8 +237,9 @@ BAD_CONFIGS = [
 @pytest.mark.parametrize(
     "flags, message",
     BAD_CONFIGS,
-    ids=["batch-size", "lr", "epochs", "tau", "p-drop", "seed", "shared-dim", "unknown-key",
-         "mistyped-value", "scheduler-decay", "malformed-json", "proj-hidden", "ic50-hidden",
+    ids=["batch-size", "lr", "epochs", "tau", "p-drop", "seed", "shared-dim", "shared-dim-3",
+         "unknown-key", "mistyped-value", "scheduler-decay", "malformed-json", "proj-hidden",
+         "ic50-hidden",
          "label-smoothing", "lambda-vol", "lambda-bi", "lambda-ic50", "dti-epochs", "dti-lr",
          "resume-config-mismatch", "dti-epochs-flag", "dti-seed-flag", "tau-nan",
          "resume-nothing-to-train", "dti-folds-flag", "synth-n-not-int", "synth-dims-dash",
@@ -574,6 +576,12 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and "--trials must be >= 1" in captured.err
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_library_refuses_fewer_than_one_trial(self, trials):
+        """Called directly, zero trials is an error too, not eight vacuous PASSes."""
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            gradcheck.run_gradcheck(trials=trials)
 
     def test_nan_gradient_fails(self, monkeypatch, capsys):
         """A NaN in an analytic gradient is an infinite error, not one max() skips."""

@@ -141,6 +141,16 @@ def test_blas_controls_looked_up_once(monkeypatch):
 
 
 @needs_openblas
+def test_blas_config_names_the_library_the_controls_drive():
+    assert parallel.blas_config().startswith("OpenBLAS ")
+
+
+def test_blas_config_without_openblas_is_unknown(monkeypatch):
+    monkeypatch.setattr(parallel, "_openblas", lambda: None)
+    assert parallel.blas_config() == "unknown" and parallel.blas_thread_controls() is None
+
+
+@needs_openblas
 def test_one_blas_thread_pins_and_restores(blas_at_two):
     with one_blas_thread():
         assert blas_at_two() == 1
