@@ -6,7 +6,8 @@ terminated by "\\n\\0", then concatenated 32-bit little-endian float payloads
 in directory order. Offsets are bytes from the start of the payload section:
 each is the sum of the payload sizes before it, and the last payload ends the
 file. "crc32" is zlib's CRC-32 of the payload section; a header without it
-is refused, so no flipped header bit can switch the check off.
+is refused, so no flipped header bit can switch the check off. "version"
+must be the int VERSION.
 Vectors are stored as (1, n). Every float must be finite. A loaded file is one
 buffer: ``read_file`` and ``f4_blocks`` read GCKPT1 and GEMB1 as views of it.
 """
@@ -146,6 +147,9 @@ def load_checkpoint(path):
         raise FormatError(
             f"header from byte {len(MAGIC)} is not UTF-8 JSON holding config and tensors: {e}"
         ) from None
+    version = header.get("version")
+    if type(version) is not int or version != VERSION:  # JSON's true equals 1
+        raise FormatError(f"{path}: header version is {version!r}, not {VERSION}")
     base = end + len(TERMINATOR)
     shapes = []
     offset = 0  # payloads are packed in directory order

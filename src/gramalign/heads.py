@@ -5,25 +5,26 @@ masks it is given, which ``dropout_masks`` draws, and returns the ForwardTape
 the hand-rolled backward reads; an ``"eval"`` forward caches nothing and
 returns None for the tape. The tape holds one dict per stage: the layer input
 ``x``; the activation's derivative ``dact``, for GELU the float64 factor
-Phi(pre) + pre * phi(pre) (computed once, in the forward, by the operations
-``gelu_grad`` runs) and for ReLU the bool ``pre > 0``; LayerNorm's ``xhat`` and
-``inv``; and the dropout ``mask``. A stage whose input is the previous stage's
-LayerNorm output (a projector's layers 1 and 2) keeps no ``x``: backward()
-re-forms it just before that layer's weight-gradient GEMM, and frees it after,
-from the previous stage's ``xhat``, gamma, beta and mask through
-``_stage_output``, the function the forward forms every stage's output with, so
-it has the same bits. backward() reads the head's current W, gamma and beta, so
-the parameters must not change between a forward and its backward. A tape is
-read once: backward() drops each cached array at its last read, so a stage's
-arrays go as its gradient is formed, and a second backward() on the same tape
-raises TapeMismatch. Gradients are exact (erf-form GELU, full LayerNorm
-Jacobian, inverted-dropout masks, L2-normalization Jacobian) and are verified
-against central finite differences in the test suite and the gradcheck command,
-on tapes of ``"train"`` forwards of heads with dropout 0, whose arithmetic is
-eval's. Training calls backward with ``input_grad=False`` wherever the gradient
-with respect to the head's input is discarded, which skips the first layer's
-``gy @ W.T``. Both modes run GELU, LayerNorm's centring and the final
-normalization in place on arrays no tape holds.
+Phi(pre) + pre * phi(pre) (computed once, in the forward, by the operations the
+test oracle ``gelu_grad`` in ``tests/oracles.py`` runs) and for ReLU the bool
+``pre > 0``; LayerNorm's ``xhat`` and ``inv``; and the dropout ``mask``. A
+stage whose input is the previous stage's LayerNorm output (a projector's
+layers 1 and 2) keeps no ``x``: backward() re-forms it just before that layer's
+weight-gradient GEMM, and frees it after, from the previous stage's ``xhat``,
+gamma, beta and mask through ``_stage_output``, the function the forward forms
+every stage's output with, so it has the same bits. backward() reads the head's
+current W, gamma and beta, so the parameters must not change between a forward
+and its backward. A tape is read once: backward() drops each cached array at
+its last read, so a stage's arrays go as its gradient is formed, and a second
+backward() on the same tape raises TapeMismatch. Gradients are exact (erf-form
+GELU, full LayerNorm Jacobian, inverted-dropout masks, L2-normalization
+Jacobian) and are verified against central finite differences in the test suite
+and the gradcheck command, on tapes of ``"train"`` forwards of heads with
+dropout 0, whose arithmetic is eval's. Training calls backward with
+``input_grad=False`` wherever the gradient with respect to the head's input is
+discarded, which skips the first layer's ``gy @ W.T``. Both modes run GELU,
+LayerNorm's centring and the final normalization in place on arrays no tape
+holds.
 
 Inputs are ``(rows, dim)`` batches. Math runs in float64 regardless of
 parameter or input dtype; the trainer keeps float32 masters and upcasts per
@@ -50,18 +51,6 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 PROJ_DROPOUT = 0.1
 HEAD_DROPOUT = 0.3
 DTI_HIDDEN = (512, 256)
-
-
-def gelu(x):
-    """Exact GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
-
-
-def gelu_grad(x):
-    """d gelu / dx = Phi(x) + x * phi(x); a train-mode forward computes it once into the tape."""
-    x = np.asarray(x, dtype=np.float64)
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 @dataclass(frozen=True)
@@ -193,7 +182,7 @@ def empty_params(specs) -> MlpParams:
 
 
 def _gelu_factor(x, phi):
-    """``gelu_grad(x)`` bit for bit, with Phi(x) = ``phi`` already computed by the forward."""
+    """The oracle ``gelu_grad(x)`` bit for bit, with Phi(x) = ``phi`` from the forward."""
     d = -0.5 * x
     d *= x
     np.exp(d, out=d)

@@ -122,7 +122,7 @@ def decide(gbar, cfg: SchedulerConfig, rng) -> DropDecision:
     gbar = np.asarray(gbar, dtype=np.float64)
     if gbar.shape != (4,) or not np.all(np.isfinite(gbar)):
         raise NegativeNorm(f"need 4 finite smoothed norms, got {gbar}")
-    if rng.random() > cfg.p_drop:
+    if rng.random() >= cfg.p_drop:
         return DropDecision(None, Modality.PROTEIN, Branch.NONE)
 
     mu = float(gbar.mean())

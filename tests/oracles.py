@@ -1,9 +1,12 @@
-"""Written-out references for the package's volume math and its DTI split.
+"""Written-out references for the package's volume math, its GELU and its DTI split.
 
 Gram determinants, tuple volumes and volume gradients come from recursive
 cofactor expansion on nested Python lists: no LU, no QR, nothing shared with
 the package. It works on the Gram matrix, which squares the condition number,
 so it is a reference on well-conditioned tuples only.
+
+``gelu`` and ``gelu_grad`` are the out-of-place GELU formulas; the heads'
+in-place forward must give their bits.
 
 ``split_by_ids`` is the DTI split on id tuples, with the negative pool
 materialised. It shares only the split kinds and the random substreams with the package.
@@ -12,10 +15,26 @@ materialised. It shares only the split kinds and the random substreams with the 
 import math
 
 import numpy as np
+from scipy.special import erf
 
 from gramalign.data import SplitKind
 from gramalign.errors import InsufficientEntities
 from gramalign.seeding import substream
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def gelu(x):
+    """Exact GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
+    x = np.asarray(x, dtype=np.float64)
+    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+
+
+def gelu_grad(x):
+    """d gelu / dx = Phi(x) + x * phi(x), the factor a train-mode forward records in its tape."""
+    x = np.asarray(x, dtype=np.float64)
+    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 def cofactor_det(m):

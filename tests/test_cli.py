@@ -1,7 +1,6 @@
 """End-to-end CLI tests: flags, exit codes, determinism, file outputs."""
 
 import csv
-import importlib.util
 import json
 import os
 import shutil
@@ -11,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import walkthrough
 
 import gramalign
 from gramalign import gradcheck
@@ -23,6 +23,21 @@ from gramalign.modality import MODALITY_ORDER, Modality
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_failing(capfd, *argv):
+    """``main`` on ``argv`` in process: its exit code, or argparse's, and what it wrote to stderr.
+
+    stderr is read through ``capfd``, so writes to fd 2 count too. Any
+    exception other than ``SystemExit`` propagates and fails the test, as a
+    traceback printed by ``python -m gramalign.cli`` would.
+    """
+    capfd.readouterr()  # only this call's writes count
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as e:
+        code = e.code
+    return code, capfd.readouterr().err
 
 
 def dir_bytes(root):
@@ -249,7 +264,7 @@ BAD_CONFIGS = [
          "lambda-vol-bool", "lr-int-beyond-float", "config-list", "config-string",
          "scheduler-not-object", "resume-abbreviated", "batch-size-abbreviated"],
 )
-def test_bad_config_exits_2_with_one_line(tmp_path, synth_dir, pretrained, flags, message):
+def test_bad_config_exits_2_with_one_line(tmp_path, capfd, synth_dir, pretrained, flags, message):
     """Out-of-range values are flag errors: exit 2, one stderr line, no traceback.
 
     Rows starting with "dti" run that command on the pretrained checkpoint,
@@ -263,53 +278,65 @@ def test_bad_config_exits_2_with_one_line(tmp_path, synth_dir, pretrained, flags
     flags = [pretrained / "epoch-0000.ckpt" if f == "CHECKPOINT" else f for f in flags]
     out = tmp_path / "out"
     if flags[0] == "dti":
-        proc = _cli_in_subprocess("dti", "--checkpoint", pretrained / "final.ckpt",
-                                  "--data", synth_dir, "--out", out, *flags[1:])
+        argv = ["dti", "--checkpoint", pretrained / "final.ckpt", "--data", synth_dir,
+                "--out", out, *flags[1:]]
     elif not flags[0].startswith("--"):
-        proc = _cli_in_subprocess(flags[0], "--out", out, *flags[1:])
+        argv = [flags[0], "--out", out, *flags[1:]]
     else:
-        proc = _cli_in_subprocess("pretrain", "--data", synth_dir, "--out", out, *flags)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert len(proc.stderr.strip().splitlines()) == 1
-    assert message in proc.stderr
+        argv = ["pretrain", "--data", synth_dir, "--out", out, *flags]
+    code, err = run_failing(capfd, *argv)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert message in err
     assert not out.exists()
 
 
-def _cli_in_subprocess(*argv):
+def test_module_entry_point_exits_with_mains_code(tmp_path):
+    """``python -m gramalign.cli`` exits with ``main``'s code: 2 for a flag, 1 for a bad file."""
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b'GCKPT1\n{"version":1,\n\x00')
+    out = tmp_path / "out"
     src = str(Path(gramalign.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run(
-        [sys.executable, "-m", "gramalign.cli", *map(str, argv)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, code, message in [
+        (["synth", "--out", out, "--n", "3"], 2, "--n must be >= 4"),
+        (["retrieve", "--checkpoint", bad, "--data", tmp_path, "--out", out], 1,
+         "error: header from byte 7 is not UTF-8 JSON"),
+    ]:
+        proc = subprocess.run([sys.executable, "-m", "gramalign.cli", *map(str, argv)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == code
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message)
+    assert not out.exists()
 
 
-def test_resume_with_wrong_size_moment_exits_1_with_one_line(tmp_path, synth_dir, pretrained):
+def test_resume_with_wrong_size_moment_exits_1_with_one_line(tmp_path, capfd, synth_dir,
+                                                            pretrained):
     """A restored Adam moment is size-checked like a parameter: a data error, not a crash."""
     tensors, config = load_checkpoint(pretrained / "epoch-0000.ckpt")
     name = "adam.m.proj.text.L0.w"
     tensors[name] = tensors[name][:3]
     bad = tmp_path / "bad.ckpt"
     save_checkpoint(bad, tensors, config)
-    proc = _cli_in_subprocess("pretrain", "--data", synth_dir, "--out", tmp_path / "out",
-                              "--resume", bad, *PRETRAINED_FLAGS)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.strip().splitlines()
+    code, err = run_failing(capfd, "pretrain", "--data", synth_dir, "--out", tmp_path / "out",
+                            "--resume", bad, *PRETRAINED_FLAGS)
+    assert code == 1
+    lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: tensor '{name}': checkpoint (3, 12)")
 
 
-def test_resume_on_data_of_another_width_exits_6_with_one_line(tmp_path, pretrained):
+def test_resume_on_data_of_another_width_exits_6_with_one_line(tmp_path, capfd, pretrained):
     """Resuming on tables the checkpoint's projectors do not fit fails like ``retrieve`` does."""
     wide = tmp_path / "wide"
     assert run("synth", "--out", str(wide), "--n", "48", "--dims", "24,12,12,16",
                "--seed", "5") == 0
     out = tmp_path / "out"
-    proc = _cli_in_subprocess("pretrain", "--data", wide, "--out", out,
-                              "--resume", pretrained / "epoch-0000.ckpt", *PRETRAINED_FLAGS)
-    assert proc.returncode == 6
-    assert proc.stderr.splitlines() == [
+    code, err = run_failing(capfd, "pretrain", "--data", wide, "--out", out,
+                            "--resume", pretrained / "epoch-0000.ckpt", *PRETRAINED_FLAGS)
+    assert code == 6
+    assert err.splitlines() == [
         "dimension mismatch: SMILES table dim 24 != checkpoint projector input 12"
     ]
     assert not out.exists()
@@ -336,17 +363,16 @@ BAD_MANIFESTS = [
 @pytest.mark.parametrize("edit, code, message", BAD_MANIFESTS,
                          ids=["non-numeric-ic50", "unknown-id", "bad-header", "negative-ic50",
                               "zero-ic50", "nan-ic50"])
-def test_bad_manifest_exits_with_one_line(tmp_path, synth_dir, edit, code, message):
+def test_bad_manifest_exits_with_one_line(tmp_path, capfd, synth_dir, edit, code, message):
     """A malformed manifest is a data error: its exit code, one stderr line naming it."""
     data = tmp_path / "data"
     shutil.copytree(synth_dir, data)
     lines = (data / "manifest.tsv").read_text().splitlines()
     edit(lines)
     (data / "manifest.tsv").write_text("\n".join(lines) + "\n")
-    proc = _cli_in_subprocess("pretrain", "--data", data, "--out", tmp_path / "out")
-    assert proc.returncode == code
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.strip().splitlines()
+    got, err = run_failing(capfd, "pretrain", "--data", data, "--out", tmp_path / "out")
+    assert got == code
+    lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
 
 
@@ -456,6 +482,21 @@ def _raw_checkpoint(directory, payload_bytes, message):
     return build
 
 
+def _versioned(version):
+    """The pretrained first-epoch checkpoint with header version ``version``, or none if None."""
+    def build(tmp_path, pretrained):
+        blob = (pretrained / "epoch-0000.ckpt").read_bytes()
+        end = blob.index(b"\n\x00")
+        header = json.loads(blob[7:end])
+        del header["version"]
+        if version is not None:
+            header["version"] = version
+        path = tmp_path / "version.ckpt"
+        path.write_bytes(blob[:7] + json.dumps(header).encode() + blob[end:])
+        return path, f"{path}: header version is {version!r}, not 1"
+    return build
+
+
 def _nan_in(name):
     """The pretrained first-epoch checkpoint, saved with a NaN as the second float of ``name``."""
     def build(tmp_path, pretrained):
@@ -490,6 +531,8 @@ BAD_FILES = [
     _retrieve(_raw_checkpoint({"x": [0, 1, 1]}, 8, "4 trailing bytes after the last payload")),
     _retrieve(_nan_in("proj.smiles.L0.w")),
     _resume(_nan_in("adam.v.proj.text.L0.w")),
+    _retrieve(_versioned(2)),
+    _retrieve(_versioned(None)),
 ]
 
 
@@ -500,28 +543,20 @@ BAD_FILES = [
                               "gemb-duplicate-id", "manifest-blank-line-before-bad-cell",
                               "retrieve-empty-manifest", "ckpt-entry-negative",
                               "ckpt-entry-not-list", "ckpt-entry-short", "ckpt-offset-gap",
-                              "ckpt-trailing-bytes", "retrieve-nan-weight", "resume-nan-moment"])
-def test_bad_file_exits_1_with_one_line(tmp_path, synth_dir, pretrained, build):
+                              "ckpt-trailing-bytes", "retrieve-nan-weight", "resume-nan-moment",
+                              "ckpt-version-2", "ckpt-without-version"])
+def test_bad_file_exits_1_with_one_line(tmp_path, capfd, synth_dir, pretrained, build):
     """A file that is not what its flag names is a data error: exit 1, one line naming the fault."""
     argv, message = build(tmp_path, synth_dir, pretrained)
     out = tmp_path / "out"
-    proc = _cli_in_subprocess(*argv, "--out", out)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.strip().splitlines()
+    code, err = run_failing(capfd, *argv, "--out", out)
+    assert code == 1
+    lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
     assert not out.exists()
 
 
-def _walkthrough_steps():
-    path = Path(__file__).resolve().parents[1] / "tools" / "walkthrough.py"
-    spec = importlib.util.spec_from_file_location("walkthrough", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return dict(module.steps(Path("out")))
-
-
-WALKTHROUGH = _walkthrough_steps()  # step name -> argv
+WALKTHROUGH = dict(walkthrough.steps(Path("out")))  # step name -> argv
 
 
 @pytest.mark.parametrize("name", list(WALKTHROUGH))

@@ -24,8 +24,6 @@ from gramalign.heads import (
     dti_forward,
     dti_specs,
     dropout_masks,
-    gelu,
-    gelu_grad,
     ic50_forward,
     ic50_specs,
     init_params,
@@ -35,6 +33,7 @@ from gramalign.heads import (
     projector_specs,
 )
 from gramalign.modality import MODALITY_ORDER, Modality
+from oracles import gelu, gelu_grad
 
 
 def drawn(params, x, seed):

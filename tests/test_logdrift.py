@@ -1,20 +1,9 @@
 """``tools/logdrift.py`` on two hand-written run logs."""
 
-import importlib.util
 import json
 import math
-from pathlib import Path
 
-
-def _logdrift():
-    path = Path(__file__).resolve().parents[1] / "tools" / "logdrift.py"
-    spec = importlib.util.spec_from_file_location("logdrift", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-logdrift = _logdrift()
+import logdrift
 
 
 def _records(ic50=0.5, dropped="hta"):

@@ -138,6 +138,16 @@ class TestDecide:
             assert not d.should_drop
             assert d.anchor is Modality.PROTEIN
 
+    def test_p_drop_zero_keeps_every_modality_on_a_draw_of_zero(self):
+        """``random()`` lies in [0, 1), so a draw of exactly 0.0 must not drop at p_drop 0."""
+        class ZeroDraw:
+            def random(self):
+                return 0.0
+
+        d = decide(np.array([1.0, 2, 3, 4]), self._cfg(0.0), ZeroDraw())
+        assert not d.should_drop
+        assert d.anchor is Modality.PROTEIN
+
 
 def test_config_validation():
     with pytest.raises(ValueError):

@@ -7,19 +7,16 @@ not portable: in another environment the test skips. A change that alters
 output bytes on purpose regenerates the file with REGENERATE.
 """
 
-import importlib.util
 import os
 from pathlib import Path
 
 import pytest
+import walkthrough
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "walkthrough.sha256"
 REGENERATE = ("python tools/walkthrough.py --src src OUT, then copy OUT/walkthrough.sha256 "
               "to tests/golden/walkthrough.sha256")
-SPEC = importlib.util.spec_from_file_location("walkthrough", ROOT / "tools" / "walkthrough.py")
-walkthrough = importlib.util.module_from_spec(SPEC)
-SPEC.loader.exec_module(walkthrough)
 
 
 def parse(path):
